@@ -15,14 +15,18 @@ import numpy as np
 from .scene import SystemConfig, spatial_frequency
 
 
-def steering_tx(psi_s: float, m_tx: int) -> np.ndarray:
-    """Transmit spatial steering vector, entry m = exp(+j 2 pi m psi_s)."""
-    return np.exp(2j * np.pi * psi_s * np.arange(m_tx))
+def steering_tx(psi_s, m_tx: int) -> np.ndarray:
+    """Transmit spatial steering vector, entry m = exp(+j 2 pi m psi_s).
+
+    An array of N frequencies gives one vector per row, shape (N, m_tx); each
+    row is bit-identical to the scalar call.
+    """
+    return np.exp(np.multiply.outer(2j * np.pi * psi_s, np.arange(m_tx)))
 
 
-def steering_rx(psi_s: float, m_rx: int) -> np.ndarray:
+def steering_rx(psi_s, m_rx: int) -> np.ndarray:
     """Receive spatial steering vector, same phase progression as transmit."""
-    return np.exp(2j * np.pi * psi_s * np.arange(m_rx))
+    return np.exp(np.multiply.outer(2j * np.pi * psi_s, np.arange(m_rx)))
 
 
 @dataclass(frozen=True)

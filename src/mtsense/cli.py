@@ -4,7 +4,8 @@
 
 Commands: simulate, scan, estimate, detect, roc, crb, sweep-snr. Each writes
 its CSV/JSON outputs plus manifest.json into --out-dir. On failure a JSON
-error object goes to stderr and the exit code is 1.
+error object goes to stderr and the exit code is 1. A command registers only
+the flags it honours: crb takes no --threads, and only detect takes --p-fa.
 """
 from __future__ import annotations
 
@@ -42,9 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config's run seed")
         p.add_argument("--out-dir", default="mtsense-out", metavar="DIR",
                        help="output directory (default: %(default)s)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for scans/trials (default: 1)")
-        if name in ("detect", "roc"):
+        if name != "crb":
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for scans/trials (default: 1)")
+        if name == "detect":
             p.add_argument("--p-fa", type=float, default=None, metavar="P",
                            help="false-alarm rate the threshold is calibrated "
                                 "to (overrides the config)")

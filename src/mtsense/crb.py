@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamPlan, steering_rx, steering_tx, tx_gain
-from .echo import steering_doppler, steering_range
+from .echo import element_factors, tx_gains
 from .scene import (
     C0,
     Scatterer,
@@ -81,12 +81,9 @@ class CrbResult:
     std_speed: np.ndarray
 
 
-def _tx_gain_derivative(theta: float, plan: BeamPlan, b: int, cfg: SystemConfig) -> complex:
-    """d(tx gain)/d(psi_s) at the element's own spatial frequency."""
-    psi = spatial_frequency(theta, cfg)
-    a_tx = steering_tx(psi, cfg.m_tx)
-    phase_rate = 2j * math.pi * np.arange(cfg.m_tx)
-    return complex((phase_rate * a_tx) @ plan.weights[b])
+def _tx_gain_derivative(a_tx: np.ndarray, plan: BeamPlan, b: int) -> np.ndarray:
+    """d(tx gain)/d(psi_s) at each transmit steering row's own spatial frequency."""
+    return tx_gains(2j * math.pi * np.arange(a_tx.shape[-1]) * a_tx, plan.weights[b])
 
 
 def response_vector(element, b: int, l: int, p: int, plan: BeamPlan,
@@ -127,7 +124,8 @@ def derivative_matrices(b: int, l: int, p: int, scene: Scene, plan: BeamPlan,
             psi_r, psi_s = frequencies_scatterer(element, cfg)
             dopp = 1.0
         g = tx_gain(element.theta, plan, b, cfg)
-        dg = _tx_gain_derivative(element.theta, plan, b, cfg)
+        a_tx = steering_tx(spatial_frequency(element.theta, cfg), cfg.m_tx)
+        dg = complex(_tx_gain_derivative(a_tx, plan, b))
         a_rx = steering_rx(psi_s, cfg.m_rx)
         da_rx = 2j * math.pi * m_idx * a_rx
         rng_phase = np.exp(-2j * math.pi * psi_r * l)
@@ -162,26 +160,11 @@ def derivative_matrices(b: int, l: int, p: int, scene: Scene, plan: BeamPlan,
 # stacked over all (m_r, l, p) in C order)
 
 def _element_factors(elements, b, plan, cfg):
-    n = len(elements)
-    sp = np.empty((n, cfg.m_rx), dtype=complex)
-    rg = np.empty((n, cfg.n_sub), dtype=complex)
-    dp = np.empty((n, cfg.n_sym), dtype=complex)
-    g = np.empty(n, dtype=complex)
-    dg = np.empty(n, dtype=complex)
-    dpsis = np.empty(n)
-    for i, el in enumerate(elements):
-        if isinstance(el, Target):
-            psi_r, psi_d, psi_s = frequencies_target(el, cfg)
-            dp[i] = steering_doppler(psi_d, cfg.n_sym)
-        else:
-            psi_r, psi_s = frequencies_scatterer(el, cfg)
-            dp[i] = 1.0
-        sp[i] = steering_rx(psi_s, cfg.m_rx)
-        rg[i] = steering_range(psi_r, cfg.n_sub)
-        g[i] = tx_gain(el.theta, plan, b, cfg)
-        dg[i] = _tx_gain_derivative(el.theta, plan, b, cfg)
-        dpsis[i] = cfg.spacing * math.cos(el.theta) / cfg.wavelength
-    return sp, rg, dp, g, dg, dpsis
+    f = element_factors(elements, cfg)
+    g = tx_gains(f.a_tx, plan.weights[b])
+    dg = _tx_gain_derivative(f.a_tx, plan, b)
+    dpsis = cfg.spacing * np.cos(f.theta) / cfg.wavelength
+    return f.a_rx, f.a_r, f.a_d, g, dg, dpsis
 
 
 def _stack(sp, rg, dp, scale):

@@ -10,17 +10,23 @@ energy. The statistic
 
 equals 1 - sigma1_hat^2 / sigma0_hat^2 and lives in [0, 1]. It is invariant to
 scaling of y, so thresholds calibrate cleanly by Monte Carlo under H0.
+
+Clutter carries no Doppler, and moving to subcarrier l only multiplies each
+basis column by a unit phase, so the clutter span is the same for every l:
+one projector per statistic evaluation serves the whole (M_r, L*P) cube.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .beams import BeamPlan, beam_for_angle, g_tilde, steering_rx
-from .echo import EchoTensor, synthesize_echo
+from .echo import (EchoTensor, add_noise, steering_doppler, steering_range,
+                   synthesize_echo)
 from .scene import Scene, SystemConfig, frequencies_target, range_frequency, spatial_frequency
 
 DEFAULT_N_RANGE = 8
@@ -114,9 +120,12 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     """Evaluate the GLRT statistic for candidate frequencies (psi_d, psi_r, psi_s).
 
     Operates on the raw (unfiltered, unnormalized) scan tensor. One projector
-    is computed per subcarrier and reused across all symbols. If the candidate
-    steering vector is indistinguishable from the clutter subspace the outcome
-    is flagged undetectable (t = 0) instead of dividing by ~zero.
+    is computed per call and applied to all subcarriers and symbols at once:
+    a clutter basis column at subcarrier l is its l = 0 column times the unit
+    phase exp(-j 2 pi l psi_r), so the span, and Pperp, do not depend on l.
+    If the candidate steering vector is indistinguishable from the clutter
+    subspace the outcome is flagged undetectable (t = 0) instead of dividing
+    by ~zero.
     """
     if y.stage != "raw":
         raise ValueError(f"the detector works on raw echoes, got stage {y.stage!r}")
@@ -127,34 +136,16 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     m_rx, n_sub, n_sym = y.data.shape
     n_tot = m_rx * n_sub * n_sym
 
-    g = g_tilde(plan, b, cfg)
+    p_perp = perp_projector(clutter_basis(grid, b, 0, 0, plan, cfg))
     a_sp = steering_rx(psi_s, cfg.m_rx)
-    dopp_phase = np.exp(2j * math.pi * psi_d * np.arange(n_sym))
-
-    energy_h0 = 0.0
-    num_total = 0.0
-    alpha_acc = 0.0 + 0.0j
-    undetectable = False
-    g2 = abs(g) ** 2
-
-    for l in range(n_sub):
-        p_perp = perp_projector(clutter_basis(grid, b, l, 0, plan, cfg))
-        pa = p_perp @ a_sp
-        denom = float(np.real(a_sp.conj() @ pa))  # a^H Pperp a / |g|^2
-        py = p_perp @ y.data[:, l, :]             # (M_r, P)
-        energy_h0 += float(np.sum(np.abs(py) ** 2))
-        if denom < UNDETECTABLE_REL * m_rx:
-            undetectable = True
-            continue
-        inner = a_sp.conj() @ py                  # (P,)
-        num_total += float(np.sum(np.abs(inner) ** 2)) / denom
-        rng_phase = np.exp(-2j * math.pi * psi_r * l)
-        alpha_acc += np.sum(np.conj(g * rng_phase * dopp_phase) * inner) / (g2 * denom)
-
-    sigma2_h0 = energy_h0 / n_tot
-    if undetectable:
+    denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
+    py = p_perp @ y.data.reshape(m_rx, n_sub * n_sym)
+    sigma2_h0 = float(np.sum(np.abs(py) ** 2)) / n_tot
+    if denom < UNDETECTABLE_REL * m_rx:
         return GlrOutcome(statistic=0.0, sigma2_hat_h0=sigma2_h0,
                           sigma2_hat_h1=sigma2_h0, alpha_hat=0j, undetectable=True)
+    inner = a_sp.conj() @ py                                # (L*P,)
+    num_total = float(np.sum(np.abs(inner) ** 2)) / denom
     # Fully explained data: the residual is projection roundoff, and so is the
     # numerator (mathematically num <= N sigma0^2); dividing the two would be
     # noise over noise. t = 0 unless the numerator somehow stayed macroscopic.
@@ -164,9 +155,12 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
         return GlrOutcome(statistic=t, sigma2_hat_h0=sigma2_h0,
                           sigma2_hat_h1=sigma2_h0, alpha_hat=0j, undetectable=False)
 
+    g = g_tilde(plan, b, cfg)
+    steer = g * np.outer(steering_range(psi_r, n_sub), steering_doppler(psi_d, n_sym))
+    alpha_hat = complex(np.sum(np.conj(steer).ravel() * inner)
+                        / (abs(g) ** 2 * denom * n_sub * n_sym))
     sigma2_h1 = max(sigma2_h0 - num_total / n_tot, 0.0)
     t = num_total / (n_tot * sigma2_h0)
-    alpha_hat = complex(alpha_acc / (n_sub * n_sym))
     return GlrOutcome(statistic=t, sigma2_hat_h0=sigma2_h0, sigma2_hat_h1=sigma2_h1,
                       alpha_hat=alpha_hat, undetectable=False)
 
@@ -187,14 +181,19 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
                     candidate: tuple[float, float, float], grid: DetectionGrid,
                     cfg: SystemConfig, p_fa: float, n_trials: int = 500,
                     seed=0, sigma2: float | None = None) -> float:
-    """Empirical (1 - p_fa) quantile of the statistic under H0 Monte Carlo."""
+    """Empirical (1 - p_fa) quantile of the statistic under H0 Monte Carlo.
+
+    The noiseless H0 cube is synthesized once; trial i adds the noise that
+    ``synthesize_echo(..., seed=(seed, i))`` would, so every trial is
+    bit-identical to a full synthesis with that seed.
+    """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
-    ts = np.empty(n_trials)
-    for i in range(n_trials):
-        y = synthesize_echo(scene_h0, plan, b, cfg, seed=(seed, i), noise_var=sigma2)
-        ts[i] = glr_statistic(y, candidate, grid, plan, cfg).statistic
+    clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
+    ts = [glr_statistic(add_noise(clean, sigma2, seed=(seed, i)), candidate, grid,
+                        plan, cfg).statistic
+          for i in range(n_trials)]
     return float(np.quantile(ts, 1.0 - p_fa))
 
 
@@ -202,13 +201,17 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
               snr_list_db, n_trials: int = 500, n_thresholds: int = 101, seed=0,
               b: int | None = None, candidate: tuple[float, float, float] | None = None,
               n_range: int = DEFAULT_N_RANGE, n_angle: int = DEFAULT_N_ANGLE,
-              r_max: float = DEFAULT_R_MAX) -> dict[float, list[tuple[float, float, float]]]:
+              r_max: float = DEFAULT_R_MAX,
+              threads: int = 1) -> dict[float, list[tuple[float, float, float]]]:
     """Monte-Carlo ROC per SNR for one candidate geometry.
 
     The default candidate is the first target of scene_h1 at its covering
-    beam, tested at its true frequencies. Thresholds sweep the pooled
-    statistic range (quantile grid plus open endpoints), so each curve starts
-    at (1, 1) and ends at (0, 0) and is monotone by construction. Returns
+    beam, tested at its true frequencies. Each hypothesis' noiseless cube is
+    synthesized once; trial i of hypothesis h at the k-th SNR adds the noise
+    of seed (seed, k, h, i). Trials run on ``threads`` worker threads, which
+    changes only the execution order. Thresholds sweep the pooled statistic
+    range (quantile grid plus open endpoints), so each curve starts at (1, 1)
+    and ends at (0, 0) and is monotone by construction. Returns
     {snr_db: [(gamma, p_fa, p_d), ...]}.
     """
     if not scene_h1.targets:
@@ -221,20 +224,25 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     if b is None:
         raise ValueError("pass b together with an explicit candidate")
     grid = sample_grid(b, plan, cfg, n_range=n_range, n_angle=n_angle, r_max=r_max)
+    clean = [synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
+             for scene in (scene_h0, scene_h1)]
+
+    def _trial(job) -> float:
+        k, h, i, sigma2 = job
+        y = add_noise(clean[h], sigma2, seed=(seed, k, h, i))
+        return glr_statistic(y, candidate, grid, plan, cfg).statistic
 
     curves: dict[float, list[tuple[float, float, float]]] = {}
     for k, snr_db in enumerate(snr_list_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        t0 = np.empty(n_trials)
-        t1 = np.empty(n_trials)
-        for i in range(n_trials):
-            y0 = synthesize_echo(scene_h0, plan, b, cfg, seed=(seed, k, 0, i),
-                                 noise_var=sigma2)
-            y1 = synthesize_echo(scene_h1, plan, b, cfg, seed=(seed, k, 1, i),
-                                 noise_var=sigma2)
-            t0[i] = glr_statistic(y0, candidate, grid, plan, cfg).statistic
-            t1[i] = glr_statistic(y1, candidate, grid, plan, cfg).statistic
-        pooled = np.concatenate([t0, t1])
+        jobs = [(k, h, i, sigma2) for h in (0, 1) for i in range(n_trials)]
+        if threads <= 1:
+            ts = [_trial(j) for j in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                ts = list(pool.map(_trial, jobs))
+        pooled = np.array(ts)
+        t0, t1 = pooled[:n_trials], pooled[n_trials:]
         qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))
         gammas = np.concatenate([[-math.inf], np.unique(qs), [math.inf]])
         curve = [

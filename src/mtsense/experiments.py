@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -100,6 +101,10 @@ class SweepSpec:
     n_sym_synth: int = 64          # symbols synthesized before the frame window
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: SystemConfig = field(default_factory=SystemConfig)
@@ -112,6 +117,17 @@ class ExperimentConfig:
     snr_list_db: tuple[float, ...] = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0)
     n_trials: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if not _is_int(self.n_trials) or self.n_trials < 1:
+            raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
+        x = self.search_rel_threshold
+        if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
+                and math.isfinite(x) and x > 0):
+            raise ValueError(
+                f"search_rel_threshold must be a finite number > 0, got {x!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -499,7 +515,8 @@ def roc_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
     curves = detector.roc_curve(
         scene_h0, scene_h1, cfg, plan, config.snr_list_db,
         n_trials=config.n_trials, n_thresholds=dspec.n_thresholds, seed=seed,
-        n_range=dspec.n_range, n_angle=dspec.n_angle, r_max=dspec.r_max)
+        n_range=dspec.n_range, n_angle=dspec.n_angle, r_max=dspec.r_max,
+        threads=threads)
     rows = [
         (snr_db, gamma, p_fa, p_d)
         for snr_db in sorted(curves)

@@ -221,6 +221,66 @@ def test_statistic_rejects_filtered_stage(cfg, plan):
         dt.glr_statistic(y, (np.nan, 0.1, 0.1), grid, plan, cfg)
 
 
+# oracle: the statistic with one projector per subcarrier, looping over l
+# exactly as the seed implementation did. It relies on nothing but
+# clutter_basis and perp_projector, each tested on its own above.
+
+def per_subcarrier_glr(y, candidate, grid, plan, cfg):
+    psi_d, psi_r, psi_s = candidate
+    b = y.scan_index
+    m_rx, n_sub, n_sym = y.data.shape
+    n_tot = m_rx * n_sub * n_sym
+    g = g_tilde(plan, b, cfg)
+    a_sp = steering_rx(psi_s, cfg.m_rx)
+    dopp_phase = np.exp(2j * math.pi * psi_d * np.arange(n_sym))
+    energy_h0, num_total, alpha_acc = 0.0, 0.0, 0j
+    for l in range(n_sub):
+        p_perp = dt.perp_projector(dt.clutter_basis(grid, b, l, 0, plan, cfg))
+        denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
+        py = p_perp @ y.data[:, l, :]
+        energy_h0 += float(np.sum(np.abs(py) ** 2))
+        inner = a_sp.conj() @ py
+        num_total += float(np.sum(np.abs(inner) ** 2)) / denom
+        rng_phase = np.exp(-2j * math.pi * psi_r * l)
+        alpha_acc += np.sum(np.conj(g * rng_phase * dopp_phase) * inner) / (abs(g) ** 2 * denom)
+    sigma2_h0 = energy_h0 / n_tot
+    return (num_total / (n_tot * sigma2_h0), sigma2_h0,
+            sigma2_h0 - num_total / n_tot, alpha_acc / (n_sub * n_sym))
+
+
+def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
+    b = 25
+    rng = np.random.default_rng(8)
+    lo, hi = plan.coverage_interval(b)
+    clutter = tuple(Scatterer(theta=float(rng.uniform(lo - 0.1, hi + 0.1)),
+                              range=float(rng.uniform(1.0, 7.0)),
+                              alpha=complex(rng.normal(), rng.normal()))
+                    for _ in range(30))
+    grid = dt.sample_grid(b, plan, cfg, n_range=8, n_angle=3)
+    p_perp = dt.perp_projector(dt.clutter_basis(grid, b, 0, 0, plan, cfg))
+    eps = np.finfo(float).eps
+    for offset in (0.8, 3.0, 6.0):      # candidate angle, in coverage half widths
+        target = _target_in_beam(
+            plan, b, theta=float(plan.directions[b]) + offset * plan.coverage_halfwidth)
+        cand = dt.candidate_from_target(target, cfg)
+        a_sp = steering_rx(cand[2], cfg.m_rx)
+        denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
+        # Both versions carry projector roundoff of order eps, which t, s1 and
+        # alpha amplify by M_r / (a^H Pperp a). Inside the coverage of a
+        # three-angle grid the candidate almost lies in the clutter span
+        # (denom / M_r ~ 3e-7 at 0.8 half widths), so 1e-12 holds only away from it.
+        rel = 1e-12 if offset >= 3.0 else 64 * eps * cfg.m_rx / denom
+        for seed, scene in enumerate((Scene((target,), clutter), Scene((), clutter))):
+            y = ec.synthesize_echo(scene, plan, b, cfg, seed=seed)
+            out = dt.glr_statistic(y, cand, grid, plan, cfg)
+            t, s0, s1, alpha = per_subcarrier_glr(y, cand, grid, plan, cfg)
+            assert not out.undetectable
+            assert out.statistic == pytest.approx(t, rel=rel)
+            assert out.sigma2_hat_h0 == pytest.approx(s0, rel=1e-12)
+            assert out.sigma2_hat_h1 == pytest.approx(s1, rel=rel)
+            assert abs(out.alpha_hat - alpha) <= rel * abs(alpha)
+
+
 def test_detect_thresholding():
     out = dt.GlrOutcome(statistic=0.4, sigma2_hat_h0=1.0, sigma2_hat_h1=0.6,
                         alpha_hat=0j)
@@ -263,6 +323,20 @@ def test_calibrate_gamma_deterministic_and_monotone():
                            n_trials=10, seed=21)
 
 
+def test_calibrate_gamma_matches_full_synthesis_loop():
+    cfg, plan, target, b, clut = _small_setup()
+    grid = dt.sample_grid(b, plan, cfg, n_range=3, n_angle=1)
+    cand = dt.candidate_from_target(target, cfg)
+    ts = [dt.glr_statistic(ec.synthesize_echo(clut, plan, b, cfg, seed=(21, i),
+                                              noise_var=0.3),
+                           cand, grid, plan, cfg).statistic
+          for i in range(50)]
+    want = float(np.quantile(ts, 0.9))
+    got = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
+                             n_trials=50, seed=21, sigma2=0.3)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_roc_curve_shape_and_endpoints():
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
@@ -278,6 +352,14 @@ def test_roc_curve_shape_and_endpoints():
         assert gammas == sorted(gammas)
         assert all(a >= b2 for a, b2 in zip(pfas, pfas[1:]))
         assert all(a >= b2 for a, b2 in zip(pds, pds[1:]))
+
+
+def test_roc_curve_threads_match_serial():
+    cfg, plan, target, b, clut = _small_setup()
+    scene_h1 = Scene((target,), clut.scatterers)
+    kw = dict(n_trials=40, seed=5, n_range=3, n_angle=1)
+    serial = dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], threads=1, **kw)
+    assert dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], threads=3, **kw) == serial
 
 
 def test_roc_identical_scenes_track_diagonal():

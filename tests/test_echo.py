@@ -57,6 +57,53 @@ def test_synthesize_matches_brute_force(small_cfg, small_plan):
         assert got.stage == "raw" and got.scan_index == b
 
 
+def test_synthesize_matches_brute_force_dense_scene(small_cfg, small_plan):
+    rng = np.random.default_rng(77)
+    targets = tuple(
+        Target(theta=float(rng.uniform(-0.8, 0.8)), range=float(rng.uniform(1.0, 7.0)),
+               speed=float(rng.uniform(-4.0, 4.0)),
+               alpha=complex(rng.normal(), rng.normal()))
+        for _ in range(2))
+    scatterers = tuple(
+        Scatterer(theta=float(rng.uniform(-1.0, 1.0)), range=float(rng.uniform(1.0, 7.0)),
+                  alpha=complex(rng.normal(), rng.normal()))
+        for _ in range(120))
+    scene = Scene(targets, scatterers)
+    for b in (1, 5):
+        got = ec.synthesize_echo(scene, small_plan, b, small_cfg, noise_var=0.0)
+        want = brute_force_echo(scene, small_plan, b, small_cfg)
+        assert np.max(np.abs(got.data - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_element_factors_match_scalar_helpers(small_cfg, small_plan):
+    scene = _two_element_scene()
+    elements = (*scene.targets, *scene.scatterers)
+    f = ec.element_factors(elements, small_cfg)
+    assert np.allclose(ec.tx_gains(f.a_tx, small_plan.weights[2]),
+                       [bm.tx_gain(el.theta, small_plan, 2, small_cfg) for el in elements],
+                       rtol=0, atol=1e-13)
+    psi_r, psi_d, psi_s = frequencies_target(scene.targets[0], small_cfg)
+    assert np.allclose(f.a_rx[0], bm.steering_rx(psi_s, small_cfg.m_rx), rtol=0, atol=1e-15)
+    assert np.allclose(f.a_r[0], ec.steering_range(psi_r, small_cfg.n_sub), rtol=0, atol=1e-15)
+    assert np.allclose(f.a_d[0], ec.steering_doppler(psi_d, small_cfg.n_sym), rtol=0,
+                       atol=1e-15)
+    assert np.array_equal(f.a_d[2], np.ones(small_cfg.n_sym))   # scatterer: no Doppler
+
+
+def test_clean_cube_plus_noise_is_bit_identical(small_cfg, small_plan):
+    scene = _two_element_scene()
+    clean = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
+    for seed in (0, (9, 4), ((1, 2), 3)):
+        direct = ec.synthesize_echo(scene, small_plan, 3, small_cfg, seed=seed,
+                                    noise_var=0.7)
+        noisy = ec.add_noise(clean, 0.7, seed=seed)
+        assert np.array_equal(noisy.data, direct.data)
+        assert noisy.scan_index == 3 and noisy.stage == "raw"
+    fresh = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
+    assert np.array_equal(clean.data, fresh.data)      # add_noise copies
+    assert np.array_equal(ec.add_noise(clean, 0.0, seed=1).data, clean.data)
+
+
 def test_noise_variance_and_determinism(small_cfg, small_plan):
     empty = Scene(targets=(), scatterers=())
     big = SystemConfig(m_tx=4, m_rx=40, n_sub=50, n_sym=60, noise_var=3.0)

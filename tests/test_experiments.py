@@ -64,6 +64,27 @@ def test_config_rejects_unknown_keys():
         ex.config_from_dict({"scene": {"kind": "martian"}})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n_trials", 0), ("n_trials", -3), ("n_trials", "5"), ("n_trials", 2.0),
+    ("n_trials", True),
+    ("search_rel_threshold", 0.0), ("search_rel_threshold", -1.0),
+    ("search_rel_threshold", math.inf), ("search_rel_threshold", math.nan),
+    ("search_rel_threshold", "3"),
+    ("seed", 1.5), ("seed", "7"), ("seed", None),
+])
+def test_config_rejects_bad_top_level_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        ex.config_from_dict({field: bad})
+    with pytest.raises(ValueError, match=field):
+        ex.ExperimentConfig(**{field: bad})
+
+
+def test_config_accepts_good_top_level_values():
+    config = ex.config_from_dict({"n_trials": 1, "search_rel_threshold": 2,
+                                  "seed": np.int64(4)})
+    assert (config.n_trials, config.search_rel_threshold, config.seed) == (1, 2, 4)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_RAW))
@@ -211,6 +232,18 @@ def test_roc_experiment_csv(tmp_path):
     assert all(a >= b for a, b in zip(pfas, pfas[1:]))
 
 
+def test_roc_threads_write_identical_csv(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    raw = dict(SMALL_RAW, snr_list_db=[0.0, 10.0], n_trials=25)
+    cfg_path.write_text(json.dumps(raw))
+    for threads in ("1", "2"):
+        rc = cli.main(["roc", "--config", str(cfg_path), "--threads", threads,
+                       "--out-dir", str(tmp_path / threads)])
+        assert rc == 0
+    assert (tmp_path / "1" / "roc.csv").read_bytes() == \
+        (tmp_path / "2" / "roc.csv").read_bytes()
+
+
 def test_crb_experiment_json(tmp_path):
     config = small_config(snr_list_db=[0.0, 10.0])
     manifest = ex.crb_experiment(config, tmp_path)
@@ -244,6 +277,18 @@ def test_cli_detect_runs(tmp_path, capsys):
     assert "detections.csv" in summary["outputs"]
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["detector"]["p_fa"] == 0.05
+
+
+@pytest.mark.parametrize("argv", [
+    ["roc", "--p-fa", "0.1"],
+    ["crb", "--threads", "2"],
+])
+def test_cli_rejects_flags_a_command_ignores(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_path(tmp_path, capsys):
