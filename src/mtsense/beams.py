@@ -92,15 +92,17 @@ def tx_gain(theta: float, plan: BeamPlan, b: int, cfg: SystemConfig) -> complex:
     return complex(steering_tx(psi, cfg.m_tx) @ plan.weights[b])
 
 
-def g_tilde(plan: BeamPlan, b: int, cfg: SystemConfig, l: int = 0, p: int = 0,
-            floor: float = 1e-9) -> complex:
+GAIN_FLOOR = 1e-9
+
+
+def g_tilde(plan: BeamPlan, b: int, cfg: SystemConfig) -> complex:
     """Boresight gain of scan b (constant over l and p for constant weights).
 
-    Raises if the magnitude falls below ``floor`` times sqrt(M_t), which would
-    make gain normalization ill conditioned.
+    Raises if the magnitude falls below GAIN_FLOOR times sqrt(M_t), which
+    would make gain normalization ill conditioned.
     """
     g = tx_gain(float(plan.directions[b]), plan, b, cfg)
-    if abs(g) < floor * math.sqrt(cfg.m_tx):
+    if abs(g) < GAIN_FLOOR * math.sqrt(cfg.m_tx):
         raise ValueError(f"boresight gain {abs(g):.3e} below the safety floor")
     return g
 

@@ -82,27 +82,34 @@ def normalize_by_gain(y: EchoTensor, plan: BeamPlan, cfg=None) -> EchoTensor:
                       stage="normalized")
 
 
-def filter_symbols(y_tilde: EchoTensor, filt: IirFilter,
-                   warmup: int | None = None) -> EchoTensor:
-    """Run the high-pass recursion along the symbol axis of each (m_r, l) series.
+def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
+    """High-pass every series along the last axis of a stack of any shape.
 
     The filter state is seeded with the steady-state step response scaled by
-    the first symbol, so any component that is constant along p is annihilated
-    from the very first output sample. A moving target's tone still needs a few
-    symbols to settle; the first ``warmup`` outputs (default 3x filter order)
-    are flagged in ``transient_mask`` and the estimators skip them.
+    each series' first sample, so a component that is constant along the
+    axis is annihilated from the very first output sample.
+    """
+    num, den = filt.num_coeffs, filt.den_coeffs
+    zi = signal.lfilter_zi(num, den).astype(complex) * data[..., :1]
+    filtered, _ = signal.lfilter(num, den, data, axis=-1, zi=zi)
+    return filtered
+
+
+def filter_symbols(y_tilde: EchoTensor, filt: IirFilter,
+                   warmup: int | None = None) -> EchoTensor:
+    """Run the step-matched high-pass along the symbol axis of each (m_r, l) series.
+
+    Stationary components vanish from the first symbol on. A moving target's
+    tone still needs a few symbols to settle; the first ``warmup`` outputs
+    (default 3x filter order) are flagged in ``transient_mask`` and the
+    estimators skip them.
     """
     if warmup is None:
         warmup = default_warmup(filt)
     n_sym = y_tilde.data.shape[2]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
-
-    num, den = filt.num_coeffs, filt.den_coeffs
-    zi_unit = signal.lfilter_zi(num, den).astype(complex)
-    zi = zi_unit[None, None, :] * y_tilde.data[:, :, :1]
-    filtered, _ = signal.lfilter(num, den, y_tilde.data, axis=2, zi=zi)
-
+    filtered = step_matched_highpass(y_tilde.data, filt)
     mask = np.zeros(n_sym, dtype=bool)
     mask[:warmup] = True
     return EchoTensor(data=filtered, scan_index=y_tilde.scan_index, cfg=y_tilde.cfg,
@@ -134,6 +141,12 @@ def scan_spectrum(checked: list[EchoTensor], include_transient: bool = True) -> 
     return out
 
 
+def _strict_local_maxima(spectrum: np.ndarray) -> list[int]:
+    """Indices above both neighbors; an edge bin needs to beat its one neighbor."""
+    padded = np.concatenate(([-math.inf], spectrum, [-math.inf]))
+    return np.flatnonzero((spectrum > padded[:-2]) & (spectrum > padded[2:])).tolist()
+
+
 def find_peaks(spectrum: np.ndarray, rel_threshold: float = 3.0) -> list[int]:
     """Scan indices that are strict local maxima of P and exceed rel_threshold * median.
 
@@ -144,25 +157,12 @@ def find_peaks(spectrum: np.ndarray, rel_threshold: float = 3.0) -> list[int]:
         raise ValueError("rel_threshold must exceed 1")
     spectrum = np.asarray(spectrum, dtype=float)
     floor = rel_threshold * float(np.median(spectrum))
-    peaks = []
-    n = len(spectrum)
-    for b in range(n):
-        left = spectrum[b - 1] if b > 0 else -math.inf
-        right = spectrum[b + 1] if b < n - 1 else -math.inf
-        if spectrum[b] > left and spectrum[b] > right and spectrum[b] > floor:
-            peaks.append(b)
-    return peaks
+    return [b for b in _strict_local_maxima(spectrum) if spectrum[b] > floor]
 
 
 def top_local_maxima(spectrum: np.ndarray, k: int) -> list[int]:
     """The k largest strict local maxima, no threshold. Used by the search stage."""
     spectrum = np.asarray(spectrum, dtype=float)
-    n = len(spectrum)
-    cands = []
-    for b in range(n):
-        left = spectrum[b - 1] if b > 0 else -math.inf
-        right = spectrum[b + 1] if b < n - 1 else -math.inf
-        if spectrum[b] > left and spectrum[b] > right:
-            cands.append(b)
+    cands = _strict_local_maxima(spectrum)
     cands.sort(key=lambda b: spectrum[b], reverse=True)
     return sorted(cands[:k])

@@ -21,18 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamPlan, steering_rx, steering_tx, tx_gain
+from .beams import BeamPlan
 from .echo import element_factors, tx_gains
-from .scene import (
-    C0,
-    Scatterer,
-    Scene,
-    SystemConfig,
-    Target,
-    frequencies_scatterer,
-    frequencies_target,
-    spatial_frequency,
-)
+from .scene import C0, Scene, SystemConfig
 
 TARGET_PARAMS = 3  # theta, range, speed
 SCATTERER_PARAMS = 2  # theta, range
@@ -86,78 +77,8 @@ def _tx_gain_derivative(a_tx: np.ndarray, plan: BeamPlan, b: int) -> np.ndarray:
     return tx_gains(2j * math.pi * np.arange(a_tx.shape[-1]) * a_tx, plan.weights[b])
 
 
-def response_vector(element, b: int, l: int, p: int, plan: BeamPlan,
-                    cfg: SystemConfig) -> np.ndarray:
-    """(M_r,) response of one element at subcarrier l, symbol p of scan b."""
-    if isinstance(element, Target):
-        psi_r, psi_d, psi_s = frequencies_target(element, cfg)
-        dopp = np.exp(2j * math.pi * psi_d * p)
-    elif isinstance(element, Scatterer):
-        psi_r, psi_s = frequencies_scatterer(element, cfg)
-        dopp = 1.0
-    else:
-        raise TypeError(f"unsupported element {type(element)}")
-    g = tx_gain(element.theta, plan, b, cfg)
-    rng_phase = np.exp(-2j * math.pi * psi_r * l)
-    return dopp * rng_phase * g * steering_rx(psi_s, cfg.m_rx)
-
-
-def derivative_matrices(b: int, l: int, p: int, scene: Scene, plan: BeamPlan,
-                        cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic partials of each element's (l, p) response (no alpha factor).
-
-    Returns (dA_t, dA_s): M_r x 3*N_t and M_r x 2*N_s, columns grouped
-    parameter-major ([theta..., r..., v...] for targets, [theta..., r...] for
-    scatterers). The angle derivative acts through psi_s on both the receive
-    steering vector and the transmit gain.
-    """
-    m_idx = np.arange(cfg.m_rx)
-    lam = cfg.wavelength
-    d_psi_r_d_r = 2.0 * cfg.delta_f / C0
-    d_psi_d_d_v = 2.0 * cfg.t_total / lam
-
-    def theta_col(element):
-        if isinstance(element, Target):
-            psi_r, psi_d, psi_s = frequencies_target(element, cfg)
-            dopp = np.exp(2j * math.pi * psi_d * p)
-        else:
-            psi_r, psi_s = frequencies_scatterer(element, cfg)
-            dopp = 1.0
-        g = tx_gain(element.theta, plan, b, cfg)
-        a_tx = steering_tx(spatial_frequency(element.theta, cfg), cfg.m_tx)
-        dg = complex(_tx_gain_derivative(a_tx, plan, b))
-        a_rx = steering_rx(psi_s, cfg.m_rx)
-        da_rx = 2j * math.pi * m_idx * a_rx
-        rng_phase = np.exp(-2j * math.pi * psi_r * l)
-        d_psi_s_d_theta = cfg.spacing * math.cos(element.theta) / lam
-        return d_psi_s_d_theta * dopp * rng_phase * (g * da_rx + dg * a_rx)
-
-    def range_col(element):
-        base = response_vector(element, b, l, p, plan, cfg)
-        return (-2j * math.pi * l * d_psi_r_d_r) * base
-
-    def speed_col(target):
-        base = response_vector(target, b, l, p, plan, cfg)
-        return (2j * math.pi * p * d_psi_d_d_v) * base
-
-    t_cols = (
-        [theta_col(t) for t in scene.targets]
-        + [range_col(t) for t in scene.targets]
-        + [speed_col(t) for t in scene.targets]
-    )
-    s_cols = (
-        [theta_col(s) for s in scene.scatterers]
-        + [range_col(s) for s in scene.scatterers]
-    )
-    n_rx = cfg.m_rx
-    da_t = np.stack(t_cols, axis=1) if t_cols else np.zeros((n_rx, 0), dtype=complex)
-    da_s = np.stack(s_cols, axis=1) if s_cols else np.zeros((n_rx, 0), dtype=complex)
-    return da_t, da_s
-
-
 # ---------------------------------------------------------------------------
-# vectorized whole-scan builders (same math as the per-(l,p) functions above,
-# stacked over all (m_r, l, p) in C order)
+# vectorized whole-scan builders, stacked over all (m_r, l, p) in C order
 
 def _element_factors(elements, b, plan, cfg):
     f = element_factors(elements, cfg)

@@ -1,9 +1,9 @@
 """GLRT confirmation of moving-target candidates against a clutter subspace.
 
 A candidate (from the search + estimation stages) is tested on the RAW echo of
-its scan. The clutter is modeled as living in the span of responses sampled on
-a range/angle grid inside the beam; projecting it out leaves a residual whose
-energy along the candidate's steering vector is compared with its total
+its scan. The clutter is modeled as living in the span of receive responses
+sampled on an angle grid inside the beam; projecting it out leaves a residual
+whose energy along the candidate's steering vector is compared with its total
 energy. The statistic
 
     t = sum_{l,p} |a^H Pperp y|^2 / (a^H Pperp a) / (M_r L P sigma0_hat^2)
@@ -11,34 +11,32 @@ energy. The statistic
 equals 1 - sigma1_hat^2 / sigma0_hat^2 and lives in [0, 1]. It is invariant to
 scaling of y, so thresholds calibrate cleanly by Monte Carlo under H0.
 
-Clutter carries no Doppler, and moving to subcarrier l only multiplies each
-basis column by a unit phase, so the clutter span is the same for every l:
-one projector per statistic evaluation serves the whole (M_r, L*P) cube.
+Clutter carries no Doppler, and a scatterer's range only multiplies its
+column at subcarrier l by the unit phase exp(-j 2 pi l psi_r), so the clutter
+span depends on angle alone and is the same for every l and every range: one
+projector per statistic evaluation serves the whole (M_r, L*P) cube.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .beams import BeamPlan, beam_for_angle, g_tilde, steering_rx
 from .echo import (EchoTensor, add_noise, steering_doppler, steering_range,
                    synthesize_echo)
-from .scene import Scene, SystemConfig, frequencies_target, range_frequency, spatial_frequency
+from .scene import Scene, SystemConfig, frequencies_target, spatial_frequency
 
-DEFAULT_N_RANGE = 8
 DEFAULT_N_ANGLE = 1
-DEFAULT_R_MAX = 7.0
 
 
 @dataclass(frozen=True)
 class DetectionGrid:
-    """Sampled (psi_r, psi_s) clutter grid for one scan."""
+    """Sampled spatial frequencies psi_s of the clutter grid for one scan."""
 
-    points: tuple[tuple[float, float], ...]
+    points: tuple[float, ...]
     scan_index: int
 
     @property
@@ -53,60 +51,51 @@ class GlrOutcome:
     sigma2_hat_h1: float
     alpha_hat: complex
     undetectable: bool = False
-    gamma: float | None = None
-    decision: bool | None = None
 
 
 def sample_grid(b: int, plan: BeamPlan, cfg: SystemConfig,
-                n_range: int = DEFAULT_N_RANGE, n_angle: int = DEFAULT_N_ANGLE,
-                r_max: float = DEFAULT_R_MAX) -> DetectionGrid:
-    """Uniform tensor grid: n_range range frequencies over [0, psi_r(r_max)]
-    crossed with n_angle spatial frequencies inside the beam's coverage image.
+                n_angle: int = DEFAULT_N_ANGLE) -> DetectionGrid:
+    """n_angle spatial frequencies spanning the image of the beam's coverage.
 
-    n_angle = 1 uses the beam center. The grid must leave residual degrees of
-    freedom (N_G < L * P), otherwise the projector could swallow the data.
+    n_angle = 1 uses the beam center. The projector acts on the M_r receive
+    dimensions, so the grid must leave some of them free (n_angle < M_r),
+    otherwise it could swallow the data.
     """
-    if n_range < 1 or n_angle < 1:
-        raise ValueError("grid sizes must be >= 1")
-    if n_range * n_angle * cfg.m_rx >= cfg.m_rx * cfg.n_sub * cfg.n_sym:
-        raise ValueError("grid too large: no residual degrees of freedom left")
-    psi_r_top = range_frequency(r_max, cfg)
-    if n_range == 1:
-        psi_r_grid = np.array([0.5 * psi_r_top])
-    else:
-        psi_r_grid = np.linspace(0.0, psi_r_top, n_range)
+    if not 1 <= n_angle < cfg.m_rx:
+        raise ValueError(f"n_angle must lie in [1, m_rx) = [1, {cfg.m_rx}), got {n_angle}")
     lo, hi = plan.coverage_interval(b)
     if n_angle == 1:
         psi_s_grid = [spatial_frequency(float(plan.directions[b]), cfg)]
     else:
         psi_s_grid = np.linspace(spatial_frequency(lo, cfg),
                                  spatial_frequency(hi, cfg), n_angle)
-    points = tuple((float(pr), float(ps)) for pr, ps in product(psi_r_grid, psi_s_grid))
-    return DetectionGrid(points=points, scan_index=b)
+    return DetectionGrid(points=tuple(float(ps) for ps in psi_s_grid), scan_index=b)
 
 
-def clutter_basis(grid: DetectionGrid, b: int, l: int, p: int, plan: BeamPlan,
-                  cfg: SystemConfig) -> np.ndarray:
-    """M_r x N_G basis of hypothetical clutter responses at subcarrier l.
+def clutter_basis(grid: DetectionGrid, plan: BeamPlan, cfg: SystemConfig) -> np.ndarray:
+    """M_r x N_G basis of hypothetical clutter responses g_tilde * a_rx(psi_s).
 
-    Columns are g_tilde * exp(-j 2 pi l psi_r) * a_rx(psi_s); the symbol index
-    p never enters because clutter has no Doppler.
+    Range and symbol index never enter: they scale a column by a unit phase
+    (clutter has no Doppler), which leaves the span unchanged.
     """
-    g = g_tilde(plan, b, cfg)
-    cols = [
-        g * np.exp(-2j * math.pi * l * pr) * steering_rx(ps, cfg.m_rx)
-        for pr, ps in grid.points
-    ]
-    return np.stack(cols, axis=1)
+    g = g_tilde(plan, grid.scan_index, cfg)
+    return g * steering_rx(np.array(grid.points), cfg.m_rx).T
 
 
 def perp_projector(a_tilde: np.ndarray) -> np.ndarray:
-    """Orthogonal-complement projector I - A (A^H A)^+ A^H (Hermitian, idempotent)."""
+    """Orthogonal-complement projector I - A (A^H A)^+ A^H (Hermitian, idempotent).
+
+    Built from the left singular vectors of A's numerical range, not from
+    A @ pinv(A): columns at nearby angles make A ill conditioned, and the
+    product form would lose cond(A) digits of the projector.
+    """
     m = a_tilde.shape[0]
     eye = np.eye(m, dtype=complex)
     if a_tilde.size == 0:
         return eye
-    proj = a_tilde @ np.linalg.pinv(a_tilde)
+    u, s, _ = np.linalg.svd(a_tilde, full_matrices=False)
+    u = u[:, s > s[0] * max(a_tilde.shape) * np.finfo(float).eps]
+    proj = u @ u.conj().T
     return eye - 0.5 * (proj + proj.conj().T)
 
 
@@ -133,10 +122,12 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     if not all(np.isfinite([psi_d, psi_r, psi_s])):
         raise ValueError("candidate frequencies must be finite")
     b = y.scan_index
+    if grid.scan_index != b:
+        raise ValueError(f"grid sampled for scan {grid.scan_index}, echo is scan {b}")
     m_rx, n_sub, n_sym = y.data.shape
     n_tot = m_rx * n_sub * n_sym
 
-    p_perp = perp_projector(clutter_basis(grid, b, 0, 0, plan, cfg))
+    p_perp = perp_projector(clutter_basis(grid, plan, cfg))
     a_sp = steering_rx(psi_s, cfg.m_rx)
     denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
     py = p_perp @ y.data.reshape(m_rx, n_sub * n_sym)
@@ -200,8 +191,7 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
 def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPlan,
               snr_list_db, n_trials: int = 500, n_thresholds: int = 101, seed=0,
               b: int | None = None, candidate: tuple[float, float, float] | None = None,
-              n_range: int = DEFAULT_N_RANGE, n_angle: int = DEFAULT_N_ANGLE,
-              r_max: float = DEFAULT_R_MAX,
+              n_angle: int = DEFAULT_N_ANGLE,
               threads: int = 1) -> dict[float, list[tuple[float, float, float]]]:
     """Monte-Carlo ROC per SNR for one candidate geometry.
 
@@ -223,7 +213,7 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
             b = beam_for_angle(plan, target.theta)
     if b is None:
         raise ValueError("pass b together with an explicit candidate")
-    grid = sample_grid(b, plan, cfg, n_range=n_range, n_angle=n_angle, r_max=r_max)
+    grid = sample_grid(b, plan, cfg, n_angle=n_angle)
     clean = [synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
              for scene in (scene_h0, scene_h1)]
 

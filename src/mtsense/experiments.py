@@ -4,7 +4,8 @@ Everything here is plumbing around the core modules. Experiments take an
 ExperimentConfig (loadable from JSON), derive every random stream from the
 run seed plus fixed tags, and write plot-ready CSVs plus a JSON manifest
 (seed, config hash, library version, per-stage wall time). Reruns with the
-same config and seed produce byte-identical CSVs; threads only change the
+same config and seed produce byte-identical CSVs at a fixed BLAS thread count
+(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS); worker threads only change the
 execution order, never the results.
 
 CSV schemas (the compatibility contract):
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from . import beams, clutter, crb, detector, music
 from ._version import __version__
@@ -82,9 +82,7 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    n_range: int = detector.DEFAULT_N_RANGE
     n_angle: int = detector.DEFAULT_N_ANGLE
-    r_max: float = detector.DEFAULT_R_MAX
     p_fa: float = 0.01
     calib_trials: int = 500
     n_thresholds: int = 101
@@ -128,6 +126,10 @@ class ExperimentConfig:
                 f"search_rel_threshold must be a finite number > 0, got {x!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        n_angle = self.detector.n_angle
+        if not (_is_int(n_angle) and 1 <= n_angle < self.system.m_rx):
+            raise ValueError(f"detector.n_angle must be an integer in [1, system.m_rx) "
+                             f"= [1, {self.system.m_rx}), got {n_angle!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -314,8 +316,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, seed: int | None = None,
             if not beams.angle_in_coverage(plan, b, res.theta_hat):
                 continue
             try:
-                grid = detector.sample_grid(b, plan, cfg, n_range=dspec.n_range,
-                                            n_angle=dspec.n_angle, r_max=dspec.r_max)
+                grid = detector.sample_grid(b, plan, cfg, n_angle=dspec.n_angle)
                 cand = (res.psi_d_hat, res.psi_r_hat, res.psi_s_hat)
                 gamma = detector.calibrate_gamma(
                     h0_scene, plan, b, cand, grid, cfg, dspec.p_fa,
@@ -377,15 +378,10 @@ def simulate_experiment(config: ExperimentConfig, out_dir, seed: int | None = No
 # SNR sweep (estimation MSE vs CRB)
 
 def _sweep_filtered_stack(noiseless: np.ndarray, gains: np.ndarray,
-                          noise: np.ndarray | None, filt: clutter.IirFilter,
-                          warmup: int) -> np.ndarray:
-    """Normalize and high-pass a (B, M_r, L, P_synth) stack in one shot."""
-    y = noiseless if noise is None else noiseless + noise
-    y = y / gains[:, None, None, None]
-    zi_unit = signal.lfilter_zi(filt.num_coeffs, filt.den_coeffs).astype(complex)
-    zi = zi_unit[None, None, None, :] * y[:, :, :, :1]
-    filtered, _ = signal.lfilter(filt.num_coeffs, filt.den_coeffs, y, axis=3, zi=zi)
-    return filtered
+                          noise: np.ndarray, filt: clutter.IirFilter) -> np.ndarray:
+    """Add noise to, normalize and high-pass a (B, M_r, L, P_synth) stack in one shot."""
+    y = (noiseless + noise) / gains[:, None, None, None]
+    return clutter.step_matched_highpass(y, filt)
 
 
 def _match_peaks_to_targets(peaks: list[int], scene: Scene, plan: beams.BeamPlan,
@@ -452,7 +448,7 @@ def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
         k, trial, sigma2 = args
         rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
         noise = complex_normal(rng, sigma2, noiseless.shape)
-        filtered = _sweep_filtered_stack(noiseless, gains, noise, filt, warmup)
+        filtered = _sweep_filtered_stack(noiseless, gains, noise, filt)
         power = np.sum(np.abs(filtered) ** 2, axis=(1, 2, 3))
         peaks = clutter.top_local_maxima(power, n_t)
         sq = np.empty((n_t, 3))
@@ -515,8 +511,7 @@ def roc_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
     curves = detector.roc_curve(
         scene_h0, scene_h1, cfg, plan, config.snr_list_db,
         n_trials=config.n_trials, n_thresholds=dspec.n_thresholds, seed=seed,
-        n_range=dspec.n_range, n_angle=dspec.n_angle, r_max=dspec.r_max,
-        threads=threads)
+        n_angle=dspec.n_angle, threads=threads)
     rows = [
         (snr_db, gamma, p_fa, p_d)
         for snr_db in sorted(curves)

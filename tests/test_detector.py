@@ -23,60 +23,40 @@ def _target_in_beam(plan, b, **kw):
 # grid sampling
 
 def test_single_point_grid_sits_at_centers(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_range=1, n_angle=1, r_max=7.0)
+    grid = dt.sample_grid(10, plan, cfg, n_angle=1)
     assert grid.size == 1 and grid.scan_index == 10
-    pr, ps = grid.points[0]
-    assert pr == pytest.approx(0.5 * range_frequency(7.0, cfg), abs=1e-15)
-    assert ps == pytest.approx(
+    assert grid.points[0] == pytest.approx(
         spatial_frequency(float(plan.directions[10]), cfg), abs=1e-15)
 
 
-def test_grid_spans_range_axis(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_range=8, n_angle=1, r_max=7.0)
-    prs = sorted({pr for pr, _ in grid.points})
-    assert prs[0] == 0.0
-    assert prs[-1] == pytest.approx(range_frequency(7.0, cfg), abs=1e-15)
-    assert len(prs) == 8
-    # uniform in range frequency means uniform in range: any scatterer inside
-    # r_max lies within half a grid step of some point
-    step = prs[1] - prs[0]
-    for r in (0.3, 2.6, 4.281, 6.9):
-        pr = range_frequency(r, cfg)
-        assert min(abs(pr - q) for q in prs) <= step / 2 + 1e-15
-
-
 def test_grid_angle_axis_spans_coverage(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_range=2, n_angle=3)
-    pss = sorted({ps for _, ps in grid.points})
+    grid = dt.sample_grid(10, plan, cfg, n_angle=3)
+    pss = sorted(grid.points)
     lo, hi = plan.coverage_interval(10)
     assert pss[0] == pytest.approx(spatial_frequency(lo, cfg), abs=1e-15)
     assert pss[-1] == pytest.approx(spatial_frequency(hi, cfg), abs=1e-15)
-    assert grid.size == 6
+    assert grid.size == 3
 
 
 def test_grid_dof_guard(small_cfg, small_plan):
-    # n_sub * n_sym = 20 for the small config
+    # m_rx = 3 for the small config: at most 2 angles leave a free dimension
+    assert dt.sample_grid(0, small_plan, small_cfg, n_angle=2).size == 2
     with pytest.raises(ValueError):
-        dt.sample_grid(0, small_plan, small_cfg, n_range=20, n_angle=1)
+        dt.sample_grid(0, small_plan, small_cfg, n_angle=3)
     with pytest.raises(ValueError):
-        dt.sample_grid(0, small_plan, small_cfg, n_range=0, n_angle=1)
-    with pytest.raises(ValueError):
-        dt.sample_grid(0, small_plan, small_cfg, n_range=4, n_angle=0)
+        dt.sample_grid(0, small_plan, small_cfg, n_angle=0)
 
 
 # ---------------------------------------------------------------------------
 # clutter basis and projector
 
 def test_clutter_basis_hand_loop(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_range=3, n_angle=2)
-    l = 5
-    a = dt.clutter_basis(grid, 10, l, 0, plan, cfg)
+    grid = dt.sample_grid(10, plan, cfg, n_angle=2)
+    a = dt.clutter_basis(grid, plan, cfg)
+    assert a.shape == (cfg.m_rx, 2)
     g = g_tilde(plan, 10, cfg)
-    for n, (pr, ps) in enumerate(grid.points):
-        want = g * np.exp(-2j * np.pi * l * pr) * steering_rx(ps, cfg.m_rx)
-        assert np.allclose(a[:, n], want, atol=1e-12)
-    # no Doppler: identical for any symbol index
-    assert np.array_equal(a, dt.clutter_basis(grid, 10, l, 7, plan, cfg))
+    for n, ps in enumerate(grid.points):
+        assert np.array_equal(a[:, n], g * steering_rx(ps, cfg.m_rx))
 
 
 def test_perp_projector_algebra(rng):
@@ -105,8 +85,8 @@ def test_perp_projector_edge_cases(rng):
 # statistic on constructed echoes
 
 def _on_grid_scatterer(plan, b, cfg):
-    # n_range=8, r_max=7 puts grid ranges at 0, 1, ..., 7 m; use 2 m at the
-    # exact beam center so the scatterer response lies in the clutter span
+    # the default grid is the beam center, and range does not change the
+    # span, so this scatterer's response lies in the clutter span
     return Scatterer(theta=float(plan.directions[b]), range=2.0,
                      alpha=1.1 + 0.3j)
 
@@ -221,9 +201,23 @@ def test_statistic_rejects_filtered_stage(cfg, plan):
         dt.glr_statistic(y, (np.nan, 0.1, 0.1), grid, plan, cfg)
 
 
+def test_grid_of_another_scan_is_rejected():
+    cfg, plan, target, b, clut = _small_setup()
+    other = dt.sample_grid(b + 1, plan, cfg)
+    cand = dt.candidate_from_target(target, cfg)
+    y = ec.synthesize_echo(clut, plan, b, cfg, seed=1)
+    with pytest.raises(ValueError, match="scan"):
+        dt.glr_statistic(y, cand, other, plan, cfg)
+    with pytest.raises(ValueError, match="scan"):
+        dt.calibrate_gamma(clut, plan, b, cand, other, cfg, p_fa=0.1,
+                           n_trials=10, seed=1)
+
+
 # oracle: the statistic with one projector per subcarrier, looping over l
-# exactly as the seed implementation did. It relies on nothing but
-# clutter_basis and perp_projector, each tested on its own above.
+# exactly as the seed implementation did, on the seed's range/angle clutter
+# grid (8 range frequencies over 0..7 m crossed with the grid's angles). Its
+# basis is built here column by column; it shares only perp_projector,
+# tested on its own above.
 
 def per_subcarrier_glr(y, candidate, grid, plan, cfg):
     psi_d, psi_r, psi_s = candidate
@@ -233,9 +227,12 @@ def per_subcarrier_glr(y, candidate, grid, plan, cfg):
     g = g_tilde(plan, b, cfg)
     a_sp = steering_rx(psi_s, cfg.m_rx)
     dopp_phase = np.exp(2j * math.pi * psi_d * np.arange(n_sym))
+    range_grid = np.linspace(0.0, range_frequency(7.0, cfg), 8)
     energy_h0, num_total, alpha_acc = 0.0, 0.0, 0j
     for l in range(n_sub):
-        p_perp = dt.perp_projector(dt.clutter_basis(grid, b, l, 0, plan, cfg))
+        basis = np.stack([g * np.exp(-2j * math.pi * l * pr) * steering_rx(ps, cfg.m_rx)
+                          for pr in range_grid for ps in grid.points], axis=1)
+        p_perp = dt.perp_projector(basis)
         denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
         py = p_perp @ y.data[:, l, :]
         energy_h0 += float(np.sum(np.abs(py) ** 2))
@@ -256,8 +253,8 @@ def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
                               range=float(rng.uniform(1.0, 7.0)),
                               alpha=complex(rng.normal(), rng.normal()))
                     for _ in range(30))
-    grid = dt.sample_grid(b, plan, cfg, n_range=8, n_angle=3)
-    p_perp = dt.perp_projector(dt.clutter_basis(grid, b, 0, 0, plan, cfg))
+    grid = dt.sample_grid(b, plan, cfg, n_angle=3)
+    p_perp = dt.perp_projector(dt.clutter_basis(grid, plan, cfg))
     eps = np.finfo(float).eps
     for offset in (0.8, 3.0, 6.0):      # candidate angle, in coverage half widths
         target = _target_in_beam(
@@ -307,7 +304,7 @@ def _small_setup():
 
 def test_calibrate_gamma_deterministic_and_monotone():
     cfg, plan, target, b, clut = _small_setup()
-    grid = dt.sample_grid(b, plan, cfg, n_range=3, n_angle=1)
+    grid = dt.sample_grid(b, plan, cfg, n_angle=1)
     cand = dt.candidate_from_target(target, cfg)
     g1 = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
                             n_trials=80, seed=21)
@@ -325,7 +322,7 @@ def test_calibrate_gamma_deterministic_and_monotone():
 
 def test_calibrate_gamma_matches_full_synthesis_loop():
     cfg, plan, target, b, clut = _small_setup()
-    grid = dt.sample_grid(b, plan, cfg, n_range=3, n_angle=1)
+    grid = dt.sample_grid(b, plan, cfg, n_angle=1)
     cand = dt.candidate_from_target(target, cfg)
     ts = [dt.glr_statistic(ec.synthesize_echo(clut, plan, b, cfg, seed=(21, i),
                                               noise_var=0.3),
@@ -341,7 +338,7 @@ def test_roc_curve_shape_and_endpoints():
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
     curves = dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 10.0], n_trials=60,
-                          seed=31, n_range=3, n_angle=1)
+                          seed=31, n_angle=1)
     assert set(curves) == {0.0, 10.0}
     for curve in curves.values():
         assert curve[0][0] == -math.inf and curve[0][1:] == (1.0, 1.0)
@@ -357,7 +354,7 @@ def test_roc_curve_shape_and_endpoints():
 def test_roc_curve_threads_match_serial():
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
-    kw = dict(n_trials=40, seed=5, n_range=3, n_angle=1)
+    kw = dict(n_trials=40, seed=5, n_angle=1)
     serial = dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], threads=1, **kw)
     assert dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], threads=3, **kw) == serial
 
@@ -366,7 +363,7 @@ def test_roc_identical_scenes_track_diagonal():
     cfg, plan, target, b, clut = _small_setup()
     scene = Scene((target,), clut.scatterers)
     curve = dt.roc_curve(scene, scene, cfg, plan, [0.0], n_trials=200, seed=11,
-                         n_range=3, n_angle=1)[0.0]
+                         n_angle=1)[0.0]
     dev = max(abs(pd - pfa) for _, pfa, pd in curve)
     assert dev < 0.2
 

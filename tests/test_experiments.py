@@ -62,6 +62,36 @@ def test_config_rejects_unknown_keys():
         ex.config_from_dict({"system": 7})
     with pytest.raises(ValueError):
         ex.config_from_dict({"scene": {"kind": "martian"}})
+    # the detector's clutter grid is angle only: range settings no longer exist
+    for key in ("n_range", "r_max"):
+        with pytest.raises(ValueError, match=key):
+            ex.config_from_dict({"detector": {key: 3}})
+
+
+@pytest.mark.parametrize("m_rx, bad", [
+    (16, 0), (16, -1), (16, 16), (16, 40), (16, "2"), (16, 2.0), (16, True),
+    (16, None), (4, 4),
+])
+def test_config_rejects_bad_detector_n_angle(m_rx, bad):
+    raw = {"system": {"m_rx": m_rx}, "detector": {"n_angle": bad}}
+    with pytest.raises(ValueError, match="detector.n_angle"):
+        ex.config_from_dict(raw)
+
+
+def test_config_accepts_largest_n_angle():
+    raw = {"system": {"m_rx": 4}, "detector": {"n_angle": 3}}
+    assert ex.config_from_dict(raw).detector.n_angle == 3
+
+
+def test_cli_detect_fails_on_bad_n_angle(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_RAW, detector={"n_angle": 0})))
+    rc = cli.main(["detect", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "detector.n_angle" in err["message"]
+    assert not (tmp_path / "out" / "detections.csv").exists()
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -220,7 +250,7 @@ def test_sweep_validates_synth_window(tmp_path):
 
 def test_roc_experiment_csv(tmp_path):
     config = small_config(snr_list_db=[0.0], n_trials=30,
-                          detector={"n_range": 3, "n_thresholds": 21})
+                          detector={"n_thresholds": 21})
     ex.roc_experiment(config, tmp_path)
     rows = read_rows(tmp_path / "roc.csv")
     assert rows[0] == ["snr_db", "gamma", "p_fa", "p_d"]
