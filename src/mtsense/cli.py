@@ -52,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "to (overrides the config)")
         if name == "crb":
             p.add_argument("--include-scatterers", action="store_true",
-                           help="keep scatterer amplitudes as FIM nuisances "
-                                "(slow for dense scenes)")
+                           help="keep scatterer amplitudes as FIM nuisances")
     return parser
 
 

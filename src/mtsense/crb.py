@@ -13,6 +13,22 @@ over the real/imag amplitude blocks; its inverse's leading 3*N_t x 3*N_t
 block bounds the covariance of any unbiased target-parameter estimator.
 Blocks from independent scans add, so multi-beam bounds are sums of the
 per-beam blocks before the Schur step.
+
+Every column of J (the alpha-weighted parameter derivatives) and of A is a
+sum of one or two Kronecker "atoms" c_b * (u kron v kron w), with per-axis
+factors u (M_r,), v (L,), w (P,) that do not depend on the scan and a scalar
+coefficient c_b that does (through the transmit gain). With the factors of
+n atoms as the rows of U (n x M_r), V (n x L) and W (n x P), the Gram of the
+atoms is the elementwise product of the per-axis Grams (the Khatri-Rao Gram
+identity),
+
+    G = (U^* U^T) o (V^* V^T) o (W^* W^T),
+
+and the sum of the per-scan Grams over a set of beams is G o (C^H C), with
+C the (n_beams x n) coefficient matrix. So the blocks of a whole plan come
+from one Gram of a few hundred atoms, and no (M_r * L * P)-row matrix is
+formed. ``jacobian_matrix`` and ``response_matrix`` expand the same atoms
+into the dense matrices.
 """
 from __future__ import annotations
 
@@ -72,35 +88,66 @@ class CrbResult:
     std_speed: np.ndarray
 
 
-def _tx_gain_derivative(a_tx: np.ndarray, plan: BeamPlan, b: int) -> np.ndarray:
-    """d(tx gain)/d(psi_s) at each transmit steering row's own spatial frequency."""
-    return tx_gains(2j * math.pi * np.arange(a_tx.shape[-1]) * a_tx, plan.weights[b])
-
-
 # ---------------------------------------------------------------------------
-# vectorized whole-scan builders, stacked over all (m_r, l, p) in C order
+# Kronecker atoms of the columns of [J | A]
 
-def _element_factors(elements, b, plan, cfg):
+def _atoms(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig):
+    """Kronecker atoms of the columns of [J | A] for the listed beams.
+
+    Atom i is coef[i, j] * (rx[i] kron rng[i] kron dop[i]) in scan beams[j].
+    The factor rows come from ``element_factors`` and do not depend on the
+    beam; coef holds g, alpha*g*dpsi_s, alpha*g'*dpsi_s or alpha*g, where g and
+    its psi_s-derivative g' are the transmit gains of the beam. The atoms are
+    sorted by the column of [J | A] they add into, and column c is the sum of
+    the atoms from starts[c] to starts[c + 1]. J has k columns,
+    [theta_t..., r_t..., v_t..., theta_s..., r_s...], and A one per element,
+    targets first.
+
+    Returns (rx, rng, dop, coef, starts, k).
+    """
+    elements = list(scene.targets) + list(scene.scatterers)
+    n_t, n_el = len(scene.targets), len(elements)
     f = element_factors(elements, cfg)
-    g = tx_gains(f.a_tx, plan.weights[b])
-    dg = _tx_gain_derivative(f.a_tx, plan, b)
-    dpsis = cfg.spacing * np.cos(f.theta) / cfg.wavelength
-    return f.a_rx, f.a_r, f.a_d, g, dg, dpsis
+    d_tx = 2j * math.pi * np.arange(cfg.m_tx) * f.a_tx
+    g = np.stack([tx_gains(f.a_tx, plan.weights[b]) for b in beams], axis=1)
+    dg = np.stack([tx_gains(d_tx, plan.weights[b]) for b in beams], axis=1)
+    alpha = f.alpha[:, None]
+    dpsi_s = (cfg.spacing * np.cos(f.theta) / cfg.wavelength)[:, None]
+
+    m_phase = 2j * math.pi * np.arange(cfg.m_rx)
+    l_phase = -2j * math.pi * np.arange(cfg.n_sub) * (2.0 * cfg.delta_f / C0)
+    p_phase = 2j * math.pi * np.arange(cfg.n_sym) * (2.0 * cfg.t_total / cfg.wavelength)
+
+    n = np.arange(n_el)
+    t = n[:n_t]
+    k = TARGET_PARAMS * n_t + SCATTERER_PARAMS * (n_el - n_t)
+    theta_col = np.where(n < n_t, n, n + 2 * n_t)
+    range_col = np.where(n < n_t, n + n_t, n + n_t + n_el)
+    atoms = (   # (column, rx, rng, dop, coef)
+        (theta_col, f.a_rx * m_phase, f.a_r, f.a_d, alpha * g * dpsi_s),
+        (theta_col, f.a_rx, f.a_r, f.a_d, alpha * dg * dpsi_s),
+        (range_col, f.a_rx, f.a_r * l_phase, f.a_d, alpha * g),
+        (t + 2 * n_t, f.a_rx[t], f.a_r[t], f.a_d[t] * p_phase, (alpha * g)[t]),
+        (n + k, f.a_rx, f.a_r, f.a_d, g),
+    )
+    col, rx, rng, dop, coef = (np.concatenate(part) for part in zip(*atoms))
+    order = np.argsort(col, kind="stable")
+    starts = np.searchsorted(col[order], np.arange(k + n_el))
+    return rx[order], rng[order], dop[order], coef[order], starts, k
 
 
-def _stack(sp, rg, dp, scale):
-    """Columns scale_n * (sp_n kron rg_n kron dp_n) as (M_r*L*P, N)."""
-    cube = np.einsum("n,nm,nl,np->nmlp", scale, sp, rg, dp)
-    return cube.reshape(cube.shape[0], -1).T
+def _dense_columns(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig):
+    """[J | A] of scan b as a dense (M_r*L*P, k + N_el) matrix, and k."""
+    rx, rng, dop, coef, starts, k = _atoms(scene, plan, [b], cfg)
+    cube = np.einsum("i,im,il,ip->imlp", coef[:, 0], rx, rng, dop)
+    flat = cube.reshape(len(rx), cfg.m_rx * cfg.n_sub * cfg.n_sym)
+    return np.add.reduceat(flat, starts, axis=0).T, k
 
 
 def response_matrix(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig) -> np.ndarray:
     """A for scan b: one column per element (targets first), rows in (m, l, p) C order."""
-    elements = list(scene.targets) + list(scene.scatterers)
-    if not elements:
-        return np.zeros((cfg.m_rx * cfg.n_sub * cfg.n_sym, 0), dtype=complex)
-    sp, rg, dp, g, _, _ = _element_factors(elements, b, plan, cfg)
-    return _stack(sp, rg, dp, g)
+    cols, k = _dense_columns(scene, plan, b, cfg)
+    return cols[:, k:]
 
 
 def jacobian_matrix(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig) -> np.ndarray:
@@ -108,43 +155,27 @@ def jacobian_matrix(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig) -> 
 
     Column order: [theta_t..., r_t..., v_t..., theta_s..., r_s...].
     """
-    m_phase = 2j * math.pi * np.arange(cfg.m_rx)
-    l_phase = -2j * math.pi * np.arange(cfg.n_sub) * (2.0 * cfg.delta_f / C0)
-    p_phase = 2j * math.pi * np.arange(cfg.n_sym) * (2.0 * cfg.t_total / cfg.wavelength)
-
-    blocks = []
-    for elements, with_speed in ((list(scene.targets), True),
-                                 (list(scene.scatterers), False)):
-        if not elements:
-            continue
-        sp, rg, dp, g, dg, dpsis = _element_factors(elements, b, plan, cfg)
-        alpha = np.array([el.alpha for el in elements])
-        d_sp = sp * m_phase[None, :]
-        blocks.append(_stack(d_sp, rg, dp, alpha * g * dpsis)
-                      + _stack(sp, rg, dp, alpha * dg * dpsis))   # theta
-        blocks.append(_stack(sp, rg * l_phase[None, :], dp, alpha * g))  # range
-        if with_speed:
-            blocks.append(_stack(sp, rg, dp * p_phase[None, :], alpha * g))  # speed
-    if not blocks:
-        n_vec = cfg.m_rx * cfg.n_sub * cfg.n_sym
-        return np.zeros((n_vec, 0), dtype=complex)
-    return np.concatenate(blocks, axis=1)
+    cols, k = _dense_columns(scene, plan, b, cfg)
+    return cols[:, :k]
 
 
-def fim_blocks(b: int, scene: Scene, plan: BeamPlan, cfg: SystemConfig,
-               sigma2: float | None = None) -> FimBlocks:
-    """Assemble the three information blocks for scan b."""
+def _fim(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig,
+         sigma2: float | None) -> FimBlocks:
+    """Information blocks summed over the listed beams, from the atom Gram
+    G o (C^H C) of the module docstring, summed into the columns of [J | A]."""
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
     if sigma2 <= 0:
         raise ValueError("the information matrix needs sigma2 > 0")
-    j1 = jacobian_matrix(scene, plan, b, cfg)
-    a = response_matrix(scene, plan, b, cfg)
+    rx, rng, dop, coef, starts, k = _atoms(scene, plan, beams, cfg)
+    gram = ((rx.conj() @ rx.T) * (rng.conj() @ rng.T) * (dop.conj() @ dop.T)
+            * (coef.conj() @ coef.T))
+    gram = np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1)
     scale = 2.0 / sigma2
 
-    f1 = scale * np.real(j1.conj().T @ j1)
-    cross = j1.conj().T @ a
+    f1 = scale * np.real(gram[:k, :k])
+    cross = gram[:k, k:]
     f2 = scale * np.concatenate([np.real(cross), -np.imag(cross)], axis=1)
-    j2 = a.conj().T @ a
+    j2 = gram[k:, k:]
     f3 = scale * np.block([
         [np.real(j2), -np.imag(j2)],
         [np.imag(j2), np.real(j2)],
@@ -159,17 +190,19 @@ def fim_blocks(b: int, scene: Scene, plan: BeamPlan, cfg: SystemConfig,
     )
 
 
+def fim_blocks(b: int, scene: Scene, plan: BeamPlan, cfg: SystemConfig,
+               sigma2: float | None = None) -> FimBlocks:
+    """Assemble the three information blocks for scan b."""
+    return _fim(scene, plan, [b], cfg, sigma2)
+
+
 def total_fim(scene: Scene, plan: BeamPlan, cfg: SystemConfig,
               sigma2: float | None = None, beams=None) -> FimBlocks:
-    """Sum of per-scan blocks over the listed beams (default: the whole plan)."""
-    beams = range(plan.n_beams) if beams is None else beams
-    total = None
-    for b in beams:
-        blk = fim_blocks(b, scene, plan, cfg, sigma2=sigma2)
-        total = blk if total is None else total + blk
-    if total is None:
+    """Information blocks summed over the listed beams (default: the whole plan)."""
+    beams = list(range(plan.n_beams) if beams is None else beams)
+    if not beams:
         raise ValueError("no beams given")
-    return total
+    return _fim(scene, plan, beams, cfg, sigma2)
 
 
 F3_RCOND = 1e-10

@@ -87,12 +87,6 @@ class DetectorSpec:
     calib_trials: int = 500
     n_thresholds: int = 101
 
-    def __post_init__(self):
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError("p_fa must lie in (0, 1)")
-        if self.calib_trials < 10:
-            raise ValueError("calib_trials must be >= 10")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -101,6 +95,10 @@ class SweepSpec:
 
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,24 @@ class ExperimentConfig:
         if not _is_int(self.n_trials) or self.n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
         x = self.search_rel_threshold
-        if not (isinstance(x, numbers.Real) and not isinstance(x, bool)
-                and math.isfinite(x) and x > 0):
+        if not (_is_real(x) and math.isfinite(x) and x > 0):
             raise ValueError(
                 f"search_rel_threshold must be a finite number > 0, got {x!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        n_angle = self.detector.n_angle
-        if not (_is_int(n_angle) and 1 <= n_angle < self.system.m_rx):
+        det = self.detector
+        if not (_is_int(det.n_angle) and 1 <= det.n_angle < self.system.m_rx):
             raise ValueError(f"detector.n_angle must be an integer in [1, system.m_rx) "
-                             f"= [1, {self.system.m_rx}), got {n_angle!r}")
+                             f"= [1, {self.system.m_rx}), got {det.n_angle!r}")
+        if not (_is_int(det.calib_trials) and det.calib_trials >= 10):
+            raise ValueError(f"detector.calib_trials must be an integer >= 10, "
+                             f"got {det.calib_trials!r}")
+        if not (_is_int(det.n_thresholds) and det.n_thresholds >= 1):
+            raise ValueError(f"detector.n_thresholds must be an integer >= 1, "
+                             f"got {det.n_thresholds!r}")
+        if not (_is_real(det.p_fa) and 0.0 < det.p_fa < 1.0):
+            raise ValueError(f"detector.p_fa must be a real number in (0, 1), "
+                             f"got {det.p_fa!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -531,8 +537,8 @@ def crb_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
     """CRB standard deviations per SNR for the configured scene's targets.
 
     By default the FIM treats scatterers as absent (the filter removes them
-    before estimation); include_scatterers=True keeps their amplitudes as
-    nuisances, which is much slower for dense scenes. Writes crb.json.
+    before estimation); include_scatterers=True keeps their angles, ranges
+    and amplitudes as nuisances. Writes crb.json.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

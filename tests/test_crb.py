@@ -1,11 +1,13 @@
 """Fisher information against finite differences of the echo model."""
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtsense import crb
+from mtsense import cli, crb
 from mtsense import echo as ec
 from mtsense.beams import BeamPlan, steering_rx, steering_tx, tx_gain
 from mtsense.scene import (C0, Scatterer, Scene, SystemConfig, Target,
@@ -240,6 +242,57 @@ def test_blocks_add_and_total_fim_agrees(small_cfg, small_plan):
     assert np.allclose(summed.f1, total.f1, atol=1e-12)
     assert np.allclose(summed.f2, total.f2, atol=1e-12)
     assert np.allclose(summed.f3, total.f3, atol=1e-12)
+
+
+def _dense_blocks(scene, plan, beams, cfg, sigma2):
+    """2/sigma2 times Re(J^H J), J^H A and A^H A summed over beams, from the
+    dense (M_r*L*P)-row matrices."""
+    jj = ja = aa = 0.0
+    for b in beams:
+        j = crb.jacobian_matrix(scene, plan, b, cfg)
+        a = crb.response_matrix(scene, plan, b, cfg)
+        jj = jj + j.conj().T @ j
+        ja = ja + j.conj().T @ a
+        aa = aa + a.conj().T @ a
+    scale = 2.0 / sigma2
+    return scale * np.real(jj), scale * ja, scale * aa
+
+
+@pytest.mark.parametrize("beams", [[3], [0, 2, 3, 6]])
+def test_factor_gram_matches_dense_products(small_cfg, small_plan, beams):
+    rng = np.random.default_rng(47)
+    scene = _random_scene(rng, n_targets=2, n_scatterers=2)
+    sigma2 = 0.7
+    if len(beams) == 1:
+        blk = crb.fim_blocks(beams[0], scene, small_plan, small_cfg, sigma2=sigma2)
+    else:
+        blk = crb.total_fim(scene, small_plan, small_cfg, sigma2=sigma2, beams=beams)
+    f1, cross, j2 = _dense_blocks(scene, small_plan, beams, small_cfg, sigma2)
+    f2 = np.concatenate([np.real(cross), -np.imag(cross)], axis=1)
+    f3 = np.block([[np.real(j2), -np.imag(j2)], [np.imag(j2), np.real(j2)]])
+    assert (blk.f1.shape, blk.f2.shape, blk.f3.shape) == ((10, 10), (10, 8), (8, 8))
+    for got, want in ((blk.f1, f1), (blk.f2, f2), (blk.f3, f3)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dense_crb_with_scatterers_matches_reference(tmp_path):
+    """crb --include-scatterers at the benchmark's crb-dense bench size."""
+    ref_path = (Path(__file__).resolve().parents[1]
+                / "perfbench" / "reference" / "crb-dense-bench.json")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scene": {"n_scatterers": 100},
+                                    "scan": {"n_beams": 15},
+                                    "snr_list_db": [0.0, 20.0]}))
+    rc = cli.main(["crb", "--include-scatterers", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    got = json.loads((tmp_path / "out" / "crb.json").read_text())
+    want = json.loads(ref_path.read_text())
+    assert [sorted(r) for r in got] == [sorted(r) for r in want]
+    for g, w in zip(got, want):
+        assert g["snr_db"] == w["snr_db"]
+        for key in ("crb_theta_rad2", "crb_r_m2", "crb_v_mps2"):
+            assert np.allclose(g[key], w[key], rtol=1e-9, atol=0.0), key
 
 
 def test_duplicate_targets_raise(small_cfg, small_plan):

@@ -95,6 +95,42 @@ def test_cli_detect_fails_on_bad_n_angle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, bad", [
+    ("calib_trials", 20.5), ("calib_trials", 20.0), ("calib_trials", 9),
+    ("calib_trials", "20"), ("calib_trials", True), ("calib_trials", None),
+    ("n_thresholds", 0), ("n_thresholds", -1), ("n_thresholds", 2.5),
+    ("n_thresholds", "5"), ("n_thresholds", True),
+    ("p_fa", 0.0), ("p_fa", 1.0), ("p_fa", -0.1), ("p_fa", math.nan),
+    ("p_fa", "0.1"), ("p_fa", True), ("p_fa", None),
+])
+def test_config_rejects_bad_detector_values(field, bad):
+    with pytest.raises(ValueError, match=f"detector.{field}"):
+        ex.config_from_dict({"detector": {field: bad}})
+
+
+def test_config_accepts_good_detector_values():
+    det = ex.config_from_dict({"detector": {"calib_trials": np.int64(10),
+                                            "n_thresholds": 1, "p_fa": 1e-3}}).detector
+    assert (det.calib_trials, det.n_thresholds, det.p_fa) == (10, 1, 1e-3)
+
+
+def test_cli_detect_fails_on_fractional_calib_trials(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_RAW, detector={"calib_trials": 20.5})))
+    rc = cli.main(["detect", "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "detector.calib_trials" in err["message"]
+    assert not (tmp_path / "out" / "detections.csv").exists()
+
+
+def test_cli_detect_rejects_bad_p_fa_flag(tmp_path, capsys):
+    rc = cli.main(["detect", "--p-fa", "1.5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "detector.p_fa" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("field, bad", [
     ("n_trials", 0), ("n_trials", -3), ("n_trials", "5"), ("n_trials", 2.0),
     ("n_trials", True),
     ("search_rel_threshold", 0.0), ("search_rel_threshold", -1.0),
