@@ -117,15 +117,6 @@ def beam_for_angle(plan: BeamPlan, theta: float) -> int:
     raise ValueError(f"angle {theta:.4f} rad outside the scanned sector")
 
 
-def beams_covering(plan: BeamPlan, theta: float) -> list[int]:
-    """All scan indices whose closed coverage interval contains theta."""
-    hw = plan.coverage_halfwidth
-    return [
-        b for b, c in enumerate(plan.directions)
-        if c - hw <= theta <= c + hw
-    ]
-
-
 def angle_in_coverage(plan: BeamPlan, b: int, theta: float) -> bool:
     lo, hi = plan.coverage_interval(b)
     return lo <= theta <= hi

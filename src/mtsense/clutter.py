@@ -7,7 +7,6 @@ power P(b) then peaks at beams containing moving targets.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,28 +28,6 @@ class IirFilter:
     cutoff: float
     num_coeffs: np.ndarray
     den_coeffs: np.ndarray
-
-    def freq_response(self, freqs) -> np.ndarray:
-        """Complex H at the given frequencies (cycles/sample)."""
-        w = 2.0 * np.pi * np.atleast_1d(np.asarray(freqs, dtype=float))
-        _, h = signal.freqz(self.num_coeffs, self.den_coeffs, worN=w)
-        return h
-
-    def noise_gain(self, n_grid: int = 4096) -> float:
-        """Mean of |H|^2 over the length-n_grid DFT frequency grid."""
-        grid = np.arange(n_grid) / n_grid
-        return float(np.mean(np.abs(self.freq_response(grid)) ** 2))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "cutoff": self.cutoff,
-                "num_coeffs": list(self.num_coeffs),
-                "den_coeffs": list(self.den_coeffs),
-            },
-            indent=2,
-        )
 
 
 def design_butterworth_highpass(order: int = DEFAULT_ORDER,

@@ -2,11 +2,15 @@
 
 Everything here is plumbing around the core modules. Experiments take an
 ExperimentConfig (loadable from JSON), derive every random stream from the
-run seed plus fixed tags, and write plot-ready CSVs plus a JSON manifest
-(seed, config hash, library version, per-stage wall time). Reruns with the
-same config and seed produce byte-identical CSVs at a fixed BLAS thread count
-(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS); worker threads only change the
-execution order, never the results.
+run seed plus fixed tags, and write plot-ready CSVs plus manifest.json. Reruns
+with the same config and seed produce byte-identical CSVs at a fixed BLAS
+thread count (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS); worker threads only
+change the execution order, never the results.
+
+Every manifest holds library_version, seed, config_hash, config, scene,
+outputs (files written), stage_seconds and errors (per-scan failures), plus
+candidates, n_detections and wall_seconds (scan pipeline), n_trials (sweep,
+ROC) or include_scatterers (CRB).
 
 CSV schemas (the compatibility contract):
     plan.csv        b, theta_deg, halfwidth_deg
@@ -24,8 +28,10 @@ import json
 import math
 import numbers
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +103,28 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# annotation -> (what the error message asks for, check)
+_FIELD_TYPES = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_finite),
+    str: ("a string", lambda x: isinstance(x, str)),
+    type(None): ("null", lambda x: x is None),
+}
+
+
+def _check_types(section: str, cls, values: dict) -> None:
+    """Reject a value that its field's annotation does not admit, naming the field."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if name not in values:
+            continue
+        kinds = [_FIELD_TYPES[k] for k in typing.get_args(hint) or (hint,)]
+        if not any(ok(values[name]) for _, ok in kinds):
+            want = " or ".join(what for what, _ in kinds)
+            raise ValueError(f"{section}.{name} must be {want}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +144,7 @@ class ExperimentConfig:
         if not _is_int(self.n_trials) or self.n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
         x = self.search_rel_threshold
-        if not (_is_real(x) and math.isfinite(x) and x > 0):
+        if not (_is_finite(x) and x > 0):
             raise ValueError(
                 f"search_rel_threshold must be a finite number > 0, got {x!r}")
         if not _is_int(self.seed):
@@ -133,7 +159,7 @@ class ExperimentConfig:
         if not (_is_int(det.n_thresholds) and det.n_thresholds >= 1):
             raise ValueError(f"detector.n_thresholds must be an integer >= 1, "
                              f"got {det.n_thresholds!r}")
-        if not (_is_real(det.p_fa) and 0.0 < det.p_fa < 1.0):
+        if not (_is_finite(det.p_fa) and 0.0 < det.p_fa < 1.0):
             raise ValueError(f"detector.p_fa must be a real number in (0, 1), "
                              f"got {det.p_fa!r}")
 
@@ -145,14 +171,9 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_SECTION_TYPES = {
-    "system": SystemConfig,
-    "scene": SceneSpec,
-    "scan": ScanSpec,
-    "filter": FilterSpec,
-    "detector": DetectorSpec,
-    "sweep": SweepSpec,
-}
+_SECTION_TYPES = {key: hint
+                  for key, hint in typing.get_type_hints(ExperimentConfig).items()
+                  if is_dataclass(hint)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -167,10 +188,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             unknown = set(value) - set(names)
             if unknown:
                 raise ValueError(f"unknown keys in {key!r}: {sorted(unknown)}")
+            _check_types(key, cls, value)
             kwargs[key] = cls(**value)
         elif key in ("search_rel_threshold", "n_trials", "seed"):
             kwargs[key] = value
         elif key == "snr_list_db":
+            if not (isinstance(value, (list, tuple)) and value
+                    and all(_is_finite(s) for s in value)):
+                raise ValueError("snr_list_db must be a non-empty list of finite "
+                                 f"numbers, got {value!r}")
             kwargs[key] = tuple(float(s) for s in value)
         else:
             raise ValueError(f"unknown config key {key!r}")
@@ -193,35 +219,72 @@ def build_scene(config: ExperimentConfig, cfg: SystemConfig, seed: int) -> Scene
 
 
 # ---------------------------------------------------------------------------
-# small helpers
+# run context shared by every experiment command
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_manifest(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _map_beams(fn, n_beams: int, threads: int) -> list:
+def _map(fn, items, threads: int) -> list:
     if threads <= 1:
-        return [fn(b) for b in range(n_beams)]
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_beams)))
+        return list(pool.map(fn, items))
 
 
-def _base_manifest(config: ExperimentConfig, seed: int) -> dict:
-    return {
-        "library_version": __version__,
-        "seed": seed,
-        "config_hash": config.config_hash(),
-        "config": config.to_dict(),
-    }
+@dataclass
+class _Run:
+    """One command's output directory, seed, plan and scene, plus the manifest
+    parts it fills in as it goes."""
+
+    config: ExperimentConfig
+    out: Path
+    seed: int
+    plan: beams.BeamPlan
+    scene: Scene
+    outputs: list[str] = field(default_factory=list)
+    errors: list[dict] = field(default_factory=list)
+    stage_seconds: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def stage(self, name: str):
+        tic = time.perf_counter()
+        yield
+        self.stage_seconds[name] = time.perf_counter() - tic
+
+    def write_csv(self, name: str, header, rows) -> None:
+        with open(self.out / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        self.outputs.append(name)
+
+    def finish(self, **extra) -> dict:
+        """Write manifest.json (the common keys plus `extra`) and return it."""
+        manifest = {
+            "library_version": __version__,
+            "seed": self.seed,
+            "config_hash": self.config.config_hash(),
+            "config": self.config.to_dict(),
+            "scene": json.loads(scene_to_json(self.scene)),
+            "outputs": self.outputs,
+            "stage_seconds": self.stage_seconds,
+            "errors": self.errors,
+            **extra,
+        }
+        _write_json(self.out / "manifest.json", manifest)
+        return manifest
+
+
+def _start(config: ExperimentConfig, out_dir, seed: int | None) -> _Run:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    seed = config.seed if seed is None else seed
+    plan = beams.default_plan(config.system, n_beams=config.scan.n_beams,
+                              span_deg=config.scan.span_deg)
+    return _Run(config, out, seed, plan, build_scene(config, config.system, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -242,142 +305,108 @@ def run_pipeline(config: ExperimentConfig, out_dir, seed: int | None = None,
     if last_stage not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {last_stage!r}")
     last_idx = _STAGE_ORDER.index(last_stage)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed if seed is None else seed
-    cfg = config.system
-    plan = beams.default_plan(cfg, n_beams=config.scan.n_beams,
-                              span_deg=config.scan.span_deg)
-    scene = build_scene(config, cfg, seed)
+    run = _start(config, out_dir, seed)
+    cfg, plan, scene, seed = config.system, run.plan, run.scene, run.seed
     filt = config.filter.build()
-    warmup = config.filter.warmup
-    errors: list[dict] = []
-    stage_seconds: dict[str, float] = {}
+    extra: dict = {}
     t_start = time.perf_counter()
 
-    _write_csv(out / "plan.csv", ("b", "theta_deg", "halfwidth_deg"),
-               beams.plan_summary_rows(plan))
+    run.write_csv("plan.csv", ("b", "theta_deg", "halfwidth_deg"),
+                  beams.plan_summary_rows(plan))
 
-    tic = time.perf_counter()
-    raw = _map_beams(lambda b: synthesize_echo(scene, plan, b, cfg, seed=seed),
-                     plan.n_beams, threads)
-    stage_seconds["synthesize"] = time.perf_counter() - tic
-
-    manifest = _base_manifest(config, seed)
-    manifest["scene"] = json.loads(scene_to_json(scene))
-    outputs = ["plan.csv"]
+    with run.stage("synthesize"):
+        raw = _map(lambda b: synthesize_echo(scene, plan, b, cfg, seed=seed),
+                   range(plan.n_beams), threads)
 
     checked: list[EchoTensor] = []
     if last_idx >= 1:
-        tic = time.perf_counter()
-        checked = _map_beams(
-            lambda b: clutter.filter_symbols(
-                clutter.normalize_by_gain(raw[b], plan), filt, warmup=warmup),
-            plan.n_beams, threads)
-        stage_seconds["filter"] = time.perf_counter() - tic
+        with run.stage("filter"):
+            checked = _map(
+                lambda b: clutter.filter_symbols(
+                    clutter.normalize_by_gain(raw[b], plan), filt,
+                    warmup=config.filter.warmup),
+                range(plan.n_beams), threads)
 
     candidates: list[int] = []
     if last_idx >= 2:
-        tic = time.perf_counter()
-        spectrum = clutter.scan_spectrum(checked)
-        rows = [(b, math.degrees(plan.directions[b]), float(spectrum[b]))
-                for b in range(plan.n_beams)]
-        _write_csv(out / "spectrum.csv", ("b", "theta_deg", "power"), rows)
-        outputs.append("spectrum.csv")
-        candidates = clutter.find_peaks(spectrum, config.search_rel_threshold)
-        manifest["candidates"] = candidates
-        stage_seconds["spectrum"] = time.perf_counter() - tic
+        with run.stage("spectrum"):
+            spectrum = clutter.scan_spectrum(checked)
+            rows = [(b, math.degrees(plan.directions[b]), float(spectrum[b]))
+                    for b in range(plan.n_beams)]
+            run.write_csv("spectrum.csv", ("b", "theta_deg", "power"), rows)
+            candidates = clutter.find_peaks(spectrum, config.search_rel_threshold)
+            extra["candidates"] = candidates
 
     estimates: list[music.EstimationResult] = []
     if last_idx >= 3:
-        tic = time.perf_counter()
-        est_rows = []
-        for b in candidates:
-            try:
-                res = music.estimate_candidate(checked[b], b, cfg)
-            except Exception as exc:   # noqa: BLE001 - per-scan isolation
-                errors.append({"scan": b, "stage": "estimate",
-                               "error": type(exc).__name__, "message": str(exc)})
-                continue
-            estimates.append(res)
-            est_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
-                             res.speed_hat, res.psi_s_hat, res.psi_r_hat,
-                             res.psi_d_hat))
-        _write_csv(out / "estimates.csv",
-                   ("b", "theta_deg", "range_m", "speed_mps",
-                    "psi_s", "psi_r", "psi_d"), est_rows)
-        outputs.append("estimates.csv")
-        stage_seconds["estimate"] = time.perf_counter() - tic
+        with run.stage("estimate"):
+            est_rows = []
+            for b in candidates:
+                try:
+                    res = music.estimate_candidate(checked[b], b, cfg)
+                except Exception as exc:   # noqa: BLE001 - per-scan isolation
+                    run.errors.append({"scan": b, "stage": "estimate",
+                                       "error": type(exc).__name__, "message": str(exc)})
+                    continue
+                estimates.append(res)
+                est_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
+                                 res.speed_hat, res.psi_s_hat, res.psi_r_hat,
+                                 res.psi_d_hat))
+            run.write_csv("estimates.csv",
+                          ("b", "theta_deg", "range_m", "speed_mps",
+                           "psi_s", "psi_r", "psi_d"), est_rows)
 
     if last_idx >= 4:
-        tic = time.perf_counter()
-        det_rows = []
-        h0_scene = scene.without_targets()
-        dspec = config.detector
-        for res in estimates:
-            b = res.scan_index
-            # Scanning ghosts: a beam pointed near (but not at) a target still
-            # shows a spectrum bump, yet its angle estimate falls outside the
-            # beam's own coverage. Those candidates are dropped before the GLRT.
-            if not beams.angle_in_coverage(plan, b, res.theta_hat):
-                continue
-            try:
-                grid = detector.sample_grid(b, plan, cfg, n_angle=dspec.n_angle)
-                cand = (res.psi_d_hat, res.psi_r_hat, res.psi_s_hat)
-                gamma = detector.calibrate_gamma(
-                    h0_scene, plan, b, cand, grid, cfg, dspec.p_fa,
-                    n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, b))
-                outcome = detector.glr_statistic(raw[b], cand, grid, plan, cfg)
-                decision = detector.detect(outcome, gamma)
-            except Exception as exc:   # noqa: BLE001 - per-scan isolation
-                errors.append({"scan": b, "stage": "detect",
-                               "error": type(exc).__name__, "message": str(exc)})
-                continue
-            det_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
-                             res.speed_hat, outcome.statistic, gamma,
-                             int(decision)))
-        _write_csv(out / "detections.csv",
-                   ("b", "theta_deg", "range_m", "speed_mps",
-                    "t", "gamma", "decision"), det_rows)
-        outputs.append("detections.csv")
-        manifest["n_detections"] = sum(r[-1] for r in det_rows)
-        stage_seconds["detect"] = time.perf_counter() - tic
+        with run.stage("detect"):
+            det_rows = []
+            h0_scene = scene.without_targets()
+            dspec = config.detector
+            for res in estimates:
+                b = res.scan_index
+                # Scanning ghosts: a beam pointed near (but not at) a target still
+                # shows a spectrum bump, yet its angle estimate falls outside the
+                # beam's own coverage. Those candidates are dropped before the GLRT.
+                if not beams.angle_in_coverage(plan, b, res.theta_hat):
+                    continue
+                try:
+                    grid = detector.sample_grid(b, plan, cfg, n_angle=dspec.n_angle)
+                    cand = (res.psi_d_hat, res.psi_r_hat, res.psi_s_hat)
+                    gamma = detector.calibrate_gamma(
+                        h0_scene, plan, b, cand, grid, cfg, dspec.p_fa,
+                        n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, b))
+                    outcome = detector.glr_statistic(raw[b], cand, grid, plan, cfg)
+                    decision = detector.detect(outcome, gamma)
+                except Exception as exc:   # noqa: BLE001 - per-scan isolation
+                    run.errors.append({"scan": b, "stage": "detect",
+                                       "error": type(exc).__name__, "message": str(exc)})
+                    continue
+                det_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
+                                 res.speed_hat, outcome.statistic, gamma,
+                                 int(decision)))
+            run.write_csv("detections.csv",
+                          ("b", "theta_deg", "range_m", "speed_mps",
+                           "t", "gamma", "decision"), det_rows)
+            extra["n_detections"] = sum(r[-1] for r in det_rows)
 
-    manifest["stage_seconds"] = stage_seconds
-    manifest["wall_seconds"] = time.perf_counter() - t_start
-    manifest["errors"] = errors
-    manifest["outputs"] = outputs
-    _write_manifest(out / "manifest.json", manifest)
-    return manifest
+    return run.finish(wall_seconds=time.perf_counter() - t_start, **extra)
 
 
 def simulate_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
                         threads: int = 1) -> dict:
     """Synthesize raw echo tensors for every scan and write them as binary files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed if seed is None else seed
-    cfg = config.system
-    plan = beams.default_plan(cfg, n_beams=config.scan.n_beams,
-                              span_deg=config.scan.span_deg)
-    scene = build_scene(config, cfg, seed)
-    tic = time.perf_counter()
+    run = _start(config, out_dir, seed)
+    run.write_csv("plan.csv", ("b", "theta_deg", "halfwidth_deg"),
+                  beams.plan_summary_rows(run.plan))
 
     def _one(b: int) -> str:
-        y = synthesize_echo(scene, plan, b, cfg, seed=seed)
+        y = synthesize_echo(run.scene, run.plan, b, config.system, seed=run.seed)
         name = f"echo_b{b:03d}.bin"
-        write_tensor(y, out / name)
+        write_tensor(y, run.out / name)
         return name
 
-    outputs = _map_beams(_one, plan.n_beams, threads)
-    manifest = _base_manifest(config, seed)
-    manifest["scene"] = json.loads(scene_to_json(scene))
-    manifest["outputs"] = outputs + ["plan.csv"]
-    manifest["stage_seconds"] = {"synthesize": time.perf_counter() - tic}
-    _write_csv(out / "plan.csv", ("b", "theta_deg", "halfwidth_deg"),
-               beams.plan_summary_rows(plan))
-    _write_manifest(out / "manifest.json", manifest)
-    return manifest
+    with run.stage("synthesize"):
+        run.outputs += _map(_one, range(run.plan.n_beams), threads)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +436,15 @@ def _match_peaks_to_targets(peaks: list[int], scene: Scene, plan: beams.BeamPlan
     return out
 
 
+def _bound_at(unit: crb.CrbResult, sigma2: float) -> crb.CrbResult:
+    """The bound at noise variance sigma2 from `unit`, the bound at sigma2 = 1:
+    every Fisher block scales with 1/sigma2, so the bound scales with sigma2."""
+    s = math.sqrt(sigma2)
+    return crb.CrbResult(crb_matrix=sigma2 * unit.crb_matrix,
+                         std_theta=s * unit.std_theta, std_range=s * unit.std_range,
+                         std_speed=s * unit.std_speed)
+
+
 def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
               threads: int = 1) -> dict:
     """Monte-Carlo MSE per target parameter vs the CRB over config.snr_list_db.
@@ -423,79 +461,64 @@ def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
 
     Writes sweep.csv (snr_db, param, mse, crb) and manifest.json.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed if seed is None else seed
     cfg = config.system
     n_synth = config.sweep.n_sym_synth
     if n_synth <= cfg.n_sym:
         raise ValueError("sweep.n_sym_synth must exceed system.n_sym")
-    warmup = n_synth - cfg.n_sym
-    cfg_synth = replace(cfg, n_sym=n_synth)
-    plan = beams.default_plan(cfg, n_beams=config.scan.n_beams,
-                              span_deg=config.scan.span_deg)
-    scene = build_scene(config, cfg, seed)
+    run = _start(config, out_dir, seed)
+    plan, scene, seed = run.plan, run.scene, run.seed
     if not scene.targets:
         raise ValueError("the sweep needs at least one target in the scene")
+    cfg_synth = replace(cfg, n_sym=n_synth)
     filt = config.filter.build()
     n_t = len(scene.targets)
     truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
-    t_start = time.perf_counter()
 
-    noiseless = np.stack([
-        synthesize_echo(scene, plan, b, cfg_synth, seed=seed, noise_var=0.0).data
-        for b in range(plan.n_beams)
-    ])
-    gains = np.array([beams.g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
-    mask = np.zeros(n_synth, dtype=bool)
-    mask[:warmup] = True
-
-    def _trial(args) -> np.ndarray:
-        k, trial, sigma2 = args
-        rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
-        noise = complex_normal(rng, sigma2, noiseless.shape)
-        filtered = _sweep_filtered_stack(noiseless, gains, noise, filt)
-        power = np.sum(np.abs(filtered) ** 2, axis=(1, 2, 3))
-        peaks = clutter.top_local_maxima(power, n_t)
-        sq = np.empty((n_t, 3))
-        for i, b in enumerate(_match_peaks_to_targets(peaks, scene, plan)):
-            tensor = EchoTensor(data=filtered[b], scan_index=b, cfg=cfg_synth,
-                                stage="filtered", transient_mask=mask)
-            res = music.estimate_candidate(tensor, b, cfg)
-            sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
-                     (res.range_hat - truth[i, 1]) ** 2,
-                     (res.speed_hat - truth[i, 2]) ** 2]
-        return sq
-
-    matched_beams = [beams.beam_for_angle(plan, t.theta) for t in scene.targets]
     rows = []
-    for k, snr_db in enumerate(config.snr_list_db):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        jobs = [(k, trial, sigma2) for trial in range(config.n_trials)]
-        if threads <= 1:
-            sq_all = [_trial(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                sq_all = list(pool.map(_trial, jobs))
-        mse = np.mean(sq_all, axis=0)            # (n_t, 3)
+    with run.stage("sweep"):
+        noiseless = np.stack([
+            synthesize_echo(scene, plan, b, cfg_synth, seed=seed, noise_var=0.0).data
+            for b in range(plan.n_beams)
+        ])
+        gains = np.array([beams.g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
+        mask = np.zeros(n_synth, dtype=bool)
+        mask[:n_synth - cfg.n_sym] = True
 
-        for i, target in enumerate(scene.targets):
-            solo = Scene(targets=(target,), scatterers=())
-            blocks = crb.fim_blocks(matched_beams[i], solo, plan, cfg,
-                                    sigma2=sigma2)
-            bound = crb.crb_eta_t(blocks)
-            for j, name in enumerate(("theta", "range", "speed")):
-                rows.append((float(snr_db), f"{name}_{i + 1}", float(mse[i, j]),
-                             float(bound.crb_matrix[j, j])))
+        def _trial(args) -> np.ndarray:
+            k, trial, sigma2 = args
+            rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
+            noise = complex_normal(rng, sigma2, noiseless.shape)
+            filtered = _sweep_filtered_stack(noiseless, gains, noise, filt)
+            power = np.sum(np.abs(filtered) ** 2, axis=(1, 2, 3))
+            peaks = clutter.top_local_maxima(power, n_t)
+            sq = np.empty((n_t, 3))
+            for i, b in enumerate(_match_peaks_to_targets(peaks, scene, plan)):
+                tensor = EchoTensor(data=filtered[b], scan_index=b, cfg=cfg_synth,
+                                    stage="filtered", transient_mask=mask)
+                res = music.estimate_candidate(tensor, b, cfg)
+                sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
+                         (res.range_hat - truth[i, 1]) ** 2,
+                         (res.speed_hat - truth[i, 2]) ** 2]
+            return sq
 
-    _write_csv(out / "sweep.csv", ("snr_db", "param", "mse", "crb"), rows)
-    manifest = _base_manifest(config, seed)
-    manifest["scene"] = json.loads(scene_to_json(scene))
-    manifest["outputs"] = ["sweep.csv"]
-    manifest["stage_seconds"] = {"sweep": time.perf_counter() - t_start}
-    manifest["n_trials"] = config.n_trials
-    _write_manifest(out / "manifest.json", manifest)
-    return manifest
+        unit_bounds = [
+            crb.crb_eta_t(crb.fim_blocks(beams.beam_for_angle(plan, t.theta),
+                                         Scene(targets=(t,), scatterers=()),
+                                         plan, cfg, sigma2=1.0))
+            for t in scene.targets
+        ]
+        for k, snr_db in enumerate(config.snr_list_db):
+            sigma2 = 10.0 ** (-snr_db / 10.0)
+            jobs = [(k, trial, sigma2) for trial in range(config.n_trials)]
+            mse = np.mean(_map(_trial, jobs, threads), axis=0)    # (n_t, 3)
+            for i, unit in enumerate(unit_bounds):
+                bound = _bound_at(unit, sigma2)
+                for j, name in enumerate(("theta", "range", "speed")):
+                    rows.append((float(snr_db), f"{name}_{i + 1}", float(mse[i, j]),
+                                 float(bound.crb_matrix[j, j])))
+
+    run.write_csv("sweep.csv", ("snr_db", "param", "mse", "crb"), rows)
+    return run.finish(n_trials=config.n_trials)
 
 
 # ---------------------------------------------------------------------------
@@ -504,32 +527,17 @@ def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
 def roc_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
                    threads: int = 1) -> dict:
     """ROC curves per SNR for the first reference target; writes roc.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed if seed is None else seed
-    cfg = config.system
-    plan = beams.default_plan(cfg, n_beams=config.scan.n_beams,
-                              span_deg=config.scan.span_deg)
-    scene_h1 = build_scene(config, cfg, seed)
-    scene_h0 = scene_h1.without_targets()
+    run = _start(config, out_dir, seed)
     dspec = config.detector
-    t_start = time.perf_counter()
-    curves = detector.roc_curve(
-        scene_h0, scene_h1, cfg, plan, config.snr_list_db,
-        n_trials=config.n_trials, n_thresholds=dspec.n_thresholds, seed=seed,
-        n_angle=dspec.n_angle, threads=threads)
-    rows = [
-        (snr_db, gamma, p_fa, p_d)
-        for snr_db in sorted(curves)
-        for gamma, p_fa, p_d in curves[snr_db]
-    ]
-    _write_csv(out / "roc.csv", ("snr_db", "gamma", "p_fa", "p_d"), rows)
-    manifest = _base_manifest(config, seed)
-    manifest["outputs"] = ["roc.csv"]
-    manifest["stage_seconds"] = {"roc": time.perf_counter() - t_start}
-    manifest["n_trials"] = config.n_trials
-    _write_manifest(out / "manifest.json", manifest)
-    return manifest
+    with run.stage("roc"):
+        curves = detector.roc_curve(
+            run.scene.without_targets(), run.scene, config.system, run.plan,
+            config.snr_list_db, n_trials=config.n_trials,
+            n_thresholds=dspec.n_thresholds, seed=run.seed,
+            n_angle=dspec.n_angle, threads=threads)
+    rows = [(snr_db, *point) for snr_db in sorted(curves) for point in curves[snr_db]]
+    run.write_csv("roc.csv", ("snr_db", "gamma", "p_fa", "p_d"), rows)
+    return run.finish(n_trials=config.n_trials)
 
 
 def crb_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
@@ -540,30 +548,19 @@ def crb_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
     before estimation); include_scatterers=True keeps their angles, ranges
     and amplitudes as nuisances. Writes crb.json.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed if seed is None else seed
-    cfg = config.system
-    plan = beams.default_plan(cfg, n_beams=config.scan.n_beams,
-                              span_deg=config.scan.span_deg)
-    scene = build_scene(config, cfg, seed)
-    if not scene.targets:
+    run = _start(config, out_dir, seed)
+    if not run.scene.targets:
         raise ValueError("the CRB experiment needs at least one target")
     if not include_scatterers:
-        scene = Scene(targets=scene.targets, scatterers=())
-    t_start = time.perf_counter()
-    records = []
-    for snr_db in config.snr_list_db:
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        blocks = crb.total_fim(scene, plan, cfg, sigma2=sigma2)
-        records.append(crb.crb_result_to_dict(crb.crb_eta_t(blocks), float(snr_db)))
-    with open(out / "crb.json", "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest = _base_manifest(config, seed)
-    manifest["scene"] = json.loads(scene_to_json(scene))
-    manifest["outputs"] = ["crb.json"]
-    manifest["include_scatterers"] = include_scatterers
-    manifest["stage_seconds"] = {"crb": time.perf_counter() - t_start}
-    _write_manifest(out / "manifest.json", manifest)
-    return manifest
+        run.scene = Scene(targets=run.scene.targets, scatterers=())
+    with run.stage("crb"):
+        unit = crb.crb_eta_t(crb.total_fim(run.scene, run.plan, config.system,
+                                           sigma2=1.0))
+        records = [
+            crb.crb_result_to_dict(_bound_at(unit, 10.0 ** (-snr_db / 10.0)),
+                                   float(snr_db))
+            for snr_db in config.snr_list_db
+        ]
+    _write_json(run.out / "crb.json", records)
+    run.outputs.append("crb.json")
+    return run.finish(include_scatterers=include_scatterers)

@@ -275,7 +275,7 @@ def reference_scene(cfg: SystemConfig, n_scatterers: int = 400, seed=7) -> Scene
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON export
 
 def scene_to_json(scene: Scene) -> str:
     doc = {
@@ -301,24 +301,3 @@ def scene_to_json(scene: Scene) -> str:
     }
     return json.dumps(doc, indent=2)
 
-
-def scene_from_json(text: str) -> Scene:
-    doc = json.loads(text)
-    targets = tuple(
-        Target(
-            theta=math.radians(d["theta_deg"]),
-            range=d["range_m"],
-            speed=d["speed_mps"],
-            alpha=complex(d["alpha_re"], d["alpha_im"]),
-        )
-        for d in doc.get("targets", [])
-    )
-    scatterers = tuple(
-        Scatterer(
-            theta=math.radians(d["theta_deg"]),
-            range=d["range_m"],
-            alpha=complex(d["alpha_re"], d["alpha_im"]),
-        )
-        for d in doc.get("scatterers", [])
-    )
-    return Scene(targets=targets, scatterers=scatterers)

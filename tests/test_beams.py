@@ -82,10 +82,3 @@ def test_plan_summary_rows(cfg, plan):
     assert b == 3
     assert theta_deg == pytest.approx(math.degrees(plan.directions[3]))
     assert halfwidth == pytest.approx(1.0)
-
-
-def test_beams_covering(cfg, plan):
-    theta = float(plan.directions[20])  # exact beam center
-    covering = bm.beams_covering(plan, theta)
-    assert 20 in covering
-    assert all(bm.angle_in_coverage(plan, b, theta) for b in covering)

@@ -1,5 +1,4 @@
 """Doppler-domain highpass filtering checked against closed-form bilinear math."""
-import json
 import math
 
 import numpy as np
@@ -59,13 +58,6 @@ def test_dc_gain_and_passband():
         pytest.approx(1 / math.sqrt(2), rel=1e-9)
 
 
-def test_freq_response_method_agrees():
-    filt = cl.design_butterworth_highpass(2, 0.04)
-    freqs = np.array([0.01, 0.07, 0.3])
-    want = freq_response(filt.num_coeffs, filt.den_coeffs, freqs)
-    assert np.allclose(filt.freq_response(freqs), want, atol=1e-12)
-
-
 def test_default_warmup_rule():
     assert cl.default_warmup(cl.design_butterworth_highpass(2, 0.04)) == 6
     assert cl.default_warmup(cl.design_butterworth_highpass(3, 0.05)) == 9
@@ -78,22 +70,6 @@ def test_design_validation():
         cl.design_butterworth_highpass(2, 0.0)
     with pytest.raises(ValueError):
         cl.design_butterworth_highpass(2, 0.5)
-
-
-def test_filter_json_round_trip():
-    filt = cl.design_butterworth_highpass(2, 0.04)
-    d = json.loads(filt.to_json())
-    assert d["order"] == 2 and d["cutoff"] == 0.04
-    assert np.allclose(d["num_coeffs"], filt.num_coeffs)
-    assert np.allclose(d["den_coeffs"], filt.den_coeffs)
-
-
-def test_noise_gain_matches_grid_average():
-    filt = cl.design_butterworth_highpass(2, 0.04)
-    grid = np.arange(4096) / 4096
-    want = float(np.mean(np.abs(freq_response(filt.num_coeffs,
-                                              filt.den_coeffs, grid)) ** 2))
-    assert filt.noise_gain() == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Experiment orchestration: configs, pipeline outputs, reruns, CLI."""
+import ast
 import csv
+import importlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,52 @@ def test_config_accepts_good_top_level_values():
     config = ex.config_from_dict({"n_trials": 1, "search_rel_threshold": 2,
                                   "seed": np.int64(4)})
     assert (config.n_trials, config.search_rel_threshold, config.seed) == (1, 2, 4)
+
+
+@pytest.mark.parametrize("raw, name", [
+    ({"scene": {"n_scatterers": "5"}}, "scene.n_scatterers"),
+    ({"scene": {"n_targets": 1.5}}, "scene.n_targets"),
+    ({"scene": {"kind": 3}}, "scene.kind"),
+    ({"scan": {"n_beams": 2.5}}, "scan.n_beams"),
+    ({"scan": {"span_deg": "60"}}, "scan.span_deg"),
+    ({"system": {"noise_var": "x"}}, "system.noise_var"),
+    ({"system": {"m_rx": 4.0}}, "system.m_rx"),
+    ({"system": {"f_c": math.inf}}, "system.f_c"),
+    ({"system": {"d_spacing": "half"}}, "system.d_spacing"),
+    ({"filter": {"order": "2"}}, "filter.order"),
+    ({"filter": {"warmup": 2.5}}, "filter.warmup"),
+    ({"filter": {"cutoff": None}}, "filter.cutoff"),
+    ({"sweep": {"n_sym_synth": 20.5}}, "sweep.n_sym_synth"),
+    ({"sweep": {"n_sym_synth": True}}, "sweep.n_sym_synth"),
+    ({"snr_list_db": "10"}, "snr_list_db"),
+    ({"snr_list_db": []}, "snr_list_db"),
+    ({"snr_list_db": [10.0, True]}, "snr_list_db"),
+    ({"snr_list_db": [math.nan]}, "snr_list_db"),
+    ({"snr_list_db": ["10"]}, "snr_list_db"),
+])
+def test_config_rejects_bad_field_types(raw, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        ex.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("section, values", [
+    ("system", {"m_tx": np.int64(8), "f_c": 28e9, "noise_var": 2,
+                "d_spacing": 0.005}),
+    ("scene", {"kind": "random", "n_targets": 1, "min_separation_deg": 6}),
+    ("scan", {"n_beams": 9, "span_deg": 40}),
+    ("filter", {"order": 3, "cutoff": 0.05, "warmup": None}),
+    ("detector", {"n_angle": 3, "p_fa": 0.05}),
+    ("sweep", {"n_sym_synth": 32}),
+])
+def test_config_accepts_good_field_types(section, values):
+    spec = getattr(ex.config_from_dict({section: values}), section)
+    assert {k: getattr(spec, k) for k in values} == values
+
+
+def test_config_snr_list_becomes_float_tuple():
+    config = ex.config_from_dict({"snr_list_db": [10, -5.5]})
+    assert config.snr_list_db == (10.0, -5.5)
+    assert ex.config_from_dict(config.to_dict()) == config
 
 
 def test_load_config(tmp_path):
@@ -368,6 +418,58 @@ def test_cli_error_path(tmp_path, capsys):
     rc = cli.main(["scan", "--config", str(tmp_path / "missing.json"),
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 1
+
+
+def _traced_names() -> dict:
+    """perfbench/tracing.py's TRACED table, read from the file without importing it."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TRACED")
+
+
+def test_traced_names_are_module_attributes():
+    for mod_name, names in _traced_names().items():
+        module = importlib.import_module(f"mtsense.{mod_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod_name}.{name}"
+
+
+_COMMAND_ENTRY = {
+    "simulate": "simulate_experiment", "scan": "run_pipeline",
+    "estimate": "run_pipeline", "detect": "run_pipeline", "roc": "roc_experiment",
+    "crb": "crb_experiment", "sweep-snr": "sweep_snr",
+}
+_COMMON_MANIFEST_KEYS = {"library_version", "seed", "config_hash", "config", "scene",
+                         "outputs", "stage_seconds", "errors"}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ENTRY))
+def test_cli_command_writes_common_manifest(tmp_path, monkeypatch, command):
+    # The benchmark traces experiments by replacing module attributes, so each
+    # wrapped name must be reached through its attribute; count those calls.
+    called = []
+    for name in _traced_names()["experiments"]:
+        fn = getattr(ex, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            called.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ex, name, counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_RAW, snr_list_db=[10.0], n_trials=3,
+                                        sweep={"n_sym_synth": 24})))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert _COMMON_MANIFEST_KEYS <= set(manifest)
+    assert manifest["outputs"]
+    for name in manifest["outputs"]:
+        assert (out / name).is_file(), name
+    want = {"load_config", "build_scene", _COMMAND_ENTRY[command]}
+    if command == "sweep-snr":
+        want.add("_sweep_filtered_stack")
+    assert want <= set(called)
 
 
 def test_cli_installed_entry_point(tmp_path):

@@ -1,5 +1,4 @@
 """Scene construction and the three normalized-frequency maps."""
-import json
 import math
 
 import numpy as np
@@ -127,14 +126,6 @@ def test_reference_scene_targets(cfg):
         assert t.range == pytest.approx(truth[1])
         assert t.speed == pytest.approx(truth[2])
         assert abs(t.alpha) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_scene_json_round_trip(cfg):
-    scn = reference_scene(cfg, n_scatterers=7, seed=3)
-    back = sc.scene_from_json(sc.scene_to_json(scn))
-    assert back == scn
-    payload = json.loads(sc.scene_to_json(scn))
-    assert {"targets", "scatterers"} <= set(payload)
 
 
 def test_complex_normal_moments(rng):
