@@ -18,7 +18,7 @@ from .scene import (
     frequencies_target, frequencies_scatterer,
     generate_scene, reference_scene, REFERENCE_TARGETS,
 )
-from .beams import BeamPlan, make_scan_plan, default_plan, beamformer_weight, g_tilde
+from .beams import BeamPlan, default_plan, beamformer_weight, g_tilde
 from .echo import EchoTensor, synthesize_echo, write_tensor, read_tensor
 from .clutter import (
     IirFilter, design_butterworth_highpass, normalize_by_gain,
@@ -44,7 +44,7 @@ __all__ = [
     "spatial_frequency", "range_frequency", "doppler_frequency",
     "frequencies_target", "frequencies_scatterer",
     "generate_scene", "reference_scene", "REFERENCE_TARGETS",
-    "BeamPlan", "make_scan_plan", "default_plan", "beamformer_weight", "g_tilde",
+    "BeamPlan", "default_plan", "beamformer_weight", "g_tilde",
     "EchoTensor", "synthesize_echo", "write_tensor", "read_tensor",
     "IirFilter", "design_butterworth_highpass", "normalize_by_gain",
     "filter_symbols", "scan_spectrum", "find_peaks",

@@ -59,31 +59,26 @@ def beamformer_weight(theta_tilde: float, cfg: SystemConfig) -> np.ndarray:
     return np.conj(steering_tx(psi, cfg.m_tx)) / math.sqrt(cfg.m_tx)
 
 
-def make_scan_plan(cfg: SystemConfig, sector: tuple[float, float], n_beams: int) -> BeamPlan:
-    """Uniform beam grid over the closed angular sector (radians).
+def default_plan(cfg: SystemConfig, n_beams: int = 61, span_deg: float = 60.0) -> BeamPlan:
+    """Uniform beam grid over the closed sector [-span_deg, +span_deg].
 
-    For n_beams > 1 the spacing is (hi-lo)/(n_beams-1) and the coverage half
+    For n_beams > 1 the spacing is 2*span/(n_beams-1) and the coverage half
     width is half that spacing, so consecutive coverage regions tile the
-    sector without gaps. A single beam covers the whole sector.
+    sector without gaps. A single beam at 0 covers the whole sector.
     """
-    lo, hi = sector
-    if lo > hi:
-        raise ValueError("sector must satisfy lo <= hi")
+    if span_deg < 0:
+        raise ValueError("span_deg must be nonnegative")
     if n_beams < 1:
         raise ValueError("need at least one beam")
+    s = math.radians(span_deg)
     if n_beams == 1:
-        directions = np.array([lo if lo == hi else 0.5 * (lo + hi)])
-        halfwidth = 0.5 * (hi - lo)
+        directions = np.array([0.0])
+        halfwidth = s
     else:
-        directions = np.linspace(lo, hi, n_beams)
-        halfwidth = 0.5 * (hi - lo) / (n_beams - 1)
+        directions = np.linspace(-s, s, n_beams)
+        halfwidth = s / (n_beams - 1)
     weights = np.stack([beamformer_weight(th, cfg) for th in directions])
     return BeamPlan(directions=directions, coverage_halfwidth=halfwidth, weights=weights)
-
-
-def default_plan(cfg: SystemConfig, n_beams: int = 61, span_deg: float = 60.0) -> BeamPlan:
-    s = math.radians(span_deg)
-    return make_scan_plan(cfg, (-s, s), n_beams)
 
 
 def tx_gain(theta: float, plan: BeamPlan, b: int, cfg: SystemConfig) -> complex:

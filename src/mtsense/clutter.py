@@ -45,17 +45,17 @@ def design_butterworth_highpass(order: int = DEFAULT_ORDER,
                      num_coeffs=np.asarray(num), den_coeffs=np.asarray(den))
 
 
-def default_warmup(filt: IirFilter) -> int:
+def default_warmup(filt) -> int:
+    """Transient outputs of a filter (IirFilter or FilterSpec): 3x its order."""
     return 3 * filt.order
 
 
-def normalize_by_gain(y: EchoTensor, plan: BeamPlan, cfg=None) -> EchoTensor:
+def normalize_by_gain(y: EchoTensor, plan: BeamPlan) -> EchoTensor:
     """Divide the raw echo by the scan's boresight gain g_tilde."""
     if y.stage != "raw":
         raise ValueError(f"expected a raw tensor, got stage {y.stage!r}")
-    cfg = y.cfg if cfg is None else cfg
-    g = g_tilde(plan, y.scan_index, cfg)
-    return EchoTensor(data=y.data / g, scan_index=y.scan_index, cfg=cfg,
+    g = g_tilde(plan, y.scan_index, y.cfg)
+    return EchoTensor(data=y.data / g, scan_index=y.scan_index, cfg=y.cfg,
                       stage="normalized")
 
 
@@ -72,17 +72,15 @@ def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
     return filtered
 
 
-def filter_symbols(y_tilde: EchoTensor, filt: IirFilter,
-                   warmup: int | None = None) -> EchoTensor:
+def filter_symbols(y_tilde: EchoTensor, filt: IirFilter) -> EchoTensor:
     """Run the step-matched high-pass along the symbol axis of each (m_r, l) series.
 
     Stationary components vanish from the first symbol on. A moving target's
-    tone still needs a few symbols to settle; the first ``warmup`` outputs
-    (default 3x filter order) are flagged in ``transient_mask`` and the
+    tone still needs a few symbols to settle; the first ``default_warmup``
+    outputs (3x filter order) are flagged in ``transient_mask`` and the
     estimators skip them.
     """
-    if warmup is None:
-        warmup = default_warmup(filt)
+    warmup = default_warmup(filt)
     n_sym = y_tilde.data.shape[2]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
@@ -100,21 +98,17 @@ def retained_symbols(y_check: EchoTensor) -> np.ndarray:
     return np.flatnonzero(~y_check.transient_mask)
 
 
-def scan_spectrum(checked: list[EchoTensor], include_transient: bool = True) -> np.ndarray:
-    """Per-beam average residual power P(b) = sum_l sum_p ||y[:, l, p]||^2 / (L * n_p).
+def scan_spectrum(checked: list[EchoTensor]) -> np.ndarray:
+    """Per-beam average residual power P(b) = sum_l sum_p ||y[:, l, p]||^2 / (L * P).
 
     With the step-matched filter initialization the stationary-clutter
-    transient is already zero, so by default all P symbols contribute (the
-    early symbols buy real SNR for the search). Pass include_transient=False
-    to average only the retained window; the divisor adapts to the count.
+    transient is already zero, so all P symbols contribute, transient ones
+    included: the early symbols buy real SNR for the search.
     """
     out = np.empty(len(checked))
     for i, tensor in enumerate(checked):
-        data = tensor.data
-        if not include_transient and tensor.transient_mask is not None:
-            data = data[:, :, ~tensor.transient_mask]
-        n_sub, n_p = data.shape[1], data.shape[2]
-        out[i] = float(np.sum(np.abs(data) ** 2)) / (n_sub * n_p)
+        _, n_sub, n_p = tensor.data.shape
+        out[i] = float(np.sum(np.abs(tensor.data) ** 2)) / (n_sub * n_p)
     return out
 
 

@@ -52,26 +52,13 @@ class FimBlocks:
     f1  (K, K) over the geometric parameters, K = 3*N_t + 2*N_s
     f2  (K, 2*N_el) cross block against (Re alpha, Im alpha)
     f3  (2*N_el, 2*N_el) amplitude block
+    n_targets  N_t; the bound reads the leading 3*N_t parameters
     """
 
     f1: np.ndarray
     f2: np.ndarray
     f3: np.ndarray
-    sigma2: float
     n_targets: int
-    n_scatterers: int
-
-    def __add__(self, other: "FimBlocks") -> "FimBlocks":
-        if self.f1.shape != other.f1.shape or self.sigma2 != other.sigma2:
-            raise ValueError("can only add blocks of matching shape and sigma2")
-        return FimBlocks(
-            f1=self.f1 + other.f1,
-            f2=self.f2 + other.f2,
-            f3=self.f3 + other.f3,
-            sigma2=self.sigma2,
-            n_targets=self.n_targets,
-            n_scatterers=self.n_scatterers,
-        )
 
 
 @dataclass(frozen=True)
@@ -184,9 +171,7 @@ def _fim(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig,
         f1=0.5 * (f1 + f1.T),
         f2=f2,
         f3=0.5 * (f3 + f3.T),
-        sigma2=sigma2,
         n_targets=len(scene.targets),
-        n_scatterers=len(scene.scatterers),
     )
 
 
@@ -208,9 +193,8 @@ def total_fim(scene: Scene, plan: BeamPlan, cfg: SystemConfig,
 F3_RCOND = 1e-10
 
 
-def crb_eta_t(blocks: FimBlocks, n_targets: int | None = None) -> CrbResult:
+def crb_eta_t(blocks: FimBlocks) -> CrbResult:
     """Invert the Schur complement and extract the target-parameter block."""
-    n_targets = blocks.n_targets if n_targets is None else n_targets
     f3_pinv = np.linalg.pinv(blocks.f3, rcond=F3_RCOND, hermitian=True)
     s = blocks.f1 - blocks.f2 @ f3_pinv @ blocks.f2.T
     s = 0.5 * (s + s.T)
@@ -219,10 +203,10 @@ def crb_eta_t(blocks: FimBlocks, n_targets: int | None = None) -> CrbResult:
     except np.linalg.LinAlgError as exc:
         raise ValueError("effective information matrix is singular "
                          "(under-identified geometry)") from exc
-    k = TARGET_PARAMS * n_targets
+    nt = blocks.n_targets
+    k = TARGET_PARAMS * nt
     crb = 0.5 * (crb_full[:k, :k] + crb_full[:k, :k].T)
     diag = np.diag(crb)
-    nt = n_targets
     return CrbResult(
         crb_matrix=crb,
         std_theta=np.sqrt(np.abs(diag[0:nt])),

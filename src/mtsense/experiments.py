@@ -40,7 +40,7 @@ from . import beams, clutter, crb, detector, music
 from ._version import __version__
 from .echo import EchoTensor, synthesize_echo, write_tensor
 from .scene import (Scene, SystemConfig, complex_normal, generate_scene,
-                    reference_scene, scene_to_json)
+                    reference_scene, scene_to_dict)
 
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
@@ -80,7 +80,6 @@ class ScanSpec:
 class FilterSpec:
     order: int = clutter.DEFAULT_ORDER
     cutoff: float = clutter.DEFAULT_CUTOFF
-    warmup: int | None = None      # None -> 3 * order
 
     def build(self) -> clutter.IirFilter:
         return clutter.design_butterworth_highpass(self.order, self.cutoff)
@@ -144,9 +143,9 @@ class ExperimentConfig:
         if not _is_int(self.n_trials) or self.n_trials < 1:
             raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
         x = self.search_rel_threshold
-        if not (_is_finite(x) and x > 0):
+        if not (_is_finite(x) and x > 1):
             raise ValueError(
-                f"search_rel_threshold must be a finite number > 0, got {x!r}")
+                f"search_rel_threshold must be a finite number > 1, got {x!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         det = self.detector
@@ -162,6 +161,20 @@ class ExperimentConfig:
         if not (_is_finite(det.p_fa) and 0.0 < det.p_fa < 1.0):
             raise ValueError(f"detector.p_fa must be a real number in (0, 1), "
                              f"got {det.p_fa!r}")
+        flt, n_sym = self.filter, self.system.n_sym
+        if not (_is_int(flt.order) and 1 <= flt.order <= 8):
+            raise ValueError(f"filter.order must be an integer in 1..8, got {flt.order!r}")
+        if not (_is_finite(flt.cutoff) and 0.0 < flt.cutoff < 0.5):
+            raise ValueError(f"filter.cutoff must be a number in (0, 0.5) cycles per "
+                             f"symbol, got {flt.cutoff!r}")
+        warmup = clutter.default_warmup(flt)
+        if n_sym - warmup < 2:     # root-MUSIC needs two retained symbols
+            raise ValueError(f"filter.order {flt.order} flags {warmup} transient "
+                             f"symbols, which must leave at least 2 of "
+                             f"system.n_sym = {n_sym}")
+        if not (_is_int(self.sweep.n_sym_synth) and self.sweep.n_sym_synth > n_sym):
+            raise ValueError(f"sweep.n_sym_synth must be an integer > system.n_sym = "
+                             f"{n_sym}, got {self.sweep.n_sym_synth!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -268,7 +281,7 @@ class _Run:
             "seed": self.seed,
             "config_hash": self.config.config_hash(),
             "config": self.config.to_dict(),
-            "scene": json.loads(scene_to_json(self.scene)),
+            "scene": scene_to_dict(self.scene),
             "outputs": self.outputs,
             "stage_seconds": self.stage_seconds,
             "errors": self.errors,
@@ -323,8 +336,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, seed: int | None = None,
         with run.stage("filter"):
             checked = _map(
                 lambda b: clutter.filter_symbols(
-                    clutter.normalize_by_gain(raw[b], plan), filt,
-                    warmup=config.filter.warmup),
+                    clutter.normalize_by_gain(raw[b], plan), filt),
                 range(plan.n_beams), threads)
 
     candidates: list[int] = []
@@ -463,8 +475,6 @@ def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
     """
     cfg = config.system
     n_synth = config.sweep.n_sym_synth
-    if n_synth <= cfg.n_sym:
-        raise ValueError("sweep.n_sym_synth must exceed system.n_sym")
     run = _start(config, out_dir, seed)
     plan, scene, seed = run.plan, run.scene, run.seed
     if not scene.targets:

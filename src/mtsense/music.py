@@ -148,37 +148,30 @@ def root_music_frequency(f: SnapshotMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# snapshot builders
+# snapshot stacks
 #
 # The tensor is (M_r, L, P). Only symbols outside the filter transient are
-# stacked. Column orders below follow the fixed conventions (documented per
-# builder) so rearrangements are reproducible bit for bit.
+# stacked. The column order is fixed so rearrangements are reproducible bit
+# for bit.
 
-def build_spatial_snapshots(y_check: EchoTensor) -> SnapshotMatrix:
-    """M_r x (L * P_eff); column order: subcarrier fast, symbol slow."""
-    keep = retained_symbols(y_check)
-    cube = y_check.data[:, :, keep]            # (M_r, L, P_eff)
-    m_rx = cube.shape[0]
-    data = cube.transpose(0, 2, 1).reshape(m_rx, -1)
-    return SnapshotMatrix(data=data, axis_tag="spatial", sign=+1)
+_AXES = (("spatial", +1), ("range", -1), ("doppler", +1))
 
 
-def build_range_snapshots(y_check: EchoTensor) -> SnapshotMatrix:
-    """L x (M_r * P_eff); column order: antenna fast, symbol slow."""
-    keep = retained_symbols(y_check)
-    cube = y_check.data[:, :, keep]
-    n_sub = cube.shape[1]
-    data = cube.transpose(1, 2, 0).reshape(n_sub, -1)
-    return SnapshotMatrix(data=data, axis_tag="range", sign=-1)
+def snapshots(y_check: EchoTensor, axis: int) -> SnapshotMatrix:
+    """Snapshot stack along cube axis 0 (spatial), 1 (range) or 2 (doppler).
 
+    Rows run over ``axis``; columns run over the other two axes, the lower
+    one fastest:
 
-def build_doppler_snapshots(y_check: EchoTensor) -> SnapshotMatrix:
-    """P_eff x (M_r * L); column order: antenna fast, subcarrier slow."""
-    keep = retained_symbols(y_check)
-    cube = y_check.data[:, :, keep]
-    p_eff = cube.shape[2]
-    data = cube.transpose(2, 1, 0).reshape(p_eff, -1)
-    return SnapshotMatrix(data=data, axis_tag="doppler", sign=+1)
+        spatial  M_r x (L * P_eff)    subcarrier fast, symbol slow
+        range    L x (M_r * P_eff)    antenna fast, symbol slow
+        doppler  P_eff x (M_r * L)    antenna fast, subcarrier slow
+    """
+    cube = y_check.data[:, :, retained_symbols(y_check)]
+    others = sorted({0, 1, 2} - {axis}, reverse=True)
+    data = cube.transpose(axis, *others).reshape(cube.shape[axis], -1)
+    tag, sign = _AXES[axis]
+    return SnapshotMatrix(data=data, axis_tag=tag, sign=sign)
 
 
 def estimate_candidate(y_check: EchoTensor, b: int, cfg: SystemConfig) -> EstimationResult:
@@ -187,9 +180,8 @@ def estimate_candidate(y_check: EchoTensor, b: int, cfg: SystemConfig) -> Estima
     Negative range-frequency estimates wrap by one cycle before the meter
     conversion (range is nonnegative); angle and speed keep their sign.
     """
-    psi_s = root_music_frequency(build_spatial_snapshots(y_check))
-    psi_r = root_music_frequency(build_range_snapshots(y_check))
-    psi_d = root_music_frequency(build_doppler_snapshots(y_check))
+    psi_s, psi_r, psi_d = (root_music_frequency(snapshots(y_check, axis))
+                           for axis in range(3))
     return EstimationResult(
         theta_hat=theta_from_psi_s(psi_s, cfg),
         range_hat=range_from_psi_r(psi_r, cfg),

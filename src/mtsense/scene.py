@@ -11,7 +11,6 @@ CLI boundary and in serialized files.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,6 +50,9 @@ class SystemConfig:
             raise ValueError("f_c and delta_f must be positive, t_guard nonnegative")
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
+        if self.d_spacing is not None and not self.d_spacing > 0:
+            raise ValueError(f"d_spacing must be positive (or null for half a "
+                             f"wavelength), got {self.d_spacing!r}")
 
     @property
     def wavelength(self) -> float:
@@ -113,13 +115,6 @@ class Scene:
     def without_targets(self) -> "Scene":
         return Scene(targets=(), scatterers=self.scatterers)
 
-    def min_target_separation(self) -> float:
-        """Smallest pairwise angular distance between targets (rad); inf if < 2 targets."""
-        thetas = [t.theta for t in self.targets]
-        if len(thetas) < 2:
-            return math.inf
-        return min(abs(a - b) for i, a in enumerate(thetas) for b in thetas[:i])
-
 
 # ---------------------------------------------------------------------------
 # normalized frequencies and their inverses
@@ -176,11 +171,24 @@ def complex_normal(rng: np.random.Generator, var: float, size=None) -> np.ndarra
 
 
 ANGLE_SUPPORT_DEG = (-60.0, 60.0)
+_ANGLE_SUPPORT_RAD = tuple(math.radians(a) for a in ANGLE_SUPPORT_DEG)
 RANGE_SUPPORT_M = (1.0, 7.0)
 SPEED_SUPPORT_MPS = (1.0, 4.0)
 SCATTERER_ALPHA_VAR = 0.5
 
 _SEP_RETRIES = 1000
+
+
+def _draw_scatterers(rng: np.random.Generator, n: int) -> tuple[Scatterer, ...]:
+    """n scatterers, uniform over the angle and range supports, CN(0, 0.5) alpha."""
+    return tuple(
+        Scatterer(
+            theta=rng.uniform(*_ANGLE_SUPPORT_RAD),
+            range=rng.uniform(*RANGE_SUPPORT_M),
+            alpha=complex(complex_normal(rng, SCATTERER_ALPHA_VAR)),
+        )
+        for _ in range(n)
+    )
 
 
 def generate_scene(
@@ -200,12 +208,10 @@ def generate_scene(
     if n_targets < 0 or n_scatterers < 0:
         raise ValueError("element counts must be nonnegative")
     rng = np.random.default_rng(seed)
-    lo, hi = (math.radians(a) for a in ANGLE_SUPPORT_DEG)
-
     thetas: list[float] = []
     attempts = 0
     while len(thetas) < n_targets:
-        cand = rng.uniform(lo, hi)
+        cand = rng.uniform(*_ANGLE_SUPPORT_RAD)
         if all(abs(cand - t) > min_separation for t in thetas):
             thetas.append(cand)
         else:
@@ -225,15 +231,7 @@ def generate_scene(
         )
         for i in range(n_targets)
     )
-    scatterers = tuple(
-        Scatterer(
-            theta=rng.uniform(lo, hi),
-            range=rng.uniform(*RANGE_SUPPORT_M),
-            alpha=complex(complex_normal(rng, SCATTERER_ALPHA_VAR)),
-        )
-        for _ in range(n_scatterers)
-    )
-    return Scene(targets=targets, scatterers=scatterers)
+    return Scene(targets=targets, scatterers=_draw_scatterers(rng, n_scatterers))
 
 
 # Built-in two-target benchmark used by the experiments and the test suite.
@@ -262,23 +260,15 @@ def reference_scene(cfg: SystemConfig, n_scatterers: int = 400, seed=7) -> Scene
         )
         for th, r, v in REFERENCE_TARGETS
     )
-    lo, hi = (math.radians(a) for a in ANGLE_SUPPORT_DEG)
-    scatterers = tuple(
-        Scatterer(
-            theta=rng.uniform(lo, hi),
-            range=rng.uniform(*RANGE_SUPPORT_M),
-            alpha=complex(complex_normal(rng, SCATTERER_ALPHA_VAR)),
-        )
-        for _ in range(n_scatterers)
-    )
-    return Scene(targets=targets, scatterers=scatterers)
+    return Scene(targets=targets, scatterers=_draw_scatterers(rng, n_scatterers))
 
 
 # ---------------------------------------------------------------------------
 # JSON export
 
-def scene_to_json(scene: Scene) -> str:
-    doc = {
+def scene_to_dict(scene: Scene) -> dict:
+    """The scene as JSON-ready dicts, angles in degrees."""
+    return {
         "targets": [
             {
                 "theta_deg": math.degrees(t.theta),
@@ -299,5 +289,3 @@ def scene_to_json(scene: Scene) -> str:
             for s in scene.scatterers
         ],
     }
-    return json.dumps(doc, indent=2)
-

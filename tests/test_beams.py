@@ -60,7 +60,7 @@ def test_coverage_and_beam_lookup(cfg, plan):
 
 
 def test_single_beam_plan(cfg):
-    p1 = bm.make_scan_plan(cfg, (math.radians(-10), math.radians(10)), 1)
+    p1 = bm.default_plan(cfg, n_beams=1, span_deg=10.0)
     assert p1.n_beams == 1
     assert float(p1.directions[0]) == pytest.approx(0.0, abs=1e-12)
     assert p1.coverage_halfwidth > 0

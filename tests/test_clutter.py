@@ -162,20 +162,6 @@ def test_scan_spectrum_hand_values(small_cfg):
     assert np.allclose(spec, want, atol=1e-12)
 
 
-def test_scan_spectrum_can_exclude_transient(small_cfg):
-    data = np.ones((small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym),
-                   dtype=complex)
-    data[:, :, :2] = 10.0
-    mask = np.zeros(small_cfg.n_sym, dtype=bool)
-    mask[:2] = True
-    t = ec.EchoTensor(data=data, scan_index=0, cfg=small_cfg, stage="filtered",
-                      transient_mask=mask)
-    full = cl.scan_spectrum([t], include_transient=True)
-    tail = cl.scan_spectrum([t], include_transient=False)
-    assert full[0] > tail[0]
-    assert tail[0] == pytest.approx(small_cfg.m_rx, abs=1e-12)
-
-
 def test_find_peaks():
     flat = np.ones(11)
     assert cl.find_peaks(flat, 3.0) == []

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtsense import cli
 from mtsense import experiments as ex
@@ -55,6 +57,51 @@ def test_config_round_trip_and_hash():
     changed = small_config(detector={"p_fa": 0.2})
     assert changed.config_hash() != config.config_hash()
     assert len(config.config_hash()) == 16
+
+
+@st.composite
+def _valid_configs(draw):
+    """Experiment configs that satisfy every load rule, all fields drawn."""
+    m_rx = draw(st.integers(2, 32))
+    order = draw(st.integers(1, 8))
+    n_sym = draw(st.integers(3 * order + 2, 64))
+    return ex.ExperimentConfig(
+        system=SystemConfig(
+            m_tx=draw(st.integers(2, 128)), m_rx=m_rx,
+            n_sub=draw(st.integers(2, 64)), n_sym=n_sym,
+            f_c=draw(st.floats(1e9, 1e11)), delta_f=draw(st.floats(1e5, 1e8)),
+            t_guard=draw(st.floats(0.0, 1e-3)),
+            d_spacing=draw(st.none() | st.floats(1e-4, 1.0)),
+            noise_var=draw(st.floats(0.0, 1e3))),
+        scene=ex.SceneSpec(
+            kind=draw(st.sampled_from(["reference", "random", "empty"])),
+            n_targets=draw(st.integers(0, 5)),
+            n_scatterers=draw(st.integers(0, 500)),
+            seed=draw(st.integers(0, 2**31)),
+            min_separation_deg=draw(st.floats(0.0, 10.0))),
+        scan=ex.ScanSpec(n_beams=draw(st.integers(1, 121)),
+                         span_deg=draw(st.floats(0.5, 89.5))),
+        filter=ex.FilterSpec(order=order, cutoff=draw(st.floats(0.001, 0.499))),
+        detector=ex.DetectorSpec(
+            n_angle=draw(st.integers(1, m_rx - 1)),
+            p_fa=draw(st.floats(1e-6, 0.999)),
+            calib_trials=draw(st.integers(10, 10_000)),
+            n_thresholds=draw(st.integers(1, 1001))),
+        sweep=ex.SweepSpec(n_sym_synth=draw(st.integers(n_sym + 1, 256))),
+        search_rel_threshold=draw(st.floats(1.001, 100.0)),
+        snr_list_db=tuple(draw(st.lists(st.floats(-60.0, 60.0), min_size=1,
+                                        max_size=6))),
+        n_trials=draw(st.integers(1, 10_000)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_valid_configs())
+def test_config_round_trip_for_any_valid_config(config):
+    again = ex.config_from_dict(config.to_dict())
+    assert again == config
+    assert again.config_hash() == config.config_hash()
 
 
 def test_config_rejects_unknown_keys():
@@ -166,7 +213,7 @@ def test_config_accepts_good_top_level_values():
     ({"system": {"f_c": math.inf}}, "system.f_c"),
     ({"system": {"d_spacing": "half"}}, "system.d_spacing"),
     ({"filter": {"order": "2"}}, "filter.order"),
-    ({"filter": {"warmup": 2.5}}, "filter.warmup"),
+    ({"filter": {"cutoff": "0.04"}}, "filter.cutoff"),
     ({"filter": {"cutoff": None}}, "filter.cutoff"),
     ({"sweep": {"n_sym_synth": 20.5}}, "sweep.n_sym_synth"),
     ({"sweep": {"n_sym_synth": True}}, "sweep.n_sym_synth"),
@@ -186,13 +233,49 @@ def test_config_rejects_bad_field_types(raw, name):
                 "d_spacing": 0.005}),
     ("scene", {"kind": "random", "n_targets": 1, "min_separation_deg": 6}),
     ("scan", {"n_beams": 9, "span_deg": 40}),
-    ("filter", {"order": 3, "cutoff": 0.05, "warmup": None}),
+    ("filter", {"order": 3, "cutoff": 0.05}),
     ("detector", {"n_angle": 3, "p_fa": 0.05}),
     ("sweep", {"n_sym_synth": 32}),
+    ("filter", {"order": 6, "cutoff": 0.25}),     # 18 transient, 2 of 20 left
 ])
 def test_config_accepts_good_field_types(section, values):
     spec = getattr(ex.config_from_dict({section: values}), section)
     assert {k: getattr(spec, k) for k in values} == values
+
+
+@pytest.mark.parametrize("raw, name", [
+    ({"search_rel_threshold": 0.5}, "search_rel_threshold"),
+    ({"search_rel_threshold": 1.0}, "search_rel_threshold"),
+    ({"filter": {"order": 0}}, "filter.order"),
+    ({"filter": {"order": 9}}, "filter.order"),
+    ({"filter": {"order": 7}}, "filter.order"),   # 21 transient, n_sym 20
+    ({"filter": {"cutoff": 0.0}}, "filter.cutoff"),
+    ({"filter": {"cutoff": 0.6}}, "filter.cutoff"),
+    ({"filter": {"warmup": 6}}, "warmup"),        # removed: unknown key
+    ({"sweep": {"n_sym_synth": 20}}, "sweep.n_sym_synth"),
+    ({"system": {"d_spacing": 0.0}}, "d_spacing"),
+    ({"system": {"d_spacing": -0.0025}}, "d_spacing"),
+    ({"filter": {"order": 3}, "system": {"n_sym": 9}}, "system.n_sym"),
+    ({"system": {"n_sym": 7}}, "system.n_sym"),   # 6 transient, 1 left
+])
+def test_config_rejects_out_of_range_values(raw, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        ex.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("command, raw, name", [
+    ("scan", {"search_rel_threshold": 0.5}, "search_rel_threshold"),
+    ("estimate", {"filter": {"warmup": -1}}, "warmup"),
+    ("scan", {"system": {"d_spacing": 0.0}}, "d_spacing"),
+])
+def test_cli_fails_at_load_naming_the_field(tmp_path, capsys, command, raw, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = cli.main([command, "--config", str(cfg_path),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert name in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_snr_list_becomes_float_tuple():
@@ -328,10 +411,9 @@ def test_sweep_threads_match_serial(tmp_path):
         (tmp_path / "par" / "sweep.csv").read_bytes()
 
 
-def test_sweep_validates_synth_window(tmp_path):
-    config = small_config(sweep={"n_sym_synth": 12})  # == n_sym
-    with pytest.raises(ValueError):
-        ex.sweep_snr(config, tmp_path)
+def test_sweep_validates_synth_window():
+    with pytest.raises(ValueError, match="sweep.n_sym_synth"):
+        small_config(sweep={"n_sym_synth": 12})  # == n_sym
 
 
 def test_roc_experiment_csv(tmp_path):

@@ -1,6 +1,8 @@
 """Root-MUSIC against hand linear algebra and a dense grid-search oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtsense import clutter as cl
 from mtsense import echo as ec
@@ -146,17 +148,40 @@ def test_snapshot_builders_match_loops(small_cfg, rng):
                       transient_mask=mask)
     cube = data[:, :, 2:]
 
-    sp = mu.build_spatial_snapshots(t)
+    sp = mu.snapshots(t, 0)
     assert sp.sign == +1 and sp.axis_tag == "spatial"
     assert np.array_equal(sp.data, _loop_spatial(cube))
 
-    ra = mu.build_range_snapshots(t)
+    ra = mu.snapshots(t, 1)
     assert ra.sign == -1 and ra.axis_tag == "range"
     assert np.array_equal(ra.data, _loop_range(cube))
 
-    do = mu.build_doppler_snapshots(t)
+    do = mu.snapshots(t, 2)
     assert do.sign == +1 and do.axis_tag == "doppler"
     assert np.array_equal(do.data, _loop_doppler(cube))
+
+
+@st.composite
+def _masked_cubes(draw):
+    """A random (M_r, L, P) cube and a transient mask that keeps >= 2 symbols."""
+    shape = tuple(draw(st.integers(2, 5)) for _ in range(3))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=shape[2],
+                                  max_size=shape[2])))
+    mask[draw(st.lists(st.integers(0, shape[2] - 1), min_size=2, max_size=2,
+                       unique=True))] = False
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cfg = SystemConfig(m_tx=2, m_rx=shape[0], n_sub=shape[1], n_sym=shape[2])
+    return ec.EchoTensor(data=data, scan_index=0, cfg=cfg, stage="filtered",
+                         transient_mask=mask)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_masked_cubes(), st.integers(0, 2))
+def test_snapshots_match_loops_for_any_shape_and_mask(t, axis):
+    loop = (_loop_spatial, _loop_range, _loop_doppler)[axis]
+    assert np.array_equal(mu.snapshots(t, axis).data,
+                          loop(t.data[:, :, ~t.transient_mask]))
 
 
 # ---------------------------------------------------------------------------

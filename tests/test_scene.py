@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtsense import scene as sc
 from mtsense.scene import (Scatterer, Scene, SystemConfig, Target,
@@ -85,6 +87,24 @@ def test_inverse_maps_round_trip(cfg, rng):
         assert sc.speed_from_psi_d(doppler_frequency(v, cfg), cfg) == pytest.approx(v, abs=1e-12)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.builds(SystemConfig, f_c=st.floats(1e9, 1e11), delta_f=st.floats(1e5, 1e8),
+                 t_guard=st.floats(0.0, 1e-3),
+                 d_spacing=st.none() | st.floats(1e-4, 1.0)),
+       st.floats(-0.999, 0.999), st.floats(0.0, 0.999), st.floats(-0.999, 0.999))
+def test_inverse_maps_undo_forward_maps(cfg, u_s, u_r, u_d):
+    # fractions u of the unambiguous intervals: |sin theta| < min(1, lambda/(2d)),
+    # range in [0, c/(2 delta_f)), |speed| < lambda/(4 T)
+    theta = math.asin(u_s * min(1.0, cfg.wavelength / (2.0 * cfg.spacing)))
+    r = u_r * C0 / (2.0 * cfg.delta_f)
+    v = u_d * cfg.wavelength / (4.0 * cfg.t_total)
+    psi_s = spatial_frequency(theta, cfg)
+    assert abs(psi_s) < 0.5
+    assert sc.theta_from_psi_s(psi_s, cfg) == pytest.approx(theta, rel=1e-12, abs=1e-9)
+    assert sc.range_from_psi_r(range_frequency(r, cfg), cfg) == pytest.approx(r, rel=1e-12)
+    assert sc.speed_from_psi_d(doppler_frequency(v, cfg), cfg) == pytest.approx(v, rel=1e-12)
+
+
 def test_theta_from_psi_s_domain(cfg):
     with pytest.raises(ValueError):
         sc.theta_from_psi_s(0.81, cfg)   # outside |psi_s| <= d/lambda = 0.5
@@ -107,7 +127,9 @@ def test_generate_scene_respects_supports(cfg):
     for s in scn.scatterers:
         assert math.radians(-60) <= s.theta <= math.radians(60)
         assert 1.0 <= s.range <= 7.0
-    assert scn.min_target_separation() >= math.radians(4.0)
+    thetas = [t.theta for t in scn.targets]
+    assert min(abs(a - b) for i, a in enumerate(thetas) for b in thetas[:i]) \
+        >= math.radians(4.0)
 
 
 def test_generate_scene_deterministic(cfg):
