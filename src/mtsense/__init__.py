@@ -37,22 +37,3 @@ from .experiments import (
     ExperimentConfig, load_config, run_pipeline, sweep_snr,
     roc_experiment, crb_experiment,
 )
-
-__all__ = [
-    "__version__",
-    "SystemConfig", "Target", "Scatterer", "Scene",
-    "spatial_frequency", "range_frequency", "doppler_frequency",
-    "frequencies_target", "frequencies_scatterer",
-    "generate_scene", "reference_scene", "REFERENCE_TARGETS",
-    "BeamPlan", "default_plan", "beamformer_weight", "g_tilde",
-    "EchoTensor", "synthesize_echo", "write_tensor", "read_tensor",
-    "IirFilter", "design_butterworth_highpass", "normalize_by_gain",
-    "filter_symbols", "scan_spectrum", "find_peaks",
-    "SnapshotMatrix", "EstimationResult", "noise_subspace",
-    "root_music_frequency", "estimate_candidate",
-    "FimBlocks", "CrbResult", "fim_blocks", "total_fim", "crb_eta_t",
-    "DetectionGrid", "GlrOutcome", "sample_grid", "clutter_basis",
-    "perp_projector", "glr_statistic", "detect", "calibrate_gamma", "roc_curve",
-    "ExperimentConfig", "load_config", "run_pipeline", "sweep_snr",
-    "roc_experiment", "crb_experiment",
-]

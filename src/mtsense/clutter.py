@@ -7,6 +7,7 @@ power P(b) then peaks at beams containing moving targets.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .echo import EchoTensor
 
 DEFAULT_ORDER = 2
 DEFAULT_CUTOFF = 0.04
+_NULL_TOL = 1e-9     # largest output a unit constant may leave after step matching
 
 
 @dataclass(frozen=True)
@@ -25,24 +27,34 @@ class IirFilter:
     """Designed high-pass filter. den_coeffs[0] is normalized to 1."""
 
     order: int
-    cutoff: float
     num_coeffs: np.ndarray
     den_coeffs: np.ndarray
 
 
+@functools.lru_cache(maxsize=16)   # every config load checks its filter design
 def design_butterworth_highpass(order: int = DEFAULT_ORDER,
                                 cutoff: float = DEFAULT_CUTOFF) -> IirFilter:
     """Butterworth high-pass via the prewarped bilinear transform.
 
     ``cutoff`` is the -3 dB frequency in cycles per sample, 0 < cutoff < 0.5.
+    High orders at cutoffs near 0 or 0.5 put the poles so close to the unit
+    circle that the transfer-function coefficients lose them. Such a design
+    raises ValueError: a pole on or outside the circle, a DC gain above 1e-9,
+    or a unit constant that ``step_matched_highpass`` leaves above 1e-9.
     """
     if not 1 <= order <= 8:
         raise ValueError("order must be in 1..8")
     if not 0.0 < cutoff < 0.5:
         raise ValueError("cutoff must lie strictly inside (0, 0.5) cycles/sample")
     num, den = signal.butter(order, cutoff, btype="highpass", fs=1.0)
-    return IirFilter(order=order, cutoff=cutoff,
-                     num_coeffs=np.asarray(num), den_coeffs=np.asarray(den))
+    num.flags.writeable = den.flags.writeable = False      # shared by the cache
+    filt = IirFilter(order=order, num_coeffs=num, den_coeffs=den)
+    if (np.max(np.abs(np.roots(den))) >= 1.0 or not abs(sum(num) / sum(den)) <= _NULL_TOL
+            or not np.max(np.abs(step_matched_highpass(np.ones(256), filt))) <= _NULL_TOL):
+        raise ValueError(f"order {order} at cutoff {cutoff} is numerically unstable in "
+                         f"transfer-function form (a constant is not annihilated); use "
+                         f"a lower order or a cutoff further from 0 and 0.5")
+    return filt
 
 
 def default_warmup(filt) -> int:

@@ -27,21 +27,6 @@ from .scene import (
     range_frequency,
 )
 
-__all__ = [
-    "EchoTensor",
-    "ElementFactors",
-    "element_factors",
-    "tx_gains",
-    "add_noise",
-    "steering_range",
-    "steering_doppler",
-    "steering_rx",
-    "steering_tx",
-    "synthesize_echo",
-    "write_tensor",
-    "read_tensor",
-]
-
 
 def steering_range(psi_r, n_sub: int) -> np.ndarray:
     """Range steering vector, entry l = exp(-j 2 pi l psi_r). Note the minus sign.

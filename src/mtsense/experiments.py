@@ -26,7 +26,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -39,47 +38,40 @@ import numpy as np
 from . import beams, clutter, crb, detector, music
 from ._version import __version__
 from .echo import EchoTensor, synthesize_echo, write_tensor
-from .scene import (Scene, SystemConfig, complex_normal, generate_scene,
-                    reference_scene, scene_to_dict)
+from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, Scene,
+                    SystemConfig, check_fields, complex_normal, generate_scene, integer,
+                    is_finite, number, reference_scene, rule, scene_to_dict)
 
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: each field declares its own rule (see scene.check_fields)
+
+SCENE_KINDS = ("reference", "random", "empty")
+
 
 @dataclass(frozen=True)
 class SceneSpec:
-    kind: str = "reference"        # "reference" | "random" | "empty"
-    n_targets: int = 2
-    n_scatterers: int = 400
-    seed: int = 7
+    kind: str = rule("reference", "one of " + ", ".join(map(repr, SCENE_KINDS)),
+                     lambda x: x in SCENE_KINDS)
+    n_targets: int = integer(2, 0)
+    n_scatterers: int = integer(400, 0)
+    seed: int = integer(7, 0)
     min_separation_deg: float = 4.0
-
-    def __post_init__(self):
-        if self.kind not in ("reference", "random", "empty"):
-            raise ValueError(f"unknown scene kind {self.kind!r}")
-        if self.n_scatterers < 0 or self.n_targets < 0:
-            raise ValueError("scene counts must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ScanSpec:
-    n_beams: int = 61
-    span_deg: float = 60.0
-
-    def __post_init__(self):
-        if self.n_beams < 1:
-            raise ValueError("n_beams must be >= 1")
-        if not 0.0 < self.span_deg < 90.0:
-            raise ValueError("span_deg must lie in (0, 90)")
+    n_beams: int = integer(61, 1)
+    span_deg: float = number(60.0, 0, 90)
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    order: int = clutter.DEFAULT_ORDER
-    cutoff: float = clutter.DEFAULT_CUTOFF
+    order: int = integer(clutter.DEFAULT_ORDER, 1, 8)
+    cutoff: float = number(clutter.DEFAULT_CUTOFF, 0, 0.5)   # cycles per symbol
 
     def build(self) -> clutter.IirFilter:
         return clutter.design_butterworth_highpass(self.order, self.cutoff)
@@ -87,43 +79,15 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    n_angle: int = detector.DEFAULT_N_ANGLE
-    p_fa: float = 0.01
-    calib_trials: int = 500
-    n_thresholds: int = 101
+    n_angle: int = integer(detector.DEFAULT_N_ANGLE, 1)
+    p_fa: float = number(0.01, 0, 1)
+    calib_trials: int = integer(500, 10)
+    n_thresholds: int = integer(101, 1)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     n_sym_synth: int = 64          # symbols synthesized before the frame window
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-# annotation -> (what the error message asks for, check)
-_FIELD_TYPES = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", _is_finite),
-    str: ("a string", lambda x: isinstance(x, str)),
-    type(None): ("null", lambda x: x is None),
-}
-
-
-def _check_types(section: str, cls, values: dict) -> None:
-    """Reject a value that its field's annotation does not admit, naming the field."""
-    for name, hint in typing.get_type_hints(cls).items():
-        if name not in values:
-            continue
-        kinds = [_FIELD_TYPES[k] for k in typing.get_args(hint) or (hint,)]
-        if not any(ok(values[name]) for _, ok in kinds):
-            want = " or ".join(what for what, _ in kinds)
-            raise ValueError(f"{section}.{name} must be {want}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -134,47 +98,51 @@ class ExperimentConfig:
     filter: FilterSpec = field(default_factory=FilterSpec)
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
-    search_rel_threshold: float = 3.0
-    snr_list_db: tuple[float, ...] = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0)
-    n_trials: int = 100
-    seed: int = 0
+    search_rel_threshold: float = number(3.0, 1)      # the find_peaks rule
+    snr_list_db: tuple[float, ...] = rule(
+        (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0), "a non-empty list of finite numbers",
+        lambda x: isinstance(x, (list, tuple)) and len(x) > 0
+        and all(map(is_finite, x)))
+    n_trials: int = integer(100, 1)
+    seed: int = integer(0, 0)
 
     def __post_init__(self):
-        if not _is_int(self.n_trials) or self.n_trials < 1:
-            raise ValueError(f"n_trials must be an integer >= 1, got {self.n_trials!r}")
-        x = self.search_rel_threshold
-        if not (_is_finite(x) and x > 1):
-            raise ValueError(
-                f"search_rel_threshold must be a finite number > 1, got {x!r}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        det = self.detector
-        if not (_is_int(det.n_angle) and 1 <= det.n_angle < self.system.m_rx):
-            raise ValueError(f"detector.n_angle must be an integer in [1, system.m_rx) "
-                             f"= [1, {self.system.m_rx}), got {det.n_angle!r}")
-        if not (_is_int(det.calib_trials) and det.calib_trials >= 10):
-            raise ValueError(f"detector.calib_trials must be an integer >= 10, "
-                             f"got {det.calib_trials!r}")
-        if not (_is_int(det.n_thresholds) and det.n_thresholds >= 1):
-            raise ValueError(f"detector.n_thresholds must be an integer >= 1, "
-                             f"got {det.n_thresholds!r}")
-        if not (_is_finite(det.p_fa) and 0.0 < det.p_fa < 1.0):
-            raise ValueError(f"detector.p_fa must be a real number in (0, 1), "
-                             f"got {det.p_fa!r}")
-        flt, n_sym = self.filter, self.system.n_sym
-        if not (_is_int(flt.order) and 1 <= flt.order <= 8):
-            raise ValueError(f"filter.order must be an integer in 1..8, got {flt.order!r}")
-        if not (_is_finite(flt.cutoff) and 0.0 < flt.cutoff < 0.5):
-            raise ValueError(f"filter.cutoff must be a number in (0, 0.5) cycles per "
-                             f"symbol, got {flt.cutoff!r}")
+        check_fields(self)
+        object.__setattr__(self, "snr_list_db", tuple(map(float, self.snr_list_db)))
+        # the rules that tie fields of different sections together
+        system, flt, scene, scan = self.system, self.filter, self.scene, self.scan
+        if self.detector.n_angle >= system.m_rx:
+            raise ValueError(f"detector.n_angle must be < system.m_rx = {system.m_rx}, "
+                             f"got {self.detector.n_angle!r}")
+        try:
+            flt.build()
+        except ValueError as exc:
+            raise ValueError(f"filter.order and filter.cutoff: {exc}") from None
         warmup = clutter.default_warmup(flt)
-        if n_sym - warmup < 2:     # root-MUSIC needs two retained symbols
-            raise ValueError(f"filter.order {flt.order} flags {warmup} transient "
-                             f"symbols, which must leave at least 2 of "
-                             f"system.n_sym = {n_sym}")
-        if not (_is_int(self.sweep.n_sym_synth) and self.sweep.n_sym_synth > n_sym):
-            raise ValueError(f"sweep.n_sym_synth must be an integer > system.n_sym = "
-                             f"{n_sym}, got {self.sweep.n_sym_synth!r}")
+        if system.n_sym - warmup < 2:     # root-MUSIC needs two retained symbols
+            raise ValueError(f"filter.order {flt.order} flags {warmup} transient symbols, "
+                             f"leaving fewer than 2 of system.n_sym = {system.n_sym}")
+        if self.sweep.n_sym_synth <= system.n_sym:
+            raise ValueError(f"sweep.n_sym_synth must be > system.n_sym = "
+                             f"{system.n_sym}, got {self.sweep.n_sym_synth!r}")
+        # the estimators invert frequencies only inside the unambiguous intervals
+        n_targets = {"reference": len(REFERENCE_TARGETS), "random": scene.n_targets,
+                     "empty": 0}[scene.kind]
+        r_max, v_max = C0 / (2 * system.delta_f), system.wavelength / (4 * system.t_total)
+        if scene.kind != "empty" and (n_targets or scene.n_scatterers) \
+                and RANGE_SUPPORT_M[1] >= r_max:
+            raise ValueError(f"system.delta_f = {system.delta_f:g} puts the unambiguous "
+                             f"range c/(2 delta_f) = {r_max:.4g} m inside the scene's "
+                             f"range support {RANGE_SUPPORT_M} m")
+        if n_targets and SPEED_SUPPORT_MPS[1] >= v_max:
+            raise ValueError(f"system.f_c, system.delta_f and system.t_guard put the "
+                             f"unambiguous speed lambda/(4 T_total) = {v_max:.4g} m/s "
+                             f"inside the target speed support {SPEED_SUPPORT_MPS} m/s")
+        step = 2 * scan.span_deg / max(scan.n_beams - 1, 1)
+        if scene.kind == "random" and n_targets >= 2 and scene.min_separation_deg < step:
+            raise ValueError(f"scene.min_separation_deg must be >= the beam step "
+                             f"2 scan.span_deg / (scan.n_beams - 1) = {step:.4g}, "
+                             f"got {scene.min_separation_deg!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -193,26 +161,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from (possibly partial) nested dicts; unknown keys raise."""
     kwargs = {}
     for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            cls = _SECTION_TYPES[key]
+        cls = _SECTION_TYPES.get(key)
+        if cls is not None:
             if not isinstance(value, dict):
                 raise ValueError(f"config section {key!r} must be an object")
-            names = cls.__dataclass_fields__.keys()
-            unknown = set(value) - set(names)
+            unknown = set(value) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ValueError(f"unknown keys in {key!r}: {sorted(unknown)}")
-            _check_types(key, cls, value)
-            kwargs[key] = cls(**value)
-        elif key in ("search_rel_threshold", "n_trials", "seed"):
-            kwargs[key] = value
-        elif key == "snr_list_db":
-            if not (isinstance(value, (list, tuple)) and value
-                    and all(_is_finite(s) for s in value)):
-                raise ValueError("snr_list_db must be a non-empty list of finite "
-                                 f"numbers, got {value!r}")
-            kwargs[key] = tuple(float(s) for s in value)
-        else:
+            value = cls(**value)
+        elif key not in ExperimentConfig.__dataclass_fields__:
             raise ValueError(f"unknown config key {key!r}")
+        kwargs[key] = value
     return ExperimentConfig(**kwargs)
 
 
@@ -227,8 +186,14 @@ def build_scene(config: ExperimentConfig, cfg: SystemConfig, seed: int) -> Scene
         return reference_scene(cfg, n_scatterers=spec.n_scatterers, seed=spec.seed)
     if spec.kind == "empty":
         return Scene(targets=(), scatterers=())
-    return generate_scene(cfg, spec.n_targets, spec.n_scatterers, seed=(seed, spec.seed),
-                          min_separation=math.radians(spec.min_separation_deg))
+    try:
+        return generate_scene(cfg, spec.n_targets, spec.n_scatterers,
+                              seed=(seed, spec.seed),
+                              min_separation=math.radians(spec.min_separation_deg))
+    except RuntimeError as exc:
+        raise ValueError(f"cannot place scene.n_targets = {spec.n_targets} targets at "
+                         f"least scene.min_separation_deg = {spec.min_separation_deg} "
+                         f"apart: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +214,12 @@ def _map(fn, items, threads: int) -> list:
 
 @dataclass
 class _Run:
-    """One command's output directory, seed, plan and scene, plus the manifest
-    parts it fills in as it goes."""
+    """One command's output directory, plan and scene, plus the manifest parts
+    it fills in as it goes. The directory is made when the first file is
+    written, so a run that fails before that leaves nothing behind."""
 
     config: ExperimentConfig
     out: Path
-    seed: int
     plan: beams.BeamPlan
     scene: Scene
     outputs: list[str] = field(default_factory=list)
@@ -267,8 +232,12 @@ class _Run:
         yield
         self.stage_seconds[name] = time.perf_counter() - tic
 
+    def path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
+
     def write_csv(self, name: str, header, rows) -> None:
-        with open(self.out / name, "w", newline="") as fh:
+        with open(self.path(name), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -278,7 +247,7 @@ class _Run:
         """Write manifest.json (the common keys plus `extra`) and return it."""
         manifest = {
             "library_version": __version__,
-            "seed": self.seed,
+            "seed": self.config.seed,
             "config_hash": self.config.config_hash(),
             "config": self.config.to_dict(),
             "scene": scene_to_dict(self.scene),
@@ -287,17 +256,15 @@ class _Run:
             "errors": self.errors,
             **extra,
         }
-        _write_json(self.out / "manifest.json", manifest)
+        _write_json(self.path("manifest.json"), manifest)
         return manifest
 
 
-def _start(config: ExperimentConfig, out_dir, seed: int | None) -> _Run:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = config.seed if seed is None else seed
+def _start(config: ExperimentConfig, out_dir) -> _Run:
     plan = beams.default_plan(config.system, n_beams=config.scan.n_beams,
                               span_deg=config.scan.span_deg)
-    return _Run(config, out, seed, plan, build_scene(config, config.system, seed))
+    return _Run(config, Path(out_dir), plan,
+                build_scene(config, config.system, config.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +273,8 @@ def _start(config: ExperimentConfig, out_dir, seed: int | None) -> _Run:
 _STAGE_ORDER = ("synthesize", "filter", "spectrum", "estimate", "detect")
 
 
-def run_pipeline(config: ExperimentConfig, out_dir, seed: int | None = None,
-                 threads: int = 1, last_stage: str = "detect") -> dict:
+def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
+                 last_stage: str = "detect") -> dict:
     """Full scan pipeline: synth -> normalize -> filter -> spectrum -> peaks ->
     estimate -> GLRT detect. Writes plan.csv, spectrum.csv, estimates.csv,
     detections.csv and manifest.json into out_dir and returns the manifest.
@@ -318,8 +285,8 @@ def run_pipeline(config: ExperimentConfig, out_dir, seed: int | None = None,
     if last_stage not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {last_stage!r}")
     last_idx = _STAGE_ORDER.index(last_stage)
-    run = _start(config, out_dir, seed)
-    cfg, plan, scene, seed = config.system, run.plan, run.scene, run.seed
+    run = _start(config, out_dir)
+    cfg, plan, scene, seed = config.system, run.plan, run.scene, config.seed
     filt = config.filter.build()
     extra: dict = {}
     t_start = time.perf_counter()
@@ -403,17 +370,16 @@ def run_pipeline(config: ExperimentConfig, out_dir, seed: int | None = None,
     return run.finish(wall_seconds=time.perf_counter() - t_start, **extra)
 
 
-def simulate_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
-                        threads: int = 1) -> dict:
+def simulate_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Synthesize raw echo tensors for every scan and write them as binary files."""
-    run = _start(config, out_dir, seed)
+    run = _start(config, out_dir)
     run.write_csv("plan.csv", ("b", "theta_deg", "halfwidth_deg"),
                   beams.plan_summary_rows(run.plan))
 
     def _one(b: int) -> str:
-        y = synthesize_echo(run.scene, run.plan, b, config.system, seed=run.seed)
+        y = synthesize_echo(run.scene, run.plan, b, config.system, seed=config.seed)
         name = f"echo_b{b:03d}.bin"
-        write_tensor(y, run.out / name)
+        write_tensor(y, run.path(name))
         return name
 
     with run.stage("synthesize"):
@@ -457,8 +423,7 @@ def _bound_at(unit: crb.CrbResult, sigma2: float) -> crb.CrbResult:
                          std_speed=s * unit.std_speed)
 
 
-def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
-              threads: int = 1) -> dict:
+def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Monte-Carlo MSE per target parameter vs the CRB over config.snr_list_db.
 
     Each trial synthesizes a longer frame (sweep.n_sym_synth symbols), runs the
@@ -475,8 +440,8 @@ def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
     """
     cfg = config.system
     n_synth = config.sweep.n_sym_synth
-    run = _start(config, out_dir, seed)
-    plan, scene, seed = run.plan, run.scene, run.seed
+    run = _start(config, out_dir)
+    plan, scene, seed = run.plan, run.scene, config.seed
     if not scene.targets:
         raise ValueError("the sweep needs at least one target in the scene")
     cfg_synth = replace(cfg, n_sym=n_synth)
@@ -534,23 +499,22 @@ def sweep_snr(config: ExperimentConfig, out_dir, seed: int | None = None,
 # ---------------------------------------------------------------------------
 # ROC and CRB experiments
 
-def roc_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
-                   threads: int = 1) -> dict:
+def roc_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """ROC curves per SNR for the first reference target; writes roc.csv."""
-    run = _start(config, out_dir, seed)
+    run = _start(config, out_dir)
     dspec = config.detector
     with run.stage("roc"):
         curves = detector.roc_curve(
             run.scene.without_targets(), run.scene, config.system, run.plan,
             config.snr_list_db, n_trials=config.n_trials,
-            n_thresholds=dspec.n_thresholds, seed=run.seed,
+            n_thresholds=dspec.n_thresholds, seed=config.seed,
             n_angle=dspec.n_angle, threads=threads)
     rows = [(snr_db, *point) for snr_db in sorted(curves) for point in curves[snr_db]]
     run.write_csv("roc.csv", ("snr_db", "gamma", "p_fa", "p_d"), rows)
     return run.finish(n_trials=config.n_trials)
 
 
-def crb_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
+def crb_experiment(config: ExperimentConfig, out_dir,
                    include_scatterers: bool = False) -> dict:
     """CRB standard deviations per SNR for the configured scene's targets.
 
@@ -558,7 +522,7 @@ def crb_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
     before estimation); include_scatterers=True keeps their angles, ranges
     and amplitudes as nuisances. Writes crb.json.
     """
-    run = _start(config, out_dir, seed)
+    run = _start(config, out_dir)
     if not run.scene.targets:
         raise ValueError("the CRB experiment needs at least one target")
     if not include_scatterers:
@@ -571,6 +535,6 @@ def crb_experiment(config: ExperimentConfig, out_dir, seed: int | None = None,
                                    float(snr_db))
             for snr_db in config.snr_list_db
         ]
-    _write_json(run.out / "crb.json", records)
+    _write_json(run.path("crb.json"), records)
     run.outputs.append("crb.json")
     return run.finish(include_scatterers=include_scatterers)

@@ -28,13 +28,11 @@ from .scene import (
 class SnapshotMatrix:
     """M x I complex snapshot stack for one axis.
 
-    axis_tag  one of "spatial", "range", "doppler"
     sign      +1 where the steering phase progresses as e^{+j2pi psi k}
               (spatial, doppler), -1 for the range axis (e^{-j2pi psi l})
     """
 
     data: np.ndarray
-    axis_tag: str
     sign: int
 
     def __post_init__(self):
@@ -154,7 +152,7 @@ def root_music_frequency(f: SnapshotMatrix) -> float:
 # stacked. The column order is fixed so rearrangements are reproducible bit
 # for bit.
 
-_AXES = (("spatial", +1), ("range", -1), ("doppler", +1))
+_SIGNS = (+1, -1, +1)          # spatial, range, doppler
 
 
 def snapshots(y_check: EchoTensor, axis: int) -> SnapshotMatrix:
@@ -170,8 +168,7 @@ def snapshots(y_check: EchoTensor, axis: int) -> SnapshotMatrix:
     cube = y_check.data[:, :, retained_symbols(y_check)]
     others = sorted({0, 1, 2} - {axis}, reverse=True)
     data = cube.transpose(axis, *others).reshape(cube.shape[axis], -1)
-    tag, sign = _AXES[axis]
-    return SnapshotMatrix(data=data, axis_tag=tag, sign=sign)
+    return SnapshotMatrix(data=data, sign=_SIGNS[axis])
 
 
 def estimate_candidate(y_check: EchoTensor, b: int, cfg: SystemConfig) -> EstimationResult:

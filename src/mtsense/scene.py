@@ -7,17 +7,77 @@ Everything downstream works in normalized frequencies (cycles per sample):
     psi_s = d * sin(theta) / lambda  spatial frequency of a uniform linear array
 
 Angles are radians everywhere inside the library; degrees appear only at the
-CLI boundary and in serialized files.
+CLI boundary and in serialized files. The config field rules live here too.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import numbers
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 C0 = 299_792_458.0  # speed of light, m/s
 
+
+# ---------------------------------------------------------------------------
+# config field rules: each field declares its rule beside its default, and
+# check_fields applies the rules of a config and of every section in it
+
+def is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def rule(default, what: str, ok):
+    """A dataclass field whose values must pass `ok`; `what` says what they must be."""
+    return field(default=default, metadata={"rule": (what, ok)})
+
+
+def integer(default: int, lo: int, hi: float = math.inf):
+    """An integer field in lo..hi."""
+    what = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
+    return rule(default, what, lambda x: is_int(x) and lo <= x <= hi)
+
+
+def number(default: float, lo: float, hi: float = math.inf, closed: bool = False):
+    """A finite-number field above lo (or at it when closed) and below hi."""
+    what = (f"a finite number in ({lo}, {hi})" if hi < math.inf
+            else f"a finite number {'>=' if closed else '>'} {lo}")
+    return rule(default, what,
+                lambda x: is_finite(x) and (lo <= x if closed else lo < x) and x < hi)
+
+
+# annotation -> (what the message asks for, check), for fields without a rule
+_TYPE_RULES = {int: ("an integer", is_int), float: ("a finite number", is_finite)}
+_hints = functools.cache(typing.get_type_hints)
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Apply every field rule of the config dataclass `obj` and of its sections.
+
+    A field without a declared rule must match its annotation: an `int` is an
+    integer but not a bool, a `float` a finite number. Raises ValueError
+    "<prefix><field> must be <what>, got <value>".
+    """
+    hints = _hints(type(obj))
+    for f in fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
+        if is_dataclass(hint):
+            check_fields(value, f"{prefix}{f.name}.")
+            continue
+        what, ok = f.metadata.get("rule") or _TYPE_RULES[hint]
+        if not ok(value):
+            raise ValueError(f"{prefix}{f.name} must be {what}, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# system constants and scene elements
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -33,39 +93,29 @@ class SystemConfig:
     noise_var    per-element complex noise variance sigma^2 (linear power)
     """
 
-    m_tx: int = 64
-    m_rx: int = 16
-    n_sub: int = 16
-    n_sym: int = 20
-    f_c: float = 60e9
-    delta_f: float = 10e6
-    t_guard: float = 2e-4
-    d_spacing: float | None = None
-    noise_var: float = 1.0
+    m_tx: int = integer(64, 2)
+    m_rx: int = integer(16, 2)
+    n_sub: int = integer(16, 2)
+    n_sym: int = integer(20, 2)
+    f_c: float = number(60e9, 0)
+    delta_f: float = number(10e6, 0)
+    t_guard: float = number(2e-4, 0, closed=True)
+    d_spacing: float | None = rule(None, "null (half a wavelength) or a finite number > 0",
+                                   lambda x: x is None or (is_finite(x) and x > 0))
+    noise_var: float = number(1.0, 0, closed=True)
 
     def __post_init__(self):
-        if min(self.m_tx, self.m_rx, self.n_sub, self.n_sym) < 2:
-            raise ValueError("antenna, subcarrier and symbol counts must all be >= 2")
-        if self.f_c <= 0 or self.delta_f <= 0 or self.t_guard < 0:
-            raise ValueError("f_c and delta_f must be positive, t_guard nonnegative")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
-        if self.d_spacing is not None and not self.d_spacing > 0:
-            raise ValueError(f"d_spacing must be positive (or null for half a "
-                             f"wavelength), got {self.d_spacing!r}")
+        # library code builds SystemConfig directly, not only through a config
+        check_fields(self, "system.")
 
     @property
     def wavelength(self) -> float:
         return C0 / self.f_c
 
     @property
-    def t_sym(self) -> float:
-        return 1.0 / self.delta_f
-
-    @property
     def t_total(self) -> float:
         """Full symbol interval including the guard."""
-        return self.t_sym + self.t_guard
+        return 1.0 / self.delta_f + self.t_guard
 
     @property
     def spacing(self) -> float:

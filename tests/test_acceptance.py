@@ -29,8 +29,8 @@ def read_rows(path):
 
 def test_criterion_1_noiseless_recovery(tmp_path):
     tic = time.perf_counter()
-    config = experiments.config_from_dict({"system": {"noise_var": 0.0}})
-    manifest = experiments.run_pipeline(config, tmp_path, seed=1)
+    config = experiments.config_from_dict({"system": {"noise_var": 0.0}, "seed": 1})
+    manifest = experiments.run_pipeline(config, tmp_path)
     _, rows = read_rows(tmp_path / "detections.csv")
     hits = [r for r in rows if r[6] == "1"]
     assert manifest["n_detections"] == 2
@@ -129,8 +129,7 @@ def test_criterion_4_root_music_oracle():
         phases = np.exp(2j * np.pi *
                         np.random.default_rng(3000 + i).random(n_snap))
         f = music.SnapshotMatrix(
-            data=np.exp(2j * np.pi * psi * k) * phases[None, :],
-            axis_tag="spatial", sign=+1)
+            data=np.exp(2j * np.pi * psi * k) * phases[None, :], sign=+1)
 
         vn = music.noise_subspace(f)
         proj = vn @ vn.conj().T
@@ -157,8 +156,8 @@ def test_criterion_4_root_music_oracle():
 def test_criterion_5_mse_near_crb(tmp_path):
     tic = time.perf_counter()
     config = experiments.config_from_dict(
-        {"snr_list_db": [20.0], "n_trials": 100})
-    experiments.sweep_snr(config, tmp_path, seed=2)
+        {"snr_list_db": [20.0], "n_trials": 100, "seed": 2})
+    experiments.sweep_snr(config, tmp_path)
     _, rows = read_rows(tmp_path / "sweep.csv")
     assert len(rows) == 6                  # 2 targets x 3 parameters
     ratios = {r[1]: float(r[2]) / float(r[3]) for r in rows}
@@ -311,8 +310,9 @@ def test_criterion_8_roc_ordering(tmp_path):
         "scene": {"kind": "reference", "n_scatterers": 0},
         "snr_list_db": [-30.0, -10.0],
         "n_trials": 500,
+        "seed": 3,
     })
-    experiments.roc_experiment(config, tmp_path, seed=3)
+    experiments.roc_experiment(config, tmp_path)
     _, rows = read_rows(tmp_path / "roc.csv")
     curves = {}
     for r in rows:

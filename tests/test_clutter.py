@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from mtsense import clutter as cl
 from mtsense import echo as ec
@@ -70,6 +73,31 @@ def test_design_validation():
         cl.design_butterworth_highpass(2, 0.0)
     with pytest.raises(ValueError):
         cl.design_butterworth_highpass(2, 0.5)
+
+
+@pytest.mark.parametrize("order, cutoff", [(8, 0.001), (6, 0.001), (5, 1e-4), (8, 0.4999)])
+def test_design_rejects_what_rounding_breaks(order, cutoff):
+    # In transfer-function form these designs lose their poles to rounding: a
+    # step-matched constant comes out far from zero (or the filter is unstable).
+    num, den = signal.butter(order, cutoff, btype="highpass", fs=1.0)
+    raw = cl.IirFilter(order=order, num_coeffs=num, den_coeffs=den)
+    residual = np.max(np.abs(cl.step_matched_highpass(np.ones(256), raw)))
+    assert residual > 1e-6 or np.max(np.abs(np.roots(den))) >= 1.0
+    with pytest.raises(ValueError, match="numerically unstable"):
+        cl.design_butterworth_highpass(order, cutoff)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 8), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       st.integers(1, 1024), st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+def test_step_matched_highpass_annihilates_constants(order, cutoff, n, c):
+    try:
+        filt = cl.design_butterworth_highpass(order, cutoff)
+    except ValueError as exc:
+        assert "numerically unstable" in str(exc)
+        return
+    out = cl.step_matched_highpass(np.full((3, n), c), filt)
+    assert np.max(np.abs(out)) <= 1e-8 * abs(c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsense import cli
+from mtsense import cli, clutter
 from mtsense import experiments as ex
 from mtsense.echo import read_tensor, synthesize_echo
 from mtsense.beams import default_plan
-from mtsense.scene import SystemConfig
+from mtsense.scene import C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig
 
 # a deliberately small setup so every pipeline test stays well under a second
 SMALL_RAW = {
@@ -59,29 +60,43 @@ def test_config_round_trip_and_hash():
     assert len(config.config_hash()) == 16
 
 
+def _designs(order, cutoff):
+    try:
+        clutter.design_butterworth_highpass(order, cutoff)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def _valid_configs(draw):
     """Experiment configs that satisfy every load rule, all fields drawn."""
     m_rx = draw(st.integers(2, 32))
     order = draw(st.integers(1, 8))
     n_sym = draw(st.integers(3 * order + 2, 64))
+    # unambiguous range c/(2 delta_f) beyond the 7 m range support, and
+    # unambiguous speed lambda/(4 T_total) beyond the 4 m/s speed support
+    f_c = draw(st.floats(1e9, 1e11))
+    delta_f = draw(st.floats(1e5, 0.99 * C0 / (2 * RANGE_SUPPORT_M[1])))
+    max_t_total = C0 / f_c / (4 * SPEED_SUPPORT_MPS[1])
+    n_beams, span_deg = draw(st.integers(1, 121)), draw(st.floats(0.5, 89.5))
+    kind, n_targets = draw(st.sampled_from(ex.SCENE_KINDS)), draw(st.integers(0, 5))
+    step = 2 * span_deg / max(n_beams - 1, 1) if kind == "random" and n_targets > 1 else 0
     return ex.ExperimentConfig(
         system=SystemConfig(
             m_tx=draw(st.integers(2, 128)), m_rx=m_rx,
-            n_sub=draw(st.integers(2, 64)), n_sym=n_sym,
-            f_c=draw(st.floats(1e9, 1e11)), delta_f=draw(st.floats(1e5, 1e8)),
-            t_guard=draw(st.floats(0.0, 1e-3)),
+            n_sub=draw(st.integers(2, 64)), n_sym=n_sym, f_c=f_c, delta_f=delta_f,
+            t_guard=draw(st.floats(0.0, 0.99 * (max_t_total - 1 / delta_f))),
             d_spacing=draw(st.none() | st.floats(1e-4, 1.0)),
             noise_var=draw(st.floats(0.0, 1e3))),
         scene=ex.SceneSpec(
-            kind=draw(st.sampled_from(["reference", "random", "empty"])),
-            n_targets=draw(st.integers(0, 5)),
+            kind=kind, n_targets=n_targets,
             n_scatterers=draw(st.integers(0, 500)),
             seed=draw(st.integers(0, 2**31)),
-            min_separation_deg=draw(st.floats(0.0, 10.0))),
-        scan=ex.ScanSpec(n_beams=draw(st.integers(1, 121)),
-                         span_deg=draw(st.floats(0.5, 89.5))),
-        filter=ex.FilterSpec(order=order, cutoff=draw(st.floats(0.001, 0.499))),
+            min_separation_deg=draw(st.floats(step, step + 10.0))),
+        scan=ex.ScanSpec(n_beams=n_beams, span_deg=span_deg),
+        filter=ex.FilterSpec(order=order, cutoff=draw(
+            st.floats(0.001, 0.499).filter(lambda c: _designs(order, c)))),
         detector=ex.DetectorSpec(
             n_angle=draw(st.integers(1, m_rx - 1)),
             p_fa=draw(st.floats(1e-6, 0.999)),
@@ -187,7 +202,7 @@ def test_cli_detect_rejects_bad_p_fa_flag(tmp_path, capsys):
     ("search_rel_threshold", 0.0), ("search_rel_threshold", -1.0),
     ("search_rel_threshold", math.inf), ("search_rel_threshold", math.nan),
     ("search_rel_threshold", "3"),
-    ("seed", 1.5), ("seed", "7"), ("seed", None),
+    ("seed", 1.5), ("seed", "7"), ("seed", None), ("seed", -1),
 ])
 def test_config_rejects_bad_top_level_values(field, bad):
     with pytest.raises(ValueError, match=field):
@@ -267,6 +282,8 @@ def test_config_rejects_out_of_range_values(raw, name):
     ("scan", {"search_rel_threshold": 0.5}, "search_rel_threshold"),
     ("estimate", {"filter": {"warmup": -1}}, "warmup"),
     ("scan", {"system": {"d_spacing": 0.0}}, "d_spacing"),
+    ("scan", {"scene": {"seed": -1}}, "scene.seed"),
+    ("detect", {"system": {"delta_f": 40e6}}, "system.delta_f"),
 ])
 def test_cli_fails_at_load_naming_the_field(tmp_path, capsys, command, raw, name):
     cfg_path = tmp_path / "cfg.json"
@@ -276,6 +293,115 @@ def test_cli_fails_at_load_naming_the_field(tmp_path, capsys, command, raw, name
     assert rc == 1
     assert name in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw, name", [
+    ({"system": {"n_sub": 1}}, "system.n_sub"),
+    ({"system": {"m_tx": True}}, "system.m_tx"),
+    ({"system": {"f_c": 0.0}}, "system.f_c"),
+    ({"system": {"delta_f": -1.0}}, "system.delta_f"),
+    ({"system": {"t_guard": -1e-6}}, "system.t_guard"),
+    ({"system": {"noise_var": -0.5}}, "system.noise_var"),
+    ({"scene": {"kind": "martian"}}, "scene.kind"),
+    ({"scene": {"n_targets": -1}}, "scene.n_targets"),
+    ({"scene": {"n_scatterers": -5}}, "scene.n_scatterers"),
+    ({"scene": {"seed": -1}}, "scene.seed"),
+    ({"scan": {"span_deg": 95}}, "scan.span_deg"),
+    ({"scan": {"span_deg": 0}}, "scan.span_deg"),
+    ({"scan": {"n_beams": 0}}, "scan.n_beams"),
+    ({"seed": -1}, "seed"),
+])
+def test_single_field_rules_name_the_field(raw, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be .+, got "):
+        ex.config_from_dict(raw)
+
+
+def test_system_config_checks_its_own_fields():
+    # library code builds SystemConfig directly, without an ExperimentConfig
+    with pytest.raises(ValueError, match=r"^system\.n_sym must be an integer >= 2, got 1$"):
+        SystemConfig(n_sym=1)
+
+
+@pytest.mark.parametrize("raw, name", [
+    # unambiguous range c/(2 delta_f) = 3.75 m inside the 1-7 m range support
+    ({"system": {"delta_f": 40e6}}, "system.delta_f"),
+    ({"system": {"delta_f": 40e6}, "scene": {"kind": "random", "n_targets": 0}},
+     "system.delta_f"),
+    # unambiguous speed lambda/(4 T_total) = 3.1 m/s inside the 1-4 m/s support
+    ({"system": {"t_guard": 4e-4}}, "system.t_guard"),
+    ({"scene": {"kind": "random", "n_targets": 2, "min_separation_deg": 1.9}},
+     "scene.min_separation_deg"),       # beam step 2 * 60 / 60 = 2 degrees
+    ({"filter": {"order": 8, "cutoff": 0.001}, "system": {"n_sym": 64},
+      "sweep": {"n_sym_synth": 128}}, "filter.order and filter.cutoff"),
+])
+def test_cross_field_rules_name_the_fields(raw, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        ex.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    {"system": {"delta_f": 40e6}, "scene": {"kind": "empty"}},
+    {"system": {"t_guard": 4e-4}, "scene": {"kind": "random", "n_targets": 0}},
+    {"scene": {"kind": "random", "n_targets": 1, "min_separation_deg": 0.0}},
+    {"scene": {"kind": "random", "n_targets": 2, "min_separation_deg": 2.0}},
+    {"scene": {"kind": "random", "n_targets": 2, "min_separation_deg": 120.0},
+     "scan": {"n_beams": 1}},
+])
+def test_cross_field_rules_skip_what_the_scene_lacks(raw):
+    ex.config_from_dict(raw)
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    config = ex.config_from_dict(json.loads(example))
+    assert config.seed == 3 and config.scene.kind == "reference"
+
+
+@pytest.mark.parametrize("command, argv, raw, names", [
+    ("scan", ["--seed", "-1"], {}, ["seed must be an integer >= 0, got -1"]),
+    ("scan", [], {"scene": {"kind": "random", "n_targets": 40}},
+     ["scene.n_targets", "scene.min_separation_deg"]),
+    ("sweep-snr", [], {"scene": {"kind": "empty"}}, ["at least one target"]),
+    ("crb", [], {"scene": {"kind": "empty"}}, ["at least one target"]),
+])
+def test_cli_writes_nothing_when_the_run_cannot_start(tmp_path, capsys, command, argv,
+                                                      raw, names):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = cli.main([command, "--config", str(cfg_path), *argv,
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert all(name in message for name in names), message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "sweep-snr"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--threads", threads, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--threads: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_seed_is_recorded_in_the_manifest_config(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_RAW))
+    assert cli.main(["scan", "--config", str(cfg_path), "--seed", "11",
+                     "--out-dir", str(tmp_path / "flag")]) == 0
+    manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == 11
+    # the recorded config alone reproduces the run
+    cfg_path.write_text(json.dumps(manifest["config"]))
+    assert cli.main(["scan", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "again")]) == 0
+    again = json.loads((tmp_path / "again" / "manifest.json").read_text())
+    assert again["config_hash"] == manifest["config_hash"]
+    assert (tmp_path / "again" / "spectrum.csv").read_bytes() == \
+        (tmp_path / "flag" / "spectrum.csv").read_bytes()
 
 
 def test_config_snr_list_becomes_float_tuple():
@@ -359,8 +485,8 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 
 def test_pipeline_seed_changes_results(tmp_path):
     config = small_config()
-    ex.run_pipeline(config, tmp_path / "one", seed=5, last_stage="spectrum")
-    ex.run_pipeline(config, tmp_path / "two", seed=99, last_stage="spectrum")
+    ex.run_pipeline(replace(config, seed=5), tmp_path / "one", last_stage="spectrum")
+    ex.run_pipeline(replace(config, seed=99), tmp_path / "two", last_stage="spectrum")
     a = (tmp_path / "one" / "spectrum.csv").read_bytes()
     b = (tmp_path / "two" / "spectrum.csv").read_bytes()
     assert a != b

@@ -1,4 +1,6 @@
 """Root-MUSIC against hand linear algebra and a dense grid-search oracle."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,7 @@ def tone_snapshots(psi, m, n_snap, sign=+1, noise=0.0, seed=0, amp=1.0):
     if noise > 0.0:
         data = data + np.sqrt(noise / 2) * (
             rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap)))
-    tag = "range" if sign < 0 else "spatial"
-    return mu.SnapshotMatrix(data=data, axis_tag=tag, sign=sign)
+    return mu.SnapshotMatrix(data=data, sign=sign)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,7 @@ def tone_snapshots(psi, m, n_snap, sign=+1, noise=0.0, seed=0, amp=1.0):
 def test_noise_subspace_hand_oracle():
     j3 = np.ones((3, 3))
     f_data = np.sqrt(3.0) * (np.eye(3) + j3 / 3.0)
-    f = mu.SnapshotMatrix(data=f_data.astype(complex), axis_tag="spatial", sign=+1)
+    f = mu.SnapshotMatrix(data=f_data.astype(complex), sign=+1)
     vn = mu.noise_subspace(f)
     assert vn.shape == (3, 2)
     proj = vn @ vn.conj().T
@@ -43,21 +44,18 @@ def test_noise_subspace_hand_oracle():
 def test_noise_subspace_rejects_nonfinite():
     data = np.ones((3, 4), dtype=complex)
     data[1, 2] = np.inf
-    f = mu.SnapshotMatrix(data=data, axis_tag="spatial", sign=+1)
+    f = mu.SnapshotMatrix(data=data, sign=+1)
     with pytest.raises(ValueError):
         mu.noise_subspace(f)
 
 
 def test_snapshot_matrix_validation():
     with pytest.raises(ValueError):
-        mu.SnapshotMatrix(data=np.ones((1, 5), dtype=complex),
-                          axis_tag="spatial", sign=+1)
+        mu.SnapshotMatrix(data=np.ones((1, 5), dtype=complex), sign=+1)
     with pytest.raises(ValueError):
-        mu.SnapshotMatrix(data=np.ones((5, 1), dtype=complex),
-                          axis_tag="spatial", sign=+1)
+        mu.SnapshotMatrix(data=np.ones((5, 1), dtype=complex), sign=+1)
     with pytest.raises(ValueError):
-        mu.SnapshotMatrix(data=np.ones((3, 3), dtype=complex),
-                          axis_tag="spatial", sign=2)
+        mu.SnapshotMatrix(data=np.ones((3, 3), dtype=complex), sign=2)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +116,35 @@ def test_roots_pair_conjugate_reciprocal():
         assert np.min(np.abs(roots - partner)) < 1e-8
 
 
+@st.composite
+def _split_reciprocal_roots(draw):
+    """A root multiset closed under z -> 1/conj(z), split the way np.roots
+    splits it: off-circle pairs and double roots on the circle, every root
+    then moved by up to 1e-7 in any direction, in shuffled order."""
+    roots = []
+    for _ in range(draw(st.integers(1, 6))):
+        u = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        roots += [u, 1.0 / np.conj(u)]          # |u| = 1: a double circle root
+    jitter = draw(st.lists(st.complex_numbers(max_magnitude=1e-7),
+                           min_size=len(roots), max_size=len(roots)))
+    order = draw(st.permutations(range(len(roots))))
+    return (np.array(roots) + np.array(jitter))[order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_split_reciprocal_roots())
+def test_reciprocal_symmetrize_closes_the_multiset(roots):
+    out = mu._reciprocal_symmetrize(roots)
+    assert len(out) == len(roots)
+    # each output root stays within the jitter of an input root ...
+    assert max(np.min(np.abs(roots - z)) / abs(z) for z in out) <= 1e-5
+    # ... and the images 1/conj(z) are the same multiset, matched one to one
+    images = list(1.0 / np.conj(out))
+    for z in out:
+        j = int(np.argmin([abs(z - w) for w in images]))
+        assert abs(z - images.pop(j)) <= 1e-12 * (1.0 + abs(z))
+
+
 # ---------------------------------------------------------------------------
 # snapshot builders vs a naive loop re-indexer
 
@@ -149,15 +176,15 @@ def test_snapshot_builders_match_loops(small_cfg, rng):
     cube = data[:, :, 2:]
 
     sp = mu.snapshots(t, 0)
-    assert sp.sign == +1 and sp.axis_tag == "spatial"
+    assert sp.sign == +1 and sp.data.shape[0] == small_cfg.m_rx
     assert np.array_equal(sp.data, _loop_spatial(cube))
 
     ra = mu.snapshots(t, 1)
-    assert ra.sign == -1 and ra.axis_tag == "range"
+    assert ra.sign == -1 and ra.data.shape[0] == small_cfg.n_sub
     assert np.array_equal(ra.data, _loop_range(cube))
 
     do = mu.snapshots(t, 2)
-    assert do.sign == +1 and do.axis_tag == "doppler"
+    assert do.sign == +1 and do.data.shape[0] == small_cfg.n_sym - 2
     assert np.array_equal(do.data, _loop_doppler(cube))
 
 
