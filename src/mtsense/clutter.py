@@ -4,6 +4,11 @@ Stationary scatterers produce echoes that are constant along the symbol axis,
 so a high-pass IIR filter applied along p removes them while a moving target's
 Doppler tone passes through with near unit gain. The per-beam average residual
 power P(b) then peaks at beams containing moving targets.
+
+The filter is designed and run in numpy alone, by the same arithmetic as
+scipy.signal's butter, lfilter_zi and lfilter, so the outputs carry the same
+bits. FilteredPowerSampler draws a noisy cube's filtered power from its law,
+without drawing the noise.
 """
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .beams import BeamPlan, g_tilde
 from .echo import EchoTensor
@@ -46,7 +50,7 @@ def design_butterworth_highpass(order: int = DEFAULT_ORDER,
         raise ValueError("order must be in 1..8")
     if not 0.0 < cutoff < 0.5:
         raise ValueError("cutoff must lie strictly inside (0, 0.5) cycles/sample")
-    num, den = signal.butter(order, cutoff, btype="highpass", fs=1.0)
+    num, den = _butterworth_highpass_ba(order, cutoff)
     num.flags.writeable = den.flags.writeable = False      # shared by the cache
     filt = IirFilter(order=order, num_coeffs=num, den_coeffs=den)
     if (np.max(np.abs(np.roots(den))) >= 1.0 or not abs(sum(num) / sum(den)) <= _NULL_TOL
@@ -55,6 +59,28 @@ def design_butterworth_highpass(order: int = DEFAULT_ORDER,
                          f"transfer-function form (a constant is not annihilated); use "
                          f"a lower order or a cutoff further from 0 and 0.5")
     return filt
+
+
+def _butterworth_highpass_ba(order: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer function by scipy.signal.butter's route: the analog prototype's
+    poles, low-pass to high-pass at the prewarped cutoff, the bilinear transform
+    at fs = 2, then the polynomials. The zeros all land at z = 1."""
+    m = np.arange(-order + 1, order, 2, dtype=float)
+    poles = -np.exp(1j * np.pi * m / (2 * order))
+    warped = 4.0 * np.tan(np.pi * cutoff)
+    gain = np.real(1.0 / np.prod(-poles))
+    poles = warped / poles
+    gain = gain * np.real(4.0 ** order / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    return gain * np.poly(np.ones(order)), np.poly(poles)
+
+
+def _step_state(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Filter state after a unit step has settled (scipy.signal.lfilter_zi)."""
+    n = len(den) - 1
+    companion = np.eye(n, k=-1)
+    companion[0] = -den[1:]
+    return np.linalg.solve(np.eye(n) - companion.T, num[1:] - den[1:] * num[0])
 
 
 def default_warmup(filt) -> int:
@@ -79,9 +105,56 @@ def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
     axis is annihilated from the very first output sample.
     """
     num, den = filt.num_coeffs, filt.den_coeffs
-    zi = signal.lfilter_zi(num, den).astype(complex) * data[..., :1]
-    filtered, _ = signal.lfilter(num, den, data, axis=-1, zi=zi)
-    return filtered
+    b, a = num.tolist(), den.tolist()
+    order = len(a) - 1
+    dtype = np.result_type(data, num)
+    # Symbol axis first, so each time step is one contiguous row. The
+    # coefficients are real, so real and imaginary parts filter apart.
+    x = np.ascontiguousarray(np.moveaxis(np.asarray(data), -1, 0), dtype=dtype)
+    x_rows = x.view(float).reshape(len(x), -1)
+    y_rows = np.empty_like(x_rows)
+    state = np.multiply.outer(_step_state(num, den), x_rows[0])
+    tmp = np.empty_like(x_rows[0])
+    for xp, yp in zip(x_rows, y_rows):     # direct form II transposed
+        np.multiply(xp, b[0], out=yp)
+        yp += state[0]
+        for n in range(1, order + 1):
+            z = state[n - 1]
+            if n < order:
+                np.multiply(xp, b[n], out=tmp)
+                np.add(state[n], tmp, out=z)
+            else:
+                np.multiply(xp, b[n], out=z)
+            np.multiply(yp, a[n], out=tmp)
+            z -= tmp
+    return np.ascontiguousarray(np.moveaxis(y_rows.view(dtype).reshape(x.shape), 0, -1))
+
+
+class FilteredPowerSampler:
+    """Draws sum |step_matched_highpass(c + n)|^2 for each clean cube c of a
+    stack, with n ~ CN(0, v) white, without drawing n.
+
+    The filter is linear along the symbol axis: y = x M, M = U diag(s) V^H.
+    With nU white again, the power is sum_k s_k^2 sum_series |(cU)_k + (nU)_k|^2
+    = (v/2) sum_k s_k^2 X_k, X_k noncentral chi-square with 2 * n_series degrees
+    of freedom and noncentrality 2 ||(cU)_{:,k}||^2 / v. So a cube costs n_sym
+    draws in place of its full noise and filter.
+    """
+
+    def __init__(self, clean: np.ndarray, filt: IirFilter):
+        n_sym = clean.shape[-1]
+        u, s, _ = np.linalg.svd(step_matched_highpass(np.eye(n_sym), filt))
+        n_series = math.prod(clean.shape[1:-1])
+        series = clean.reshape(len(clean), n_series, n_sym)
+        self.weights = s ** 2
+        self.energy = np.sum(np.abs(series @ u) ** 2, axis=1)     # (cubes, n_sym)
+        self.dof = 2 * n_series
+
+    def __call__(self, rng: np.random.Generator, var) -> np.ndarray:
+        """Filtered power of every cube; var[i] is cube i's noise variance."""
+        var = np.asarray(var, dtype=float)[:, None]
+        chi2 = rng.noncentral_chisquare(self.dof, 2.0 * self.energy / var)
+        return 0.5 * var[:, 0] * (chi2 @ self.weights)
 
 
 def filter_symbols(y_tilde: EchoTensor, filt: IirFilter) -> EchoTensor:

@@ -10,7 +10,7 @@ change the execution order, never the results.
 Every manifest holds library_version, seed, config_hash, config, scene,
 outputs (files written), stage_seconds and errors (per-scan failures), plus
 candidates, n_detections and wall_seconds (scan pipeline), n_trials (sweep,
-ROC) or include_scatterers (CRB).
+ROC), full_cube_beams and sampled_beams (sweep) or include_scatterers (CRB).
 
 CSV schemas (the compatibility contract):
     plan.csv        b, theta_deg, halfwidth_deg
@@ -397,21 +397,32 @@ def _sweep_filtered_stack(noiseless: np.ndarray, gains: np.ndarray,
     return clutter.step_matched_highpass(y, filt)
 
 
-def _match_peaks_to_targets(peaks: list[int], scene: Scene, plan: beams.BeamPlan,
-                            max_steps: int = 2) -> list[int]:
+_MATCH_STEPS = 2      # farthest a target's peak may lie from its covering beam
+
+
+def _match_peaks_to_targets(peaks: list[int], scene: Scene,
+                            plan: beams.BeamPlan) -> list[int]:
     """Beam index to estimate each target at: nearest reported peak if it lies
-    within max_steps beams of the target's true angle, else the covering beam
-    (so a botched search shows up as estimation error, not a crash)."""
+    within _MATCH_STEPS beams of the target's true angle, else the covering
+    beam (so a botched search shows up as estimation error, not a crash)."""
     out = []
     for target in scene.targets:
         b_true = beams.beam_for_angle(plan, target.theta)
         best = None
         for b in peaks:
-            if abs(b - b_true) <= max_steps and (
+            if abs(b - b_true) <= _MATCH_STEPS and (
                     best is None or abs(b - b_true) < abs(best - b_true)):
                 best = b
         out.append(b_true if best is None else best)
     return out
+
+
+def _reachable_beams(scene: Scene, plan: beams.BeamPlan) -> list[int]:
+    """Every beam _match_peaks_to_targets can return, in ascending order."""
+    covering = [beams.beam_for_angle(plan, t.theta) for t in scene.targets]
+    return sorted({b for c in covering
+                   for b in range(c - _MATCH_STEPS, c + _MATCH_STEPS + 1)
+                   if 0 <= b < plan.n_beams})
 
 
 def _bound_at(unit: crb.CrbResult, sigma2: float) -> crb.CrbResult:
@@ -429,14 +440,20 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     Each trial synthesizes a longer frame (sweep.n_sym_synth symbols), runs the
     clutter filter over all of it and estimates on the last n_sym symbols, so
     the filter transient has fully decayed and the estimation window length
-    matches the CRB's. The bound for each target is its own single-target FIM
-    at the beam covering it: that is the data the per-beam estimator actually
-    sees. (Summing information over the whole sweep would credit the bound
-    with cross-beam amplitude-pattern information no per-beam estimator uses;
+    matches the CRB's. Only the beams the estimator can reach (within
+    _MATCH_STEPS of a target's covering beam) get noise and the filter; every
+    other beam feeds the search its filtered power alone, drawn from that
+    power's law by clutter.FilteredPowerSampler. Both are exact in law.
+
+    The bound for each target is its own single-target FIM at the beam
+    covering it: that is the data the per-beam estimator actually sees.
+    (Summing information over the whole sweep would credit the bound with
+    cross-beam amplitude-pattern information no per-beam estimator uses;
     scatterers are likewise absent from the FIM because the filter removes
     them rather than estimating them.)
 
-    Writes sweep.csv (snr_db, param, mse, crb) and manifest.json.
+    Writes sweep.csv (snr_db, param, mse, crb) and manifest.json, which
+    counts the beams of each trial in full_cube_beams and sampled_beams.
     """
     cfg = config.system
     n_synth = config.sweep.n_sym_synth
@@ -456,6 +473,13 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             for b in range(plan.n_beams)
         ])
         gains = np.array([beams.g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
+        near = _reachable_beams(scene, plan)
+        far = np.setdiff1d(np.arange(plan.n_beams), near)
+        far_power = clutter.FilteredPowerSampler(
+            noiseless[far] / gains[far, None, None, None], filt)
+        far_gain2 = np.abs(gains[far]) ** 2
+        noiseless, gains = noiseless[near], gains[near]
+        slot = {b: i for i, b in enumerate(near)}
         mask = np.zeros(n_synth, dtype=bool)
         mask[:n_synth - cfg.n_sym] = True
 
@@ -464,11 +488,13 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
             noise = complex_normal(rng, sigma2, noiseless.shape)
             filtered = _sweep_filtered_stack(noiseless, gains, noise, filt)
-            power = np.sum(np.abs(filtered) ** 2, axis=(1, 2, 3))
+            power = np.empty(plan.n_beams)
+            power[near] = np.sum(np.abs(filtered) ** 2, axis=(1, 2, 3))
+            power[far] = far_power(rng, sigma2 / far_gain2)
             peaks = clutter.top_local_maxima(power, n_t)
             sq = np.empty((n_t, 3))
             for i, b in enumerate(_match_peaks_to_targets(peaks, scene, plan)):
-                tensor = EchoTensor(data=filtered[b], scan_index=b, cfg=cfg_synth,
+                tensor = EchoTensor(data=filtered[slot[b]], scan_index=b, cfg=cfg_synth,
                                     stage="filtered", transient_mask=mask)
                 res = music.estimate_candidate(tensor, b, cfg)
                 sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
@@ -493,7 +519,8 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                                  float(bound.crb_matrix[j, j])))
 
     run.write_csv("sweep.csv", ("snr_db", "param", "mse", "crb"), rows)
-    return run.finish(n_trials=config.n_trials)
+    return run.finish(n_trials=config.n_trials, full_cube_beams=len(near),
+                      sampled_beams=len(far))
 
 
 # ---------------------------------------------------------------------------

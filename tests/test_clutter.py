@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import signal
+from scipy import signal, stats
 
 from mtsense import clutter as cl
 from mtsense import echo as ec
-from mtsense.scene import Scene, Scatterer, SystemConfig
+from mtsense.beams import default_plan
+from mtsense.scene import (Scene, Scatterer, SystemConfig, Target, complex_normal,
+                           reference_scene)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,63 @@ def test_step_matched_highpass_annihilates_constants(order, cutoff, n, c):
         return
     out = cl.step_matched_highpass(np.full((3, n), c), filt)
     assert np.max(np.abs(out)) <= 1e-8 * abs(c)
+
+
+# ---------------------------------------------------------------------------
+# scipy.signal as the oracle of the numpy design and recursion; rtol 1e-14
+# rather than bit equality, so a newer scipy cannot fail them on the last bit
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-14,
+                               atol=1e-14 * float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_design_matches_scipy_butter(order):
+    for cutoff in np.linspace(0.002, 0.498, 32):
+        num, den = cl._butterworth_highpass_ba(order, float(cutoff))
+        want_num, want_den = signal.butter(order, cutoff, btype="highpass", fs=1.0)
+        _assert_close(num, want_num)
+        _assert_close(den, want_den)
+        _assert_close(cl._step_state(num, den), signal.lfilter_zi(want_num, want_den))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
+def test_step_matched_highpass_matches_lfilter(order, rng):
+    filt = cl.design_butterworth_highpass(order, 0.1)
+    num, den = filt.num_coeffs, filt.den_coeffs
+    cube = rng.standard_normal((3, 4, 40)) + 1j * rng.standard_normal((3, 4, 40))
+    for data in (cube, cube.real):
+        zi = signal.lfilter_zi(num, den) * data[..., :1]
+        want, _ = signal.lfilter(num, den, data, axis=-1, zi=zi)
+        got = cl.step_matched_highpass(data, filt)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        _assert_close(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the filtered-power sampler against drawing and filtering the noise
+
+@pytest.mark.parametrize("with_target", [True, False], ids=["clutter+target", "clutter"])
+def test_power_sampler_matches_full_draw(with_target):
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=24, noise_var=0.0)
+    plan = default_plan(cfg, n_beams=9, span_deg=40.0)
+    b, var, n_draws, chunk = 4, 0.5, 10_000, 1000
+    target = Target(theta=float(plan.directions[b]), range=3.0, speed=2.0, alpha=1.0)
+    scene = Scene((target,) if with_target else (),
+                  reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
+    clean = cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0),
+                                 plan).data
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    rng = np.random.default_rng(11)
+    full = np.concatenate([
+        np.sum(np.abs(cl.step_matched_highpass(
+            clean + complex_normal(rng, var, (chunk, *clean.shape)), filt)) ** 2,
+            axis=(1, 2, 3))
+        for _ in range(n_draws // chunk)])
+    sampler = cl.FilteredPowerSampler(clean[None], filt)
+    sampled = np.concatenate([sampler(rng, [var]) for _ in range(n_draws)])
+    assert stats.ks_2samp(full, sampled).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------

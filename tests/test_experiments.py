@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from mtsense import cli, clutter
 from mtsense import experiments as ex
 from mtsense.echo import read_tensor, synthesize_echo
-from mtsense.beams import default_plan
-from mtsense.scene import C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig
+from mtsense.beams import beam_for_angle, default_plan
+from mtsense.scene import (C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig,
+                           complex_normal)
 
 # a deliberately small setup so every pipeline test stays well under a second
 SMALL_RAW = {
@@ -542,6 +543,62 @@ def test_sweep_validates_synth_window():
         small_config(sweep={"n_sym_synth": 12})  # == n_sym
 
 
+def test_reachable_beams_are_what_the_matcher_can_return():
+    config = ex.ExperimentConfig()
+    plan = default_plan(config.system, n_beams=config.scan.n_beams,
+                        span_deg=config.scan.span_deg)
+    scene = ex.build_scene(config, config.system, config.seed)
+    covering = [beam_for_angle(plan, t.theta) for t in scene.targets]
+    near = ex._reachable_beams(scene, plan)
+    assert covering == [6, 38]
+    assert near == [b for b in range(plan.n_beams)
+                    if min(abs(b - c) for c in covering) <= ex._MATCH_STEPS]
+    assert len(near) == 10
+    peak_sets = [[]] + [[b] for b in range(plan.n_beams)]
+    returned = {b for peaks in peak_sets
+                for b in ex._match_peaks_to_targets(peaks, scene, plan)}
+    assert returned == set(near)
+
+
+def test_sweep_with_every_beam_reachable_samples_none(tmp_path, monkeypatch):
+    # With three beams every beam lies within _MATCH_STEPS of the covering
+    # beam: each trial draws noise for the whole stack and samples no power.
+    sizes = []
+
+    def recorded(rng, var, size=None):
+        sizes.append(size)
+        return complex_normal(rng, var, size)
+    monkeypatch.setattr(ex, "complex_normal", recorded)
+    config = small_config(scan={"n_beams": 3}, snr_list_db=[10.0], n_trials=2,
+                          sweep={"n_sym_synth": 24})
+    manifest = ex.sweep_snr(config, tmp_path)
+    assert (manifest["full_cube_beams"], manifest["sampled_beams"]) == (3, 0)
+    cfg = config.system
+    assert sizes == [(3, cfg.m_rx, cfg.n_sub, 24)] * 2
+    assert all(math.isfinite(float(r[2])) for r in read_rows(tmp_path / "sweep.csv")[1:])
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None       # from here on, importing scipy raises ImportError
+from mtsense import cli
+for command in ("detect", "sweep-snr"):
+    out = sys.argv[2] + "/" + command
+    assert cli.main([command, "--config", sys.argv[1], "--out-dir", out]) == 0, command
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_RAW, snr_list_db=[10.0], n_trials=2,
+                                        sweep={"n_sym_synth": 24})))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(cfg_path),
+                           str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "detect" / "detections.csv").is_file()
+    assert (tmp_path / "sweep-snr" / "sweep.csv").is_file()
+
+
 def test_roc_experiment_csv(tmp_path):
     config = small_config(snr_list_db=[0.0], n_trials=30,
                           detector={"n_thresholds": 21})
@@ -677,6 +734,13 @@ def test_cli_command_writes_common_manifest(tmp_path, monkeypatch, command):
     want = {"load_config", "build_scene", _COMMAND_ENTRY[command]}
     if command == "sweep-snr":
         want.add("_sweep_filtered_stack")
+        config = ex.load_config(cfg_path)
+        plan = default_plan(config.system, n_beams=config.scan.n_beams,
+                            span_deg=config.scan.span_deg)
+        scene = ex.build_scene(config, config.system, config.seed)
+        near = ex._reachable_beams(scene, plan)
+        assert manifest["full_cube_beams"] == len(near)
+        assert manifest["sampled_beams"] == config.scan.n_beams - len(near) > 0
     assert want <= set(called)
 
 
