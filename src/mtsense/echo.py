@@ -9,6 +9,10 @@ The received tensor for scan b is indexed (m_r, l, p):
 Every scene element contributes to every scan; the transmit pattern g_b does
 the attenuation of out-of-beam elements. Scatterers carry no Doppler factor,
 which is exactly what the clutter filter exploits.
+
+Only the transmit gains g_b depend on the scan. Each scene's other steering
+factors are built once per SystemConfig, on its first synthesis, and every
+later scan of that scene and cfg shares them as read-only arrays.
 """
 from __future__ import annotations
 
@@ -94,6 +98,25 @@ def element_factors(elements, cfg: SystemConfig) -> ElementFactors:
     )
 
 
+def _scene_factors(scene: Scene, kind: str, cfg: SystemConfig) -> ElementFactors:
+    """``element_factors`` of scene.targets or scene.scatterers (``kind``), built
+    on the first call for that kind and cfg and shared read-only afterwards.
+
+    The entry is stored on the scene itself (and so reaches its
+    ``without_targets`` copies), so it lives as long as the scene and the
+    lookup never hashes or compares the elements. Two threads that
+    miss at once may both build an entry; each stores only a complete one.
+    """
+    key = (kind, cfg)
+    f = scene._factors.get(key)
+    if f is None:
+        f = element_factors(getattr(scene, kind), cfg)
+        for arr in vars(f).values():
+            arr.flags.writeable = False
+        scene._factors[key] = f
+    return f
+
+
 @dataclass
 class EchoTensor:
     """One scan's data cube plus bookkeeping.
@@ -134,8 +157,9 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
                     noise_var: float | None = None) -> EchoTensor:
     """Synthesize the raw echo tensor for scan b.
 
-    The noiseless cube is built from ``element_factors``: the scatterer sum is
-    one (M_r x N_s)(N_s x L) product broadcast over the symbols, the target sum
+    The noiseless cube is built from ``element_factors``, computed once per
+    scene and cfg and shared read-only by every scan: the scatterer sum is one
+    (M_r x N_s)(N_s x L) product broadcast over the symbols, the target sum
     one (M_r x N_t)(N_t x L*P) product. Noise is added last by ``add_noise``,
     seeded per scan from (seed, b), so different scans get independent noise
     and a rerun with the same seed is bit-identical. ``noise_var`` overrides
@@ -145,12 +169,12 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
     sigma2 = cfg.noise_var if noise_var is None else noise_var
     y = np.zeros((m_rx, n_sub, n_sym), dtype=complex)
     if scene.targets:
-        f = element_factors(scene.targets, cfg)
+        f = _scene_factors(scene, "targets", cfg)
         weighted = f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
         range_doppler = (f.a_r[:, :, None] * f.a_d[:, None, :]).reshape(len(f.theta), -1)
         y += (weighted.T @ range_doppler).reshape(m_rx, n_sub, n_sym)
     if scene.scatterers:
-        f = element_factors(scene.scatterers, cfg)
+        f = _scene_factors(scene, "scatterers", cfg)
         weighted = f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
         y += (weighted.T @ f.a_r)[:, :, None]
     return add_noise(EchoTensor(data=y, scan_index=b, cfg=cfg), sigma2, seed)

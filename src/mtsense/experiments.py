@@ -99,10 +99,12 @@ class ExperimentConfig:
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
     search_rel_threshold: float = number(3.0, 1)      # the find_peaks rule
+    # sigma^2 = 10^(-snr/10) stays in [1e-30, 1e30]: no overflow, no zero variance
     snr_list_db: tuple[float, ...] = rule(
-        (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0), "a non-empty list of finite numbers",
+        (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0),
+        "a non-empty list of finite numbers in [-300, 300] dB",
         lambda x: isinstance(x, (list, tuple)) and len(x) > 0
-        and all(map(is_finite, x)))
+        and all(is_finite(v) and -300 <= v <= 300 for v in x))
     n_trials: int = integer(100, 1)
     seed: int = integer(0, 0)
 

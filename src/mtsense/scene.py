@@ -157,13 +157,21 @@ class Scatterer:
 class Scene:
     targets: tuple[Target, ...] = ()
     scatterers: tuple[Scatterer, ...] = ()
+    # echo's steering factors of each element kind, built once per SystemConfig;
+    # private to echo, and lives as long as the scene
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
 
     def without_targets(self) -> "Scene":
-        return Scene(targets=(), scatterers=self.scatterers)
+        """The same scatterers without the targets. It shares this scene's
+        steering-factor cache: its scatterer entries apply unchanged, and a
+        scene without targets never reads the target entries."""
+        h0 = Scene(targets=(), scatterers=self.scatterers)
+        object.__setattr__(h0, "_factors", self._factors)
+        return h0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import cmath
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,12 +50,16 @@ def _two_element_scene():
 
 
 def test_synthesize_matches_brute_force(small_cfg, small_plan):
+    # one scene object under two configs in turn: the steering factors it
+    # keeps between syntheses must follow the cfg
     scene = _two_element_scene()
+    other = replace(small_cfg, f_c=28e9, n_sym=7)
     for b in (0, 3, 6):
-        got = ec.synthesize_echo(scene, small_plan, b, small_cfg, noise_var=0.0)
-        want = brute_force_echo(scene, small_plan, b, small_cfg)
-        assert np.allclose(got.data, want, atol=1e-10)
-        assert got.stage == "raw" and got.scan_index == b
+        for cfg in (small_cfg, other):
+            got = ec.synthesize_echo(scene, small_plan, b, cfg, noise_var=0.0)
+            want = brute_force_echo(scene, small_plan, b, cfg)
+            assert np.allclose(got.data, want, atol=1e-10)
+            assert got.stage == "raw" and got.scan_index == b
 
 
 def test_synthesize_matches_brute_force_dense_scene(small_cfg, small_plan):

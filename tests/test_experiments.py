@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsense import cli, clutter
+from mtsense import cli, clutter, echo
 from mtsense import experiments as ex
 from mtsense.echo import read_tensor, synthesize_echo
 from mtsense.beams import beam_for_angle, default_plan
 from mtsense.scene import (C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig,
-                           complex_normal)
+                           Target, complex_normal)
 
 # a deliberately small setup so every pipeline test stays well under a second
 SMALL_RAW = {
@@ -238,6 +238,8 @@ def test_config_accepts_good_top_level_values():
     ({"snr_list_db": [10.0, True]}, "snr_list_db"),
     ({"snr_list_db": [math.nan]}, "snr_list_db"),
     ({"snr_list_db": ["10"]}, "snr_list_db"),
+    ({"snr_list_db": [-4000.0]}, "snr_list_db"),
+    ({"snr_list_db": [4000.0]}, "snr_list_db"),
 ])
 def test_config_rejects_bad_field_types(raw, name):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -507,6 +509,64 @@ def test_simulate_writes_readable_tensors(tmp_path):
     fresh = synthesize_echo(scene, plan, 4, cfg, seed=config.seed)
     assert np.array_equal(back.data, fresh.data)
     assert back.scan_index == 4
+
+
+def test_simulate_threads_write_identical_tensors(tmp_path):
+    # the pool's first syntheses race to build the scene's shared steering
+    # factors; a short switch interval makes them interleave
+    config = small_config()
+    ex.simulate_experiment(config, tmp_path / "ser", threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ex.simulate_experiment(config, tmp_path / "par", threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    names = [f"echo_b{b:03d}.bin" for b in range(config.scan.n_beams)]
+    for name in names:
+        assert (tmp_path / "par" / name).read_bytes() == \
+            (tmp_path / "ser" / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# steering factors: built once per element set and cfg, shared read-only
+
+def _count_factor_builds(monkeypatch) -> list:
+    """Replace echo.element_factors by a wrapper that records each build as
+    (element kind, cfg, factors)."""
+    builds = []
+    build = echo.element_factors
+
+    def counted(elements, cfg):
+        f = build(elements, cfg)
+        kind = "targets" if isinstance(elements[0], Target) else "scatterers"
+        builds.append((kind, cfg, f))
+        return f
+    monkeypatch.setattr(echo, "element_factors", counted)
+    return builds
+
+
+_SYNTHESIZING = {"detect": ex.run_pipeline, "simulate": ex.simulate_experiment,
+                 "roc": ex.roc_experiment, "sweep-snr": ex.sweep_snr}
+
+
+@pytest.mark.parametrize("command", sorted(_SYNTHESIZING))
+def test_commands_build_factors_once_per_element_set_and_cfg(tmp_path, monkeypatch,
+                                                             command):
+    # 9 beams, plus the H0 cubes of detect's calibrations and of roc: each
+    # command still builds the targets' and the scatterers' factors once
+    builds = _count_factor_builds(monkeypatch)
+    config = small_config(snr_list_db=[15.0], n_trials=2, sweep={"n_sym_synth": 24})
+    _SYNTHESIZING[command](config, tmp_path)
+    if command == "detect":
+        assert len(read_rows(tmp_path / "detections.csv")) > 1   # H0 calibration ran
+    cfg = replace(config.system, n_sym=24) if command == "sweep-snr" else config.system
+    assert sorted((kind, c) for kind, c, _ in builds) == [("scatterers", cfg),
+                                                          ("targets", cfg)]
+    for _, _, f in builds:
+        for arr in vars(f).values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 # ---------------------------------------------------------------------------
