@@ -7,8 +7,10 @@ power P(b) then peaks at beams containing moving targets.
 
 The filter is designed and run in numpy alone, by the same arithmetic as
 scipy.signal's butter, lfilter_zi and lfilter, so the outputs carry the same
-bits. FilteredPowerSampler draws a noisy cube's filtered power from its law,
-without drawing the noise.
+bits. FilteredPowerSampler filters clean cubes once and then draws what their
+noisy copies give after the filter: the last symbols of the filtered cube from
+a window of noise, and the filtered power of the rest from its law given that
+window, without drawing the rest of the noise.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .echo import EchoTensor
 DEFAULT_ORDER = 2
 DEFAULT_CUTOFF = 0.04
 _NULL_TOL = 1e-9     # largest output a unit constant may leave after step matching
+_NEGLIGIBLE = 1e-24  # share of the filter's energy below which a direction is noiseless
 
 
 @dataclass(frozen=True)
@@ -131,30 +134,77 @@ def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
 
 
 class FilteredPowerSampler:
-    """Draws sum |step_matched_highpass(c + n)|^2 for each clean cube c of a
-    stack, with n ~ CN(0, v) white, without drawing n.
+    """Filters each clean cube c of a stack once, then draws what the noisy
+    cube c + n, n ~ CN(0, v) white, gives after step_matched_highpass: the
+    last ``window`` filtered symbols in full, and the total filtered power.
+    Only the window's share of n is drawn, by the caller; with window 0
+    nothing is.
 
-    The filter is linear along the symbol axis: y = x M, M = U diag(s) V^H.
-    With nU white again, the power is sum_k s_k^2 sum_series |(cU)_k + (nU)_k|^2
-    = (v/2) sum_k s_k^2 X_k, X_k noncentral chi-square with 2 * n_series degrees
-    of freedom and noncentrality 2 ||(cU)_{:,k}||^2 / v. So a cube costs n_sym
-    draws in place of its full noise and filter.
+    The filter is linear along the symbol axis: y = x M with M =
+    step_matched_highpass(eye(n_sym)), real. Put the window's columns first,
+    [M_W, M_R] = Q T with Q orthogonal and T upper triangular. Then nQ =
+    [z, w] is white again, and
+
+        window = c M_W + z F,              F = T_WW
+        rest   = c M_R + z G + w H,        G = T_WR,  H = T_RR = U diag(s) V^T
+
+    so the window rows are CN(c M_W, v F^T F = v M_W^T M_W), and given them the
+    rest is CN(c M_R + z G, v V diag(s^2) V^T): the Gaussian conditioning, with
+    no inverse of M_W^T M_W. In the directions V the rest's power is
+    (v/2) sum_k s_k^2 X_k, X_k noncentral chi-square with 2 * n_series degrees
+    of freedom and noncentrality 2 ||mean_k||^2 / (v s_k^2). A direction with
+    s_k^2 below _NEGLIGIBLE of the filter's energy (the step-matched null)
+    adds ||mean_k||^2 as it is. The caller draws z: one window of noise per
+    series in place of the full noise and the filter.
     """
 
-    def __init__(self, clean: np.ndarray, filt: IirFilter):
+    def __init__(self, clean: np.ndarray, filt: IirFilter, window: int = 0):
         n_sym = clean.shape[-1]
-        u, s, _ = np.linalg.svd(step_matched_highpass(np.eye(n_sym), filt))
+        if not 0 <= window < n_sym:
+            raise ValueError(f"window must lie in [0, {n_sym}), got {window!r}")
+        m = step_matched_highpass(np.eye(n_sym), filt)
+        m_w, m_r = m[:, n_sym - window:], m[:, :n_sym - window]
+        t = np.linalg.qr(np.concatenate((m_w, m_r), axis=1), mode="r")
+        _, s, vt = np.linalg.svd(t[window:, window:])
         n_series = math.prod(clean.shape[1:-1])
         series = clean.reshape(len(clean), n_series, n_sym)
+        self.window = window
+        self.shape = (*clean.shape[:-1], window)
+        self.factor = t[:window, :window]                 # F
+        self.directions = vt.T                            # V
+        self.mean_map = t[:window, window:] @ self.directions      # G V
         self.weights = s ** 2
-        self.energy = np.sum(np.abs(series @ u) ** 2, axis=1)     # (cubes, n_sym)
+        self.random = self.weights > _NEGLIGIBLE * np.sum(m ** 2)
         self.dof = 2 * n_series
+        self.clean_window = series @ m_w                  # (cubes, n_series, window)
+        clean_mean = series @ (m_r @ self.directions)    # (cubes, n_series, rest)
+        self.energy = np.sum(np.abs(clean_mean) ** 2, axis=1)
+        self.clean_mean = clean_mean if window else None   # else energy is all draw reads
 
-    def __call__(self, rng: np.random.Generator, var) -> np.ndarray:
-        """Filtered power of every cube; var[i] is cube i's noise variance."""
+    def draw(self, rng: np.random.Generator, var, noise=None) -> tuple[np.ndarray, np.ndarray]:
+        """(window, power) of every cube: its filtered window, shape
+        (*clean.shape[:-1], window), and its filtered power over all symbols.
+
+        var[i] is cube i's noise variance; noise[i], shaped like cube i's
+        window, is its z, CN(0, var[i]) white (omit it when window is 0).
+        """
         var = np.asarray(var, dtype=float)[:, None]
-        chi2 = rng.noncentral_chisquare(self.dof, 2.0 * self.energy / var)
-        return 0.5 * var[:, 0] * (chi2 @ self.weights)
+        window, energy, power = self.clean_window, self.energy, 0.0
+        if self.window:
+            z = noise.reshape(self.clean_window.shape)
+            window = window + z @ self.factor
+            mean = z @ self.mean_map
+            mean += self.clean_mean
+            energy = np.sum(mean.real ** 2 + mean.imag ** 2, axis=1)
+            power = np.sum(window.real ** 2 + window.imag ** 2, axis=(1, 2))
+        weights = self.weights[self.random]
+        chi2 = rng.noncentral_chisquare(self.dof, 2.0 * energy[:, self.random] / (var * weights))
+        power += 0.5 * var[:, 0] * (chi2 @ weights) + energy[:, ~self.random].sum(axis=1)
+        return window.reshape(self.shape), power
+
+    def __call__(self, rng: np.random.Generator, var, noise=None) -> np.ndarray:
+        """Filtered power of every cube (see ``draw``)."""
+        return self.draw(rng, var, noise)[1]
 
 
 def filter_symbols(y_tilde: EchoTensor, filt: IirFilter) -> EchoTensor:

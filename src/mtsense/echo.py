@@ -160,10 +160,10 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
     The noiseless cube is built from ``element_factors``, computed once per
     scene and cfg and shared read-only by every scan: the scatterer sum is one
     (M_r x N_s)(N_s x L) product broadcast over the symbols, the target sum
-    one (M_r x N_t)(N_t x L*P) product. Noise is added last by ``add_noise``,
-    seeded per scan from (seed, b), so different scans get independent noise
-    and a rerun with the same seed is bit-identical. ``noise_var`` overrides
-    cfg.noise_var when given.
+    one (M_r x N_t)(N_t x L*P) product. Noise is added last, in place, from
+    the stream ``add_noise`` uses, seeded per scan from (seed, b), so different
+    scans get independent noise and a rerun with the same seed is
+    bit-identical. ``noise_var`` overrides cfg.noise_var when given.
     """
     m_rx, n_sub, n_sym = cfg.m_rx, cfg.n_sub, cfg.n_sym
     sigma2 = cfg.noise_var if noise_var is None else noise_var
@@ -177,7 +177,16 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
         f = _scene_factors(scene, "scatterers", cfg)
         weighted = f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
         y += (weighted.T @ f.a_r)[:, :, None]
-    return add_noise(EchoTensor(data=y, scan_index=b, cfg=cfg), sigma2, seed)
+    _add_noise_to(y, sigma2, seed, b)
+    return EchoTensor(data=y, scan_index=b, cfg=cfg)
+
+
+def _add_noise_to(data: np.ndarray, sigma2: float, seed, b: int) -> None:
+    """Add CN(0, sigma2) noise from default_rng((*seed, b)) to scan b's cube in
+    place; nothing if sigma2 <= 0."""
+    if sigma2 > 0:
+        rng = np.random.default_rng((*_seed_tuple(seed), b))
+        data += complex_normal(rng, sigma2, data.shape)
 
 
 def add_noise(clean: EchoTensor, sigma2: float, seed=0) -> EchoTensor:
@@ -188,9 +197,7 @@ def add_noise(clean: EchoTensor, sigma2: float, seed=0) -> EchoTensor:
     plus this noise is bit-identical to synthesizing with noise directly.
     """
     data = clean.data.copy()
-    if sigma2 > 0:
-        rng = np.random.default_rng((*_seed_tuple(seed), clean.scan_index))
-        data += complex_normal(rng, sigma2, data.shape)
+    _add_noise_to(data, sigma2, seed, clean.scan_index)
     return EchoTensor(data=data, scan_index=clean.scan_index, cfg=clean.cfg, stage="raw")
 
 

@@ -10,7 +10,8 @@ change the execution order, never the results.
 Every manifest holds library_version, seed, config_hash, config, scene,
 outputs (files written), stage_seconds and errors (per-scan failures), plus
 candidates, n_detections and wall_seconds (scan pipeline), n_trials (sweep,
-ROC), full_cube_beams and sampled_beams (sweep) or include_scatterers (CRB).
+ROC), full_cube_beams and sampled_beams (sweep: the beams whose estimation
+window is drawn, and those whose power alone is) or include_scatterers (CRB).
 
 CSV schemas (the compatibility contract):
     plan.csv        b, theta_deg, halfwidth_deg
@@ -392,11 +393,13 @@ def simulate_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> 
 # ---------------------------------------------------------------------------
 # SNR sweep (estimation MSE vs CRB)
 
-def _sweep_filtered_stack(noiseless: np.ndarray, gains: np.ndarray,
-                          noise: np.ndarray, filt: clutter.IirFilter) -> np.ndarray:
-    """Add noise to, normalize and high-pass a (B, M_r, L, P_synth) stack in one shot."""
-    y = (noiseless + noise) / gains[:, None, None, None]
-    return clutter.step_matched_highpass(y, filt)
+def _sweep_filtered_stack(noise: np.ndarray, sigma2: float, gains: np.ndarray,
+                          near: clutter.FilteredPowerSampler,
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered window stack (B, M_r, L, n_sym) and filtered power (B,) of the
+    near beams, from their window noise `noise`, CN(0, sigma2) before the
+    gain normalization."""
+    return near.draw(rng, sigma2 / np.abs(gains) ** 2, noise / gains[:, None, None, None])
 
 
 _MATCH_STEPS = 2      # farthest a target's peak may lie from its covering beam
@@ -439,13 +442,18 @@ def _bound_at(unit: crb.CrbResult, sigma2: float) -> crb.CrbResult:
 def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Monte-Carlo MSE per target parameter vs the CRB over config.snr_list_db.
 
-    Each trial synthesizes a longer frame (sweep.n_sym_synth symbols), runs the
-    clutter filter over all of it and estimates on the last n_sym symbols, so
-    the filter transient has fully decayed and the estimation window length
-    matches the CRB's. Only the beams the estimator can reach (within
-    _MATCH_STEPS of a target's covering beam) get noise and the filter; every
-    other beam feeds the search its filtered power alone, drawn from that
-    power's law by clutter.FilteredPowerSampler. Both are exact in law.
+    Each trial observes a longer frame (sweep.n_sym_synth symbols) through the
+    clutter filter and estimates on the last n_sym filtered symbols, so the
+    filter transient has fully decayed and the estimation window length
+    matches the CRB's. The clean cubes are synthesized and filtered once; a
+    trial draws only what it reads, each in law exactly as drawing the full
+    noise and filtering it (clutter.FilteredPowerSampler):
+      - the beams the estimator can reach (within _MATCH_STEPS of a target's
+        covering beam) get the window of noise behind their last n_sym
+        filtered symbols, and their filtered power over the rest of the
+        frame is drawn from its law given that window;
+      - every other beam feeds the search its filtered power alone, drawn
+        from its law.
 
     The bound for each target is its own single-target FIM at the beam
     covering it: that is the data the per-beam estimator actually sees.
@@ -455,7 +463,8 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     them rather than estimating them.)
 
     Writes sweep.csv (snr_db, param, mse, crb) and manifest.json, which
-    counts the beams of each trial in full_cube_beams and sampled_beams.
+    counts the beams of each trial in full_cube_beams (the near beams, whose
+    window is drawn) and sampled_beams (the others).
     """
     cfg = config.system
     n_synth = config.sweep.n_sym_synth
@@ -470,34 +479,33 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     rows = []
     with run.stage("sweep"):
-        noiseless = np.stack([
+        clean = np.stack([
             synthesize_echo(scene, plan, b, cfg_synth, seed=seed, noise_var=0.0).data
             for b in range(plan.n_beams)
         ])
         gains = np.array([beams.g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
+        clean /= gains[:, None, None, None]
         near = _reachable_beams(scene, plan)
         far = np.setdiff1d(np.arange(plan.n_beams), near)
-        far_power = clutter.FilteredPowerSampler(
-            noiseless[far] / gains[far, None, None, None], filt)
+        near_power = clutter.FilteredPowerSampler(clean[near], filt, window=cfg.n_sym)
+        far_power = clutter.FilteredPowerSampler(clean[far], filt)
         far_gain2 = np.abs(gains[far]) ** 2
-        noiseless, gains = noiseless[near], gains[near]
+        gains = gains[near]
         slot = {b: i for i, b in enumerate(near)}
-        mask = np.zeros(n_synth, dtype=bool)
-        mask[:n_synth - cfg.n_sym] = True
 
         def _trial(args) -> np.ndarray:
             k, trial, sigma2 = args
             rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
-            noise = complex_normal(rng, sigma2, noiseless.shape)
-            filtered = _sweep_filtered_stack(noiseless, gains, noise, filt)
+            noise = complex_normal(rng, sigma2, near_power.shape)
+            window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power, rng)
             power = np.empty(plan.n_beams)
-            power[near] = np.sum(np.abs(filtered) ** 2, axis=(1, 2, 3))
+            power[near] = power_near
             power[far] = far_power(rng, sigma2 / far_gain2)
             peaks = clutter.top_local_maxima(power, n_t)
             sq = np.empty((n_t, 3))
             for i, b in enumerate(_match_peaks_to_targets(peaks, scene, plan)):
-                tensor = EchoTensor(data=filtered[slot[b]], scan_index=b, cfg=cfg_synth,
-                                    stage="filtered", transient_mask=mask)
+                tensor = EchoTensor(data=window[slot[b]], scan_index=b, cfg=cfg,
+                                    stage="filtered")
                 res = music.estimate_candidate(tensor, b, cfg)
                 sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
                          (res.range_hat - truth[i, 1]) ** 2,

@@ -76,37 +76,56 @@ def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
     is reciprocal exactly; the displacement stays within the roots' own
     companion-matrix error. Pairs that do not match within a loose tolerance
     (never the case for a conjugate-symmetric input) are left untouched.
+
+    Greedy: the root farthest off the circle takes first, and its partner is
+    the nearest free root to its image 1/conj(u) (the lowest index on a tie).
+    The images, distances and tolerances are computed once as arrays, the
+    pairs rebuilt in one step. ``abs`` of a complex scalar is hypot(re, im);
+    np.abs of a complex array may differ from it in the last bit, so the
+    tolerance test uses np.hypot.
     """
     n = len(roots)
     if n % 2:
         return roots
     order = np.argsort(-np.abs(np.abs(roots) - 1.0))  # most off-circle first
-    used = np.zeros(n, dtype=bool)
-    out = []
-    for i in order:
+    with np.errstate(divide="ignore", invalid="ignore"):    # a zero root is never paired
+        images = 1.0 / np.conj(roots)
+    diff = roots[None, :] - images[:, None]          # row i: roots minus u_i's image
+    dist = np.abs(diff)
+    # nearest first, ties by index; a NaN distance comes first, as in np.argmin
+    nearest = np.argsort(np.where(np.isnan(dist), -np.inf, dist), axis=1,
+                         kind="stable").tolist()
+    matched = ~(np.hypot(diff.real, diff.imag)
+                > 1e-3 * (1.0 + np.hypot(images.real, images.imag))[:, None])
+    matched = matched.tolist()
+    pairable = ((roots != 0) & np.isfinite(roots)).tolist()
+    used = [False] * n
+    single, single_at, first, second, pair_at = [], [], [], [], []
+    at = 0                                            # next output position
+    for i in order.tolist():
         if used[i]:
             continue
         used[i] = True
-        u = roots[i]
-        if u == 0 or not np.isfinite(u):
-            out.append(u)
-            continue
-        target = 1.0 / np.conj(u)
-        free = np.flatnonzero(~used)
-        if free.size == 0:
-            out.append(u)
-            continue
-        j = free[np.argmin(np.abs(roots[free] - target))]
-        v = roots[j]
-        if abs(v - target) > 1e-3 * (1.0 + abs(target)):
-            out.append(u)
+        j = next((j for j in nearest[i] if not used[j]), None) if pairable[i] else None
+        if j is None or not matched[i][j]:
+            single.append(i)
+            single_at.append(at)
+            at += 1
             continue
         used[j] = True
-        r = math.sqrt(abs(u) / abs(v))
-        phi = np.angle(u) + 0.5 * np.angle(v / u)
-        zeta = r * np.exp(1j * phi)
-        out.extend((zeta, 1.0 / np.conj(zeta)))
-    return np.array(out)
+        first.append(i)
+        second.append(j)
+        pair_at.append(at)
+        at += 2
+    u, v = roots[first], roots[second]
+    r = np.sqrt(np.hypot(u.real, u.imag) / np.hypot(v.real, v.imag))
+    zeta = r * np.exp(1j * (np.angle(u) + 0.5 * np.angle(v / u)))
+    out = np.empty(n, dtype=complex)
+    out[single_at] = roots[single]
+    pair_at = np.array(pair_at, dtype=int)
+    out[pair_at] = zeta
+    out[pair_at + 1] = 1.0 / np.conj(zeta)
+    return out
 
 
 def music_roots(f: SnapshotMatrix) -> np.ndarray:
@@ -119,7 +138,7 @@ def music_roots(f: SnapshotMatrix) -> np.ndarray:
     vn = noise_subspace(f)
     proj = vn @ vn.conj().T
     m = proj.shape[0]
-    coeffs = np.array([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)])
+    coeffs = np.array([proj.trace(k) for k in range(m - 1, -m, -1)])
     return _reciprocal_symmetrize(np.roots(coeffs))
 
 

@@ -159,6 +159,95 @@ def test_power_sampler_matches_full_draw(with_target):
     assert stats.ks_2samp(full, sampled).pvalue > 0.01
 
 
+def _clean_cube(with_target, cfg, b=4):
+    plan = default_plan(cfg, n_beams=9, span_deg=40.0)
+    target = Target(theta=float(plan.directions[b]), range=3.0, speed=2.0, alpha=1.0)
+    scene = Scene((target,) if with_target else (),
+                  reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
+    return cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0),
+                                plan).data
+
+
+def test_windowed_sampler_is_the_gaussian_conditioning():
+    # dense oracle: y = x M with n white, so (y_W, y_R) has covariance v M^T M;
+    # given y_W the rest has mean y_W K and covariance v S, the Schur complement
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=40, noise_var=0.0)
+    clean = _clean_cube(True, cfg)
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    for window in (1, 12, 39):
+        sampler = cl.FilteredPowerSampler(clean[None], filt, window=window)
+        m = cl.step_matched_highpass(np.eye(cfg.n_sym), filt)
+        m_w, m_r = m[:, cfg.n_sym - window:], m[:, :cfg.n_sym - window]
+        gram = m_w.T @ m_w
+        k = np.linalg.solve(gram, m_w.T @ m_r)
+        schur = m_r.T @ m_r - m_r.T @ m_w @ k
+        f, v = sampler.factor, sampler.directions
+        np.testing.assert_allclose(f.T @ f, gram, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.solve(f, sampler.mean_map) @ v.T, k,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v @ np.diag(sampler.weights) @ v.T, schur,
+                                   rtol=0, atol=1e-12)
+        # the clean cube filtered once: its window and its rest in the directions V
+        filtered = cl.step_matched_highpass(clean, filt).reshape(1, -1, cfg.n_sym)
+        scale = float(np.max(np.abs(filtered)))
+        np.testing.assert_allclose(sampler.clean_window, filtered[..., cfg.n_sym - window:],
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(sampler.clean_mean @ v.T, filtered[..., :cfg.n_sym - window],
+                                   rtol=0, atol=1e-12 * scale)
+    with pytest.raises(ValueError, match="window"):
+        cl.FilteredPowerSampler(clean[None], filt, window=cfg.n_sym)
+
+
+def _full_and_sampled(clean, filt, window, var, n_draws=10_000, chunk=1000, seed=11):
+    """Total filtered power and window entry [0, 0, -1] of clean + CN(0, var)
+    noise: drawn in full and filtered, then from the sampler."""
+    rng = np.random.default_rng(seed)
+    full_power, full_entry = [], []
+    for _ in range(n_draws // chunk):
+        y = cl.step_matched_highpass(clean + complex_normal(rng, var, (chunk, *clean.shape)),
+                                     filt)
+        full_power.append(np.sum(np.abs(y) ** 2, axis=(1, 2, 3)))
+        full_entry.append(y[:, 0, 0, -1])
+    sampler = cl.FilteredPowerSampler(np.broadcast_to(clean, (chunk, *clean.shape)), filt,
+                                      window=window)
+    power, entry = [], []
+    for _ in range(n_draws // chunk):
+        noise = complex_normal(rng, var, sampler.shape)
+        win, p = sampler.draw(rng, np.full(chunk, var), noise)
+        assert win.shape == (chunk, *clean.shape[:-1], window)
+        power.append(p)
+        entry.append(win[:, 0, 0, -1])
+    return [np.concatenate(x) for x in (full_power, full_entry, power, entry)]
+
+
+def _assert_same_law(full_power, full_entry, power, entry):
+    assert np.all(np.isfinite(power)) and np.all(np.isfinite(entry))
+    assert stats.ks_2samp(full_power, power).pvalue > 0.01
+    assert stats.ks_2samp(full_entry.real, entry.real).pvalue > 0.01
+    assert stats.ks_2samp(full_entry.imag, entry.imag).pvalue > 0.01
+
+
+@pytest.mark.parametrize("snr_db", [-30.0, 20.0])
+@pytest.mark.parametrize("with_target", [True, False], ids=["clutter+target", "clutter"])
+def test_windowed_sampler_matches_full_draw(with_target, snr_db):
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=24, noise_var=0.0)
+    clean = _clean_cube(with_target, cfg)
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    _assert_same_law(*_full_and_sampled(clean, filt, 8, 10.0 ** (-snr_db / 10.0)))
+
+
+@pytest.mark.parametrize("order, cutoff, window", [
+    (2, 0.04, 23),            # n_sym_synth = n_sym + 1: the rest is one null symbol
+    (8, 0.037, 8),            # the highest order, near the lowest cutoff it accepts
+    (8, 0.4964, 8),           # ... and near the highest, where M_W^T M_W is singular
+])
+def test_windowed_sampler_at_the_edges(order, cutoff, window):
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=24, noise_var=0.0)
+    clean = _clean_cube(True, cfg)
+    filt = cl.design_butterworth_highpass(order, cutoff)
+    _assert_same_law(*_full_and_sampled(clean, filt, window, 0.5, n_draws=5000))
+
+
 # ---------------------------------------------------------------------------
 # behaviour on echo tensors
 

@@ -622,7 +622,9 @@ def test_reachable_beams_are_what_the_matcher_can_return():
 
 def test_sweep_with_every_beam_reachable_samples_none(tmp_path, monkeypatch):
     # With three beams every beam lies within _MATCH_STEPS of the covering
-    # beam: each trial draws noise for the whole stack and samples no power.
+    # beam: each trial draws the estimator's window of noise (the last n_sym
+    # filtered symbols) for the whole stack, and no beam's power is sampled
+    # without one.
     sizes = []
 
     def recorded(rng, var, size=None):
@@ -634,7 +636,7 @@ def test_sweep_with_every_beam_reachable_samples_none(tmp_path, monkeypatch):
     manifest = ex.sweep_snr(config, tmp_path)
     assert (manifest["full_cube_beams"], manifest["sampled_beams"]) == (3, 0)
     cfg = config.system
-    assert sizes == [(3, cfg.m_rx, cfg.n_sub, 24)] * 2
+    assert sizes == [(3, cfg.m_rx, cfg.n_sub, cfg.n_sym)] * 2
     assert all(math.isfinite(float(r[2])) for r in read_rows(tmp_path / "sweep.csv")[1:])
 
 

@@ -146,6 +146,81 @@ def test_reciprocal_symmetrize_closes_the_multiset(roots):
 
 
 # ---------------------------------------------------------------------------
+# oracle 3: the root pairing as a scalar loop, one numpy call per root. The
+# library's array form must return the same bytes.
+
+def _reciprocal_symmetrize_loop(roots):
+    n = len(roots)
+    if n % 2:
+        return roots
+    order = np.argsort(-np.abs(np.abs(roots) - 1.0))  # most off-circle first
+    used = np.zeros(n, dtype=bool)
+    out = []
+    for i in order:
+        if used[i]:
+            continue
+        used[i] = True
+        u = roots[i]
+        if u == 0 or not np.isfinite(u):
+            out.append(u)
+            continue
+        target = 1.0 / np.conj(u)
+        free = np.flatnonzero(~used)
+        if free.size == 0:
+            out.append(u)
+            continue
+        j = free[np.argmin(np.abs(roots[free] - target))]
+        v = roots[j]
+        if abs(v - target) > 1e-3 * (1.0 + abs(target)):
+            out.append(u)
+            continue
+        used[j] = True
+        r = math.sqrt(abs(u) / abs(v))
+        phi = np.angle(u) + 0.5 * np.angle(v / u)
+        zeta = r * np.exp(1j * phi)
+        out.extend((zeta, 1.0 / np.conj(zeta)))
+    return np.array(out)
+
+
+def _assert_same_pairing(roots):
+    got, want = mu._reciprocal_symmetrize(roots), _reciprocal_symmetrize_loop(roots)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_split_reciprocal_roots())
+def test_reciprocal_symmetrize_matches_scalar_loop(roots):
+    _assert_same_pairing(roots)
+
+
+def test_reciprocal_symmetrize_matches_scalar_loop_on_companion_roots():
+    # 2000 root sets as music_roots meets them: noise alone or a tone in noise,
+    # M from 4 to 21, plus unmatched, zero and odd-length inputs
+    rng = np.random.default_rng(2024)
+    for trial in range(2000):
+        m, n_snap = int(rng.integers(4, 22)), int(rng.integers(2, 60))
+        data = rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))
+        if trial % 2:
+            tone = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(m))
+            data += rng.uniform(0.1, 30.0) * np.outer(tone, np.exp(2j * np.pi * rng.random(n_snap)))
+        proj = mu.noise_subspace(mu.SnapshotMatrix(data=data, sign=1))
+        proj = proj @ proj.conj().T
+        _assert_same_pairing(np.roots([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
+    for roots in ([0.5, 3.0], [0.0, 2.0, 0.5, 0.5], [1.0 + 1j, 0.5, 2.0], []):
+        _assert_same_pairing(np.array(roots, dtype=complex))
+
+
+def test_coefficients_match_np_trace(rng):
+    for m in (2, 5, 9, 16, 21):
+        data = rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40))
+        vn = mu.noise_subspace(mu.SnapshotMatrix(data=data, sign=1))
+        proj = vn @ vn.conj().T
+        want = np.roots(np.array([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
+        got = mu.music_roots(mu.SnapshotMatrix(data=data, sign=1))
+        assert got.tobytes() == _reciprocal_symmetrize_loop(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # snapshot builders vs a naive loop re-indexer
 
 def _loop_spatial(cube):
