@@ -215,15 +215,30 @@ def filter_symbols(y_tilde: EchoTensor, filt: IirFilter) -> EchoTensor:
     outputs (3x filter order) are flagged in ``transient_mask`` and the
     estimators skip them.
     """
+    return filter_beams([y_tilde], filt)[0]
+
+
+def filter_beams(tensors: list[EchoTensor], filt: IirFilter,
+                 plan: BeamPlan | None = None) -> list[EchoTensor]:
+    """``filter_symbols`` of each tensor, in one recursion over their stack.
+    With a plan, the tensors are raw, and each is first divided by its scan's
+    gain in the stack, as ``normalize_by_gain`` divides it. The recursion is
+    elementwise, so each cube gets the bits it would get alone."""
     warmup = default_warmup(filt)
-    n_sym = y_tilde.data.shape[2]
+    n_sym = tensors[0].data.shape[2]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
-    filtered = step_matched_highpass(y_tilde.data, filt)
+    data = np.stack([y.data for y in tensors])
+    if plan is not None:
+        if any(y.stage != "raw" for y in tensors):
+            raise ValueError("expected raw tensors")
+        data /= np.array([g_tilde(plan, y.scan_index, y.cfg)
+                          for y in tensors])[:, None, None, None]
     mask = np.zeros(n_sym, dtype=bool)
     mask[:warmup] = True
-    return EchoTensor(data=filtered, scan_index=y_tilde.scan_index, cfg=y_tilde.cfg,
-                      stage="filtered", transient_mask=mask)
+    return [EchoTensor(data=cube, scan_index=y.scan_index, cfg=y.cfg, stage="filtered",
+                       transient_mask=mask)
+            for cube, y in zip(step_matched_highpass(data, filt), tensors)]
 
 
 def retained_symbols(y_check: EchoTensor) -> np.ndarray:

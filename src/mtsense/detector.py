@@ -19,15 +19,15 @@ projector per statistic evaluation serves the whole (M_r, L*P) cube.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beams import BeamPlan, beam_for_angle, g_tilde, steering_rx
-from .echo import (EchoTensor, add_noise, steering_doppler, steering_range,
+from .echo import (EchoTensor, noisy_copies, steering_doppler, steering_range,
                    synthesize_echo)
-from .scene import Scene, SystemConfig, frequencies_target, spatial_frequency
+from .scene import (Scene, SystemConfig, blocks, frequencies_target, spatial_frequency,
+                    thread_map)
 
 DEFAULT_N_ANGLE = 1
 
@@ -104,6 +104,60 @@ ZERO_RESIDUAL_REL = 1e-20  # sigma0_hat^2 below this fraction of the mean input
                            # power is projection roundoff, not signal
 
 
+def _glr_evaluator(candidate: tuple[float, float, float], grid: DetectionGrid,
+                   plan: BeamPlan, cfg: SystemConfig, b: int):
+    """``glr_statistic`` at scan b as a function of an (n, M_r, L, P) stack of
+    raw cubes, one GlrOutcome per cube. The projector, a_sp and denom are
+    built once, here; the products and sums run as one call over the stack.
+    matmul calls BLAS once per slice, and a sum over each slice's contiguous
+    entries keeps their pairwise order, so each cube gets the bits of its own
+    call."""
+    psi_d, psi_r, psi_s = candidate
+    if not all(np.isfinite([psi_d, psi_r, psi_s])):
+        raise ValueError("candidate frequencies must be finite")
+    if grid.scan_index != b:
+        raise ValueError(f"grid sampled for scan {grid.scan_index}, echo is scan {b}")
+    p_perp = perp_projector(clutter_basis(grid, plan, cfg))
+    a_sp = steering_rx(psi_s, cfg.m_rx)
+    denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
+
+    def evaluate(cubes: np.ndarray) -> list[GlrOutcome]:
+        n, m_rx, n_sub, n_sym = cubes.shape
+        n_tot = m_rx * n_sub * n_sym
+        py = p_perp @ cubes.reshape(n, m_rx, n_sub * n_sym)
+        inner = a_sp.conj() @ py                                # (n, L*P)
+        h0 = [float(e) / n_tot for e in np.sum(np.abs(py) ** 2, axis=(1, 2))]
+        if denom < UNDETECTABLE_REL * m_rx:
+            return [GlrOutcome(0.0, s0, s0, 0j, undetectable=True) for s0 in h0]
+        num = np.sum(np.abs(inner) ** 2, axis=-1)
+        mean_power = np.mean(np.abs(cubes) ** 2, axis=(1, 2, 3))
+        matched, out = None, []
+        for j, sigma2_h0 in enumerate(h0):
+            num_total = float(num[j]) / denom
+            # Fully explained data: the residual is projection roundoff, and so
+            # is the numerator (mathematically num <= N sigma0^2); dividing the
+            # two would be noise over noise. t = 0 unless the numerator somehow
+            # stayed macroscopic.
+            input_floor = ZERO_RESIDUAL_REL * float(mean_power[j])
+            if sigma2_h0 <= input_floor:
+                t = 0.0 if num_total <= input_floor * n_tot else math.inf
+                out.append(GlrOutcome(t, sigma2_h0, sigma2_h0, 0j))
+                continue
+            if matched is None:    # g_tilde runs only for a cube that gets here
+                g = g_tilde(plan, b, cfg)
+                steer = g * np.outer(steering_range(psi_r, n_sub),
+                                     steering_doppler(psi_d, n_sym))
+                matched = np.sum(np.conj(steer).ravel() * inner, axis=-1)
+                scale = abs(g) ** 2 * denom * n_sub * n_sym
+            out.append(GlrOutcome(statistic=num_total / (n_tot * sigma2_h0),
+                                  sigma2_hat_h0=sigma2_h0,
+                                  sigma2_hat_h1=max(sigma2_h0 - num_total / n_tot, 0.0),
+                                  alpha_hat=complex(matched[j] / scale)))
+        return out
+
+    return evaluate
+
+
 def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
                   grid: DetectionGrid, plan: BeamPlan, cfg: SystemConfig) -> GlrOutcome:
     """Evaluate the GLRT statistic for candidate frequencies (psi_d, psi_r, psi_s).
@@ -118,42 +172,7 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     """
     if y.stage != "raw":
         raise ValueError(f"the detector works on raw echoes, got stage {y.stage!r}")
-    psi_d, psi_r, psi_s = candidate
-    if not all(np.isfinite([psi_d, psi_r, psi_s])):
-        raise ValueError("candidate frequencies must be finite")
-    b = y.scan_index
-    if grid.scan_index != b:
-        raise ValueError(f"grid sampled for scan {grid.scan_index}, echo is scan {b}")
-    m_rx, n_sub, n_sym = y.data.shape
-    n_tot = m_rx * n_sub * n_sym
-
-    p_perp = perp_projector(clutter_basis(grid, plan, cfg))
-    a_sp = steering_rx(psi_s, cfg.m_rx)
-    denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
-    py = p_perp @ y.data.reshape(m_rx, n_sub * n_sym)
-    sigma2_h0 = float(np.sum(np.abs(py) ** 2)) / n_tot
-    if denom < UNDETECTABLE_REL * m_rx:
-        return GlrOutcome(statistic=0.0, sigma2_hat_h0=sigma2_h0,
-                          sigma2_hat_h1=sigma2_h0, alpha_hat=0j, undetectable=True)
-    inner = a_sp.conj() @ py                                # (L*P,)
-    num_total = float(np.sum(np.abs(inner) ** 2)) / denom
-    # Fully explained data: the residual is projection roundoff, and so is the
-    # numerator (mathematically num <= N sigma0^2); dividing the two would be
-    # noise over noise. t = 0 unless the numerator somehow stayed macroscopic.
-    input_floor = ZERO_RESIDUAL_REL * float(np.mean(np.abs(y.data) ** 2))
-    if sigma2_h0 <= input_floor:
-        t = 0.0 if num_total <= input_floor * n_tot else math.inf
-        return GlrOutcome(statistic=t, sigma2_hat_h0=sigma2_h0,
-                          sigma2_hat_h1=sigma2_h0, alpha_hat=0j, undetectable=False)
-
-    g = g_tilde(plan, b, cfg)
-    steer = g * np.outer(steering_range(psi_r, n_sub), steering_doppler(psi_d, n_sym))
-    alpha_hat = complex(np.sum(np.conj(steer).ravel() * inner)
-                        / (abs(g) ** 2 * denom * n_sub * n_sym))
-    sigma2_h1 = max(sigma2_h0 - num_total / n_tot, 0.0)
-    t = num_total / (n_tot * sigma2_h0)
-    return GlrOutcome(statistic=t, sigma2_hat_h0=sigma2_h0, sigma2_hat_h1=sigma2_h1,
-                      alpha_hat=alpha_hat, undetectable=False)
+    return _glr_evaluator(candidate, grid, plan, cfg, y.scan_index)(y.data[None])[0]
 
 
 def detect(outcome: GlrOutcome, gamma: float) -> bool:
@@ -176,15 +195,16 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
 
     The noiseless H0 cube is synthesized once; trial i adds the noise that
     ``synthesize_echo(..., seed=(seed, i))`` would, so every trial is
-    bit-identical to a full synthesis with that seed.
+    bit-identical to a full synthesis with that seed. The statistic runs on
+    blocks of trials.
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
     clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
-    ts = [glr_statistic(add_noise(clean, sigma2, seed=(seed, i)), candidate, grid,
-                        plan, cfg).statistic
-          for i in range(n_trials)]
+    evaluate = _glr_evaluator(candidate, grid, plan, cfg, b)
+    ts = [out.statistic for trials in blocks(n_trials)
+          for out in evaluate(noisy_copies(clean, sigma2, [(seed, i) for i in trials]))]
     return float(np.quantile(ts, 1.0 - p_fa))
 
 
@@ -198,11 +218,11 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     The default candidate is the first target of scene_h1 at its covering
     beam, tested at its true frequencies. Each hypothesis' noiseless cube is
     synthesized once; trial i of hypothesis h at the k-th SNR adds the noise
-    of seed (seed, k, h, i). Trials run on ``threads`` worker threads, which
-    changes only the execution order. Thresholds sweep the pooled statistic
-    range (quantile grid plus open endpoints), so each curve starts at (1, 1)
-    and ends at (0, 0) and is monotone by construction. Returns
-    {snr_db: [(gamma, p_fa, p_d), ...]}.
+    of seed (seed, k, h, i). The statistic runs on blocks of trials, spread
+    over ``threads`` worker threads, which changes only the execution order.
+    Thresholds sweep the pooled statistic range (quantile grid plus open
+    endpoints), so each curve starts at (1, 1) and ends at (0, 0) and is
+    monotone by construction. Returns {snr_db: [(gamma, p_fa, p_d), ...]}.
     """
     if not scene_h1.targets:
         raise ValueError("scene_h1 needs at least one target")
@@ -216,28 +236,21 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     grid = sample_grid(b, plan, cfg, n_angle=n_angle)
     clean = [synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
              for scene in (scene_h0, scene_h1)]
+    evaluate = _glr_evaluator(candidate, grid, plan, cfg, b)
 
-    def _trial(job) -> float:
-        k, h, i, sigma2 = job
-        y = add_noise(clean[h], sigma2, seed=(seed, k, h, i))
-        return glr_statistic(y, candidate, grid, plan, cfg).statistic
+    def _block(job) -> list[float]:
+        k, h, trials, sigma2 = job
+        cubes = noisy_copies(clean[h], sigma2, [(seed, k, h, i) for i in trials])
+        return [out.statistic for out in evaluate(cubes)]
 
     curves: dict[float, list[tuple[float, float, float]]] = {}
     for k, snr_db in enumerate(snr_list_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        jobs = [(k, h, i, sigma2) for h in (0, 1) for i in range(n_trials)]
-        if threads <= 1:
-            ts = [_trial(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                ts = list(pool.map(_trial, jobs))
-        pooled = np.array(ts)
+        jobs = [(k, h, trials, sigma2) for h in (0, 1) for trials in blocks(n_trials)]
+        pooled = np.array([t for ts in thread_map(_block, jobs, threads) for t in ts])
         t0, t1 = pooled[:n_trials], pooled[n_trials:]
         qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))
         gammas = np.concatenate([[-math.inf], np.unique(qs), [math.inf]])
-        curve = [
-            (float(gm), float(np.mean(t0 > gm)), float(np.mean(t1 > gm)))
-            for gm in gammas
-        ]
-        curves[float(snr_db)] = curve
+        curves[float(snr_db)] = [(float(gm), float(np.mean(t0 > gm)), float(np.mean(t1 > gm)))
+                                 for gm in gammas]
     return curves

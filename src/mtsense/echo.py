@@ -161,7 +161,7 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
     scene and cfg and shared read-only by every scan: the scatterer sum is one
     (M_r x N_s)(N_s x L) product broadcast over the symbols, the target sum
     one (M_r x N_t)(N_t x L*P) product. Noise is added last, in place, from
-    the stream ``add_noise`` uses, seeded per scan from (seed, b), so different
+    the stream ``noisy_copies`` uses, seeded per scan from (seed, b), so different
     scans get independent noise and a rerun with the same seed is
     bit-identical. ``noise_var`` overrides cfg.noise_var when given.
     """
@@ -189,16 +189,13 @@ def _add_noise_to(data: np.ndarray, sigma2: float, seed, b: int) -> None:
         data += complex_normal(rng, sigma2, data.shape)
 
 
-def add_noise(clean: EchoTensor, sigma2: float, seed=0) -> EchoTensor:
-    """A raw copy of ``clean`` plus CN(0, sigma2) noise (none if sigma2 <= 0).
-
-    The noise comes from default_rng((*seed, b)) for scan b = clean.scan_index,
-    the stream ``synthesize_echo`` uses, so a noiseless cube synthesized once
-    plus this noise is bit-identical to synthesizing with noise directly.
-    """
-    data = clean.data.copy()
-    _add_noise_to(data, sigma2, seed, clean.scan_index)
-    return EchoTensor(data=data, scan_index=clean.scan_index, cfg=clean.cfg, stage="raw")
+def noisy_copies(clean: EchoTensor, sigma2: float, seeds) -> np.ndarray:
+    """An (n, M_r, L, P) stack: copy i of clean's cube plus the CN(0, sigma2)
+    noise ``synthesize_echo`` would add with seed seeds[i], bit for bit."""
+    cubes = np.repeat(clean.data[None], len(seeds), axis=0)
+    for cube, seed in zip(cubes, seeds):
+        _add_noise_to(cube, sigma2, seed, clean.scan_index)
+    return cubes
 
 
 # ---------------------------------------------------------------------------

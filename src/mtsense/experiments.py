@@ -29,7 +29,6 @@ import json
 import math
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
@@ -40,8 +39,9 @@ from . import beams, clutter, crb, detector, music
 from ._version import __version__
 from .echo import EchoTensor, synthesize_echo, write_tensor
 from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, Scene,
-                    SystemConfig, check_fields, complex_normal, generate_scene, integer,
-                    is_finite, number, reference_scene, rule, scene_to_dict)
+                    SystemConfig, blocks, check_fields, complex_normal, generate_scene,
+                    integer, is_finite, number, reference_scene, rule, scene_to_dict,
+                    thread_map)
 
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
@@ -204,15 +204,7 @@ def build_scene(config: ExperimentConfig, cfg: SystemConfig, seed: int) -> Scene
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -298,16 +290,16 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                   beams.plan_summary_rows(plan))
 
     with run.stage("synthesize"):
-        raw = _map(lambda b: synthesize_echo(scene, plan, b, cfg, seed=seed),
+        raw = thread_map(lambda b: synthesize_echo(scene, plan, b, cfg, seed=seed),
                    range(plan.n_beams), threads)
 
     checked: list[EchoTensor] = []
     if last_idx >= 1:
         with run.stage("filter"):
-            checked = _map(
-                lambda b: clutter.filter_symbols(
-                    clutter.normalize_by_gain(raw[b], plan), filt),
-                range(plan.n_beams), threads)
+            filtered = thread_map(
+                lambda scans: clutter.filter_beams([raw[b] for b in scans], filt, plan),
+                blocks(plan.n_beams, threads), threads)
+            checked = [y for block in filtered for y in block]
 
     candidates: list[int] = []
     if last_idx >= 2:
@@ -323,12 +315,12 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
     if last_idx >= 3:
         with run.stage("estimate"):
             est_rows = []
-            for b in candidates:
-                try:
-                    res = music.estimate_candidate(checked[b], b, cfg)
-                except Exception as exc:   # noqa: BLE001 - per-scan isolation
+            results = music.estimate_candidates([checked[b] for b in candidates],
+                                                candidates, cfg)
+            for b, res in zip(candidates, results):
+                if isinstance(res, Exception):     # per-scan isolation
                     run.errors.append({"scan": b, "stage": "estimate",
-                                       "error": type(exc).__name__, "message": str(exc)})
+                                       "error": type(res).__name__, "message": str(res)})
                     continue
                 estimates.append(res)
                 est_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
@@ -386,7 +378,7 @@ def simulate_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> 
         return name
 
     with run.stage("synthesize"):
-        run.outputs += _map(_one, range(run.plan.n_beams), threads)
+        run.outputs += thread_map(_one, range(run.plan.n_beams), threads)
     return run.finish()
 
 
@@ -454,6 +446,9 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         frame is drawn from its law given that window;
       - every other beam feeds the search its filtered power alone, drawn
         from its law.
+    Trials run in blocks, one per worker call; each trial keeps its own random
+    stream, and a block's windows are estimated in one stacked root-MUSIC
+    call per axis, so the bytes do not depend on the thread count.
 
     The bound for each target is its own single-target FIM at the beam
     covering it: that is the data the per-beam estimator actually sees.
@@ -493,24 +488,30 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         gains = gains[near]
         slot = {b: i for i, b in enumerate(near)}
 
-        def _trial(args) -> np.ndarray:
-            k, trial, sigma2 = args
-            rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
-            noise = complex_normal(rng, sigma2, near_power.shape)
-            window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power, rng)
-            power = np.empty(plan.n_beams)
-            power[near] = power_near
-            power[far] = far_power(rng, sigma2 / far_gain2)
-            peaks = clutter.top_local_maxima(power, n_t)
-            sq = np.empty((n_t, 3))
-            for i, b in enumerate(_match_peaks_to_targets(peaks, scene, plan)):
-                tensor = EchoTensor(data=window[slot[b]], scan_index=b, cfg=cfg,
-                                    stage="filtered")
-                res = music.estimate_candidate(tensor, b, cfg)
-                sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
-                         (res.range_hat - truth[i, 1]) ** 2,
-                         (res.speed_hat - truth[i, 2]) ** 2]
-            return sq
+        def _trials(args) -> np.ndarray:
+            k, trials, sigma2 = args
+            windows, scans = [], []
+            for trial in trials:
+                rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
+                noise = complex_normal(rng, sigma2, near_power.shape)
+                window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power, rng)
+                power = np.empty(plan.n_beams)
+                power[near] = power_near
+                power[far] = far_power(rng, sigma2 / far_gain2)
+                peaks = clutter.top_local_maxima(power, n_t)
+                for b in _match_peaks_to_targets(peaks, scene, plan):
+                    windows.append(EchoTensor(data=window[slot[b]].copy(), scan_index=b,
+                                              cfg=cfg, stage="filtered"))
+                    scans.append(b)
+            sq = np.empty((len(trials) * n_t, 3))
+            for row, res in enumerate(music.estimate_candidates(windows, scans, cfg)):
+                if isinstance(res, Exception):
+                    raise res
+                i = row % n_t
+                sq[row] = [(res.theta_hat - truth[i, 0]) ** 2,
+                           (res.range_hat - truth[i, 1]) ** 2,
+                           (res.speed_hat - truth[i, 2]) ** 2]
+            return sq.reshape(len(trials), n_t, 3)
 
         unit_bounds = [
             crb.crb_eta_t(crb.fim_blocks(beams.beam_for_angle(plan, t.theta),
@@ -520,8 +521,9 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         ]
         for k, snr_db in enumerate(config.snr_list_db):
             sigma2 = 10.0 ** (-snr_db / 10.0)
-            jobs = [(k, trial, sigma2) for trial in range(config.n_trials)]
-            mse = np.mean(_map(_trial, jobs, threads), axis=0)    # (n_t, 3)
+            jobs = [(k, trials, sigma2) for trials in blocks(config.n_trials, threads)]
+            sq = np.concatenate(thread_map(_trials, jobs, threads))  # (n_trials, n_t, 3)
+            mse = np.mean(sq, axis=0)
             for i, unit in enumerate(unit_bounds):
                 bound = _bound_at(unit, sigma2)
                 for j, name in enumerate(("theta", "range", "speed")):

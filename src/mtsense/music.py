@@ -54,14 +54,18 @@ class EstimationResult:
     scan_index: int
 
 
-def noise_subspace(f: SnapshotMatrix) -> np.ndarray:
-    """Eigenvectors of the sample covariance for the M-1 smallest eigenvalues."""
-    m, i = f.data.shape
-    r_hat = (f.data @ f.data.conj().T) / i
+def _noise_subspaces(data: np.ndarray) -> np.ndarray:
+    """``noise_subspace`` of each matrix of an (n, M, I) snapshot stack."""
+    r_hat = (data @ data.conj().swapaxes(-1, -2)) / data.shape[-1]
     if not np.all(np.isfinite(r_hat)):
         raise ValueError("sample covariance has non-finite entries")
     _, vecs = np.linalg.eigh(r_hat)  # ascending eigenvalues
-    return vecs[:, : m - 1]
+    return vecs[..., : data.shape[-2] - 1]
+
+
+def noise_subspace(f: SnapshotMatrix) -> np.ndarray:
+    """Eigenvectors of the sample covariance for the M-1 smallest eigenvalues."""
+    return _noise_subspaces(f.data[None])[0]
 
 
 def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
@@ -128,40 +132,69 @@ def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def music_roots(f: SnapshotMatrix) -> np.ndarray:
-    """Roots of the MUSIC null polynomial sum_k trace_k(Vn Vn^H) z^(M-1+k).
+def _polynomial_roots(coeffs: np.ndarray) -> list[np.ndarray]:
+    """np.roots of each row of an (n, K) stack, K >= 3: one eigvals call for
+    the companion matrices, built as np.roots builds them, of the rows with
+    nonzero end coefficients; np.roots itself for the rows it would trim."""
+    k = coeffs.shape[1]
+    full = (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0)
+    companion = np.zeros((np.count_nonzero(full), k - 1, k - 1), dtype=coeffs.dtype)
+    companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1
+    companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
+    roots = iter(np.linalg.eigvals(companion))
+    return [next(roots) if ok else np.roots(c) for c, ok in zip(coeffs, full.tolist())]
+
+
+def stacked_music_roots(data: np.ndarray) -> list[np.ndarray]:
+    """Roots of the MUSIC null polynomial sum_k trace_k(Vn Vn^H) z^(M-1+k) of
+    each matrix of an (n, M, I) snapshot stack; raises if any covariance is
+    non-finite.
 
     The coefficient for offset k is the sum of the k-th diagonal of the noise
     subspace projector, k = M-1 down to -(M-1). Rooting goes through the
     companion matrix (np.roots) followed by the reciprocal-pair restoration.
+    The linear algebra runs as one call per step over the stack: numpy's
+    linalg gufuncs and matmul call LAPACK and BLAS once per slice, and each
+    diagonal is summed from a contiguous copy in ``ndarray.trace``'s pairwise
+    order, so every slice gets the bits of its own call.
     """
-    vn = noise_subspace(f)
-    proj = vn @ vn.conj().T
-    m = proj.shape[0]
-    coeffs = np.array([proj.trace(k) for k in range(m - 1, -m, -1)])
-    return _reciprocal_symmetrize(np.roots(coeffs))
+    vn = _noise_subspaces(data)
+    proj = vn @ vn.conj().swapaxes(-1, -2)
+    m = proj.shape[-1]
+    coeffs = np.stack([np.diagonal(proj, k, -2, -1).copy().sum(axis=-1)
+                       for k in range(m - 1, -m, -1)], axis=-1)
+    return [_reciprocal_symmetrize(roots) for roots in _polynomial_roots(coeffs)]
 
 
-def root_music_frequency(f: SnapshotMatrix) -> float:
-    """Normalized frequency in (-0.5, 0.5] from the root nearest the unit circle.
+def music_roots(f: SnapshotMatrix) -> np.ndarray:
+    """Roots of one snapshot matrix's MUSIC null polynomial (``stacked_music_roots``)."""
+    return stacked_music_roots(f.data[None])[0]
+
+
+def stacked_root_music(data: np.ndarray, sign: int) -> list[float]:
+    """Normalized frequency in (-0.5, 0.5] of each matrix of an (n, M, I)
+    snapshot stack of one axis sign, from the root nearest the unit circle.
 
     Among roots strictly inside the circle the one with the largest modulus is
     selected (ties broken toward the larger real part); its phase divided by
     2 pi is the frequency estimate, negated for the range axis to undo that
-    axis's opposite phase convention.
+    axis's opposite phase convention. Raises if any matrix has no such root.
     """
-    roots = music_roots(f)
-    inside = roots[np.abs(roots) < 1.0]
-    if inside.size == 0:
-        raise RuntimeError("no polynomial root strictly inside the unit circle")
-    mags = np.abs(inside)
-    best = mags.max()
-    tied = inside[mags > best - 1e-12]
-    z = tied[np.argmax(tied.real)]
-    psi = f.sign * float(np.angle(z)) / (2.0 * math.pi)
-    if psi <= -0.5:
-        psi += 1.0
-    return psi
+    out = []
+    for roots in stacked_music_roots(data):
+        inside = roots[np.abs(roots) < 1.0]
+        if inside.size == 0:
+            raise RuntimeError("no polynomial root strictly inside the unit circle")
+        mags = np.abs(inside)
+        tied = inside[mags > mags.max() - 1e-12]
+        psi = sign * float(np.angle(tied[np.argmax(tied.real)])) / (2.0 * math.pi)
+        out.append(psi + 1.0 if psi <= -0.5 else psi)
+    return out
+
+
+def root_music_frequency(f: SnapshotMatrix) -> float:
+    """Root-MUSIC frequency of one snapshot matrix (``stacked_root_music``)."""
+    return stacked_root_music(f.data[None], f.sign)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +223,31 @@ def snapshots(y_check: EchoTensor, axis: int) -> SnapshotMatrix:
     return SnapshotMatrix(data=data, sign=_SIGNS[axis])
 
 
+def estimate_candidates(tensors: list[EchoTensor], scans: list[int],
+                        cfg: SystemConfig) -> list[EstimationResult | Exception]:
+    """``estimate_candidate`` of each tensor (scan scans[i]), one stacked
+    root-MUSIC call per axis for all of them. If the stack fails, each tensor
+    is estimated alone, and the entry of one that fails is its exception.
+    """
+    try:
+        psi = [stacked_root_music(np.stack([snapshots(y, axis).data for y in tensors]),
+                                  _SIGNS[axis]) for axis in range(3)]
+    except Exception as exc:   # noqa: BLE001 - isolated per tensor below
+        if len(tensors) == 1:
+            return [exc]
+        return [estimate_candidates([y], [b], cfg)[0] for y, b in zip(tensors, scans)]
+    return [EstimationResult(theta_from_psi_s(psi_s, cfg), range_from_psi_r(psi_r, cfg),
+                             speed_from_psi_d(psi_d, cfg), psi_s, psi_r, psi_d, b)
+            for psi_s, psi_r, psi_d, b in zip(*psi, scans)]
+
+
 def estimate_candidate(y_check: EchoTensor, b: int, cfg: SystemConfig) -> EstimationResult:
     """Angle, range and speed of the single target assumed present in scan b.
 
     Negative range-frequency estimates wrap by one cycle before the meter
     conversion (range is nonnegative); angle and speed keep their sign.
     """
-    psi_s, psi_r, psi_d = (root_music_frequency(snapshots(y_check, axis))
-                           for axis in range(3))
-    return EstimationResult(
-        theta_hat=theta_from_psi_s(psi_s, cfg),
-        range_hat=range_from_psi_r(psi_r, cfg),
-        speed_hat=speed_from_psi_d(psi_d, cfg),
-        psi_s_hat=psi_s,
-        psi_r_hat=psi_r,
-        psi_d_hat=psi_d,
-        scan_index=b,
-    )
+    (res,) = estimate_candidates([y_check], [b], cfg)
+    if isinstance(res, Exception):
+        raise res
+    return res

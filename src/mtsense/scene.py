@@ -7,7 +7,8 @@ Everything downstream works in normalized frequencies (cycles per sample):
     psi_s = d * sin(theta) / lambda  spatial frequency of a uniform linear array
 
 Angles are radians everywhere inside the library; degrees appear only at the
-CLI boundary and in serialized files. The config field rules live here too.
+CLI boundary and in serialized files. The config field rules live here too,
+and the helpers that split work into blocks and worker threads.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import functools
 import math
 import numbers
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -347,3 +349,24 @@ def scene_to_dict(scene: Scene) -> dict:
             for s in scene.scatterers
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# work split into blocks and worker threads
+
+_BLOCK = 4   # cubes per stacked call; 8 ran no faster and held twice the memory
+
+
+def blocks(n: int, at_least: int = 1) -> list[range]:
+    """range(n) in consecutive blocks of near-equal size, at most _BLOCK each,
+    and at least ``at_least`` of them (one per worker thread) when n allows."""
+    count = min(n, max(-(-n // _BLOCK), at_least))
+    return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def thread_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on ``threads`` worker threads if threads > 1."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))

@@ -376,3 +376,111 @@ def test_roc_needs_target_or_explicit_candidate():
     with pytest.raises(ValueError):
         dt.roc_curve(clut, scene_h1, cfg, plan, [0.0], n_trials=5, seed=1,
                      candidate=(0.1, 0.1, 0.1))  # no beam given
+
+
+# ---------------------------------------------------------------------------
+# oracle: the statistic one cube at a time, each cube a noisy copy of its own,
+# as the library ran it before it stacked the cubes of a calibration or ROC
+# block. The stacked evaluation must return each cube's outcome to the bit,
+# in every branch.
+
+def _add_noise(clean, sigma2, seed):
+    data = clean.data.copy()
+    ec._add_noise_to(data, sigma2, seed, clean.scan_index)
+    return ec.EchoTensor(data=data, scan_index=clean.scan_index, cfg=clean.cfg)
+
+
+def _glr_statistic_per_item(y, candidate, grid, plan, cfg):
+    psi_d, psi_r, psi_s = candidate
+    b = y.scan_index
+    m_rx, n_sub, n_sym = y.data.shape
+    n_tot = m_rx * n_sub * n_sym
+    p_perp = dt.perp_projector(dt.clutter_basis(grid, plan, cfg))
+    a_sp = steering_rx(psi_s, cfg.m_rx)
+    denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))
+    py = p_perp @ y.data.reshape(m_rx, n_sub * n_sym)
+    sigma2_h0 = float(np.sum(np.abs(py) ** 2)) / n_tot
+    if denom < dt.UNDETECTABLE_REL * m_rx:
+        return dt.GlrOutcome(0.0, sigma2_h0, sigma2_h0, 0j, undetectable=True)
+    inner = a_sp.conj() @ py
+    num_total = float(np.sum(np.abs(inner) ** 2)) / denom
+    input_floor = dt.ZERO_RESIDUAL_REL * float(np.mean(np.abs(y.data) ** 2))
+    if sigma2_h0 <= input_floor:
+        t = 0.0 if num_total <= input_floor * n_tot else math.inf
+        return dt.GlrOutcome(t, sigma2_h0, sigma2_h0, 0j)
+    g = g_tilde(plan, b, cfg)
+    steer = g * np.outer(ec.steering_range(psi_r, n_sub), ec.steering_doppler(psi_d, n_sym))
+    alpha_hat = complex(np.sum(np.conj(steer).ravel() * inner)
+                        / (abs(g) ** 2 * denom * n_sub * n_sym))
+    return dt.GlrOutcome(num_total / (n_tot * sigma2_h0), sigma2_h0,
+                         max(sigma2_h0 - num_total / n_tot, 0.0), alpha_hat)
+
+
+def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
+    b = 25
+    target = _target_in_beam(plan, b)
+    clutter = _on_grid_scatterer(plan, b, cfg)
+    grid = dt.sample_grid(b, plan, cfg)
+    center = spatial_frequency(float(plan.directions[b]), cfg)
+    cubes = [ec.synthesize_echo(Scene((target,), (clutter,)), plan, b, cfg, seed=s)
+             for s in range(5)]
+    cubes += [ec.synthesize_echo(Scene((), (clutter,)), plan, b, cfg, noise_var=0.0),
+              ec.synthesize_echo(Scene((), ()), plan, b, cfg, noise_var=0.0),
+              ec.synthesize_echo(Scene((target,), (clutter,)), plan, b, cfg, noise_var=0.0)]
+    outcomes = {}
+    for name, cand in (("target", dt.candidate_from_target(target, cfg)),
+                       ("on grid", (0.1, 0.2, center))):
+        want = [_glr_statistic_per_item(y, cand, grid, plan, cfg) for y in cubes]
+        assert [dt.glr_statistic(y, cand, grid, plan, cfg) for y in cubes] == want
+        evaluate = dt._glr_evaluator(cand, grid, plan, cfg, b)
+        assert evaluate(np.stack([y.data for y in cubes])) == want
+        assert evaluate(np.stack([y.data for y in cubes[3:6]])) == want[3:6]
+        outcomes[name] = want
+    # every branch ran: a statistic with its amplitude, the zero residual of
+    # noiseless clutter and of an all-zero cube, and an undetectable candidate
+    assert all(o.alpha_hat != 0j for o in outcomes["target"][:5])
+    assert [o.statistic for o in outcomes["target"][5:7]] == [0.0, 0.0]
+    assert all(o.alpha_hat == 0j and not o.undetectable for o in outcomes["target"][5:7])
+    assert all(o.undetectable for o in outcomes["on grid"])
+
+
+def test_calibrate_gamma_matches_per_trial_oracle():
+    cfg, plan, target, b, clut = _small_setup()
+    grid = dt.sample_grid(b, plan, cfg, n_angle=1)
+    cand = dt.candidate_from_target(target, cfg)
+    clean = ec.synthesize_echo(clut, plan, b, cfg, noise_var=0.0)
+    for n_trials in (1, 8, 21):             # one block, a full block, unequal blocks
+        ts = [_glr_statistic_per_item(_add_noise(clean, 0.3, (21, i)), cand,
+                                      grid, plan, cfg).statistic for i in range(n_trials)]
+        got = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
+                                 n_trials=n_trials, seed=21, sigma2=0.3)
+        assert got == float(np.quantile(ts, 0.9))
+
+
+def _roc_curve_per_trial(scene_h0, scene_h1, cfg, plan, snr_list_db, n_trials,
+                         n_thresholds, seed, b, cand, grid):
+    clean = [ec.synthesize_echo(s, plan, b, cfg, noise_var=0.0) for s in (scene_h0, scene_h1)]
+    curves = {}
+    for k, snr_db in enumerate(snr_list_db):
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        pooled = np.array([
+            _glr_statistic_per_item(_add_noise(clean[h], sigma2, (seed, k, h, i)),
+                                    cand, grid, plan, cfg).statistic
+            for h in (0, 1) for i in range(n_trials)])
+        t0, t1 = pooled[:n_trials], pooled[n_trials:]
+        qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))
+        gammas = np.concatenate([[-math.inf], np.unique(qs), [math.inf]])
+        curves[float(snr_db)] = [(float(gm), float(np.mean(t0 > gm)), float(np.mean(t1 > gm)))
+                                 for gm in gammas]
+    return curves
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_roc_curve_matches_per_trial_oracle(threads):
+    cfg, plan, target, b, clut = _small_setup()
+    scene_h1 = Scene((target,), clut.scatterers)
+    want = _roc_curve_per_trial(clut, scene_h1, cfg, plan, [0.0, 5.0], 19, 31, 5, b,
+                                dt.candidate_from_target(target, cfg),
+                                dt.sample_grid(b, plan, cfg, n_angle=1))
+    assert dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], n_trials=19,
+                        n_thresholds=31, seed=5, n_angle=1, threads=threads) == want

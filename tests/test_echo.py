@@ -98,15 +98,16 @@ def test_element_factors_match_scalar_helpers(small_cfg, small_plan):
 def test_clean_cube_plus_noise_is_bit_identical(small_cfg, small_plan):
     scene = _two_element_scene()
     clean = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
-    for seed in (0, (9, 4), ((1, 2), 3)):
+    seeds = (0, (9, 4), ((1, 2), 3))
+    noisy = ec.noisy_copies(clean, 0.7, seeds)
+    assert noisy.shape == (len(seeds), *clean.data.shape)
+    for cube, seed in zip(noisy, seeds):
         direct = ec.synthesize_echo(scene, small_plan, 3, small_cfg, seed=seed,
                                     noise_var=0.7)
-        noisy = ec.add_noise(clean, 0.7, seed=seed)
-        assert np.array_equal(noisy.data, direct.data)
-        assert noisy.scan_index == 3 and noisy.stage == "raw"
+        assert np.array_equal(cube, direct.data)
     fresh = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
-    assert np.array_equal(clean.data, fresh.data)      # add_noise copies
-    assert np.array_equal(ec.add_noise(clean, 0.0, seed=1).data, clean.data)
+    assert np.array_equal(clean.data, fresh.data)      # noisy_copies copies
+    assert np.array_equal(ec.noisy_copies(clean, 0.0, [1])[0], clean.data)
 
 
 def test_noise_variance_and_determinism(small_cfg, small_plan):

@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsense import cli, clutter, echo
+from mtsense import cli, clutter, echo, music
 from mtsense import experiments as ex
 from mtsense.echo import read_tensor, synthesize_echo
-from mtsense.beams import beam_for_angle, default_plan
+from mtsense.beams import beam_for_angle, default_plan, g_tilde
 from mtsense.scene import (C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig,
                            Target, complex_normal)
+from mtsense.scene import blocks as scene_blocks
 
 # a deliberately small setup so every pipeline test stays well under a second
 SMALL_RAW = {
@@ -486,6 +487,41 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "thr" / name).read_bytes() == ref
 
 
+def test_pipeline_isolates_a_candidate_that_fails_in_the_stacked_estimate(
+        tmp_path, monkeypatch):
+    # the first candidate's filtered cube turns non-finite after the search:
+    # that scan gets one errors entry, the other keeps its rows
+    config = ex.config_from_dict({"detector": {"calib_trials": 20}})
+    ex.run_pipeline(config, tmp_path / "clean")
+    checked = []
+    scan_spectrum, find_peaks = clutter.scan_spectrum, clutter.find_peaks
+
+    def kept(tensors):
+        checked[:] = tensors
+        return scan_spectrum(tensors)
+
+    def poisoned(spectrum, rel_threshold):
+        peaks = find_peaks(spectrum, rel_threshold)
+        checked[peaks[0]].data[0, 0, -1] = np.nan
+        return peaks
+    monkeypatch.setattr(clutter, "scan_spectrum", kept)
+    monkeypatch.setattr(clutter, "find_peaks", poisoned)
+    manifest = ex.run_pipeline(config, tmp_path / "bad")
+    assert manifest["candidates"] == [6, 38]
+    assert manifest["errors"] == [{"scan": 6, "stage": "estimate", "error": "ValueError",
+                                   "message": "sample covariance has non-finite entries"}]
+    for name in ("estimates.csv", "detections.csv"):
+        clean = read_rows(tmp_path / "clean" / name)
+        assert [r[0] for r in clean[1:]] == ["6", "38"]
+        assert read_rows(tmp_path / "bad" / name) == [clean[0], clean[2]]
+
+
+def test_manifest_is_one_json_dumps_string(tmp_path):
+    manifest = ex.run_pipeline(small_config(), tmp_path)
+    assert (tmp_path / "manifest.json").read_text() == \
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
 def test_pipeline_seed_changes_results(tmp_path):
     config = small_config()
     ex.run_pipeline(replace(config, seed=5), tmp_path / "one", last_stage="spectrum")
@@ -596,6 +632,67 @@ def test_sweep_threads_match_serial(tmp_path):
     ex.sweep_snr(config, tmp_path / "par", threads=3)
     assert (tmp_path / "ser" / "sweep.csv").read_bytes() == \
         (tmp_path / "par" / "sweep.csv").read_bytes()
+
+
+def _sweep_mse_per_trial(config):
+    """sweep_snr's mse, one trial and one root-MUSIC estimate at a time, as
+    the library ran it before it stacked the estimates of a block of trials."""
+    cfg = config.system
+    plan = default_plan(cfg, n_beams=config.scan.n_beams, span_deg=config.scan.span_deg)
+    scene = ex.build_scene(config, cfg, config.seed)
+    cfg_synth = replace(cfg, n_sym=config.sweep.n_sym_synth)
+    filt = config.filter.build()
+    n_t = len(scene.targets)
+    truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
+    clean = np.stack([synthesize_echo(scene, plan, b, cfg_synth, seed=config.seed,
+                                      noise_var=0.0).data for b in range(plan.n_beams)])
+    gains = np.array([g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
+    clean /= gains[:, None, None, None]
+    near = ex._reachable_beams(scene, plan)
+    far = np.setdiff1d(np.arange(plan.n_beams), near)
+    near_power = clutter.FilteredPowerSampler(clean[near], filt, window=cfg.n_sym)
+    far_power = clutter.FilteredPowerSampler(clean[far], filt)
+    mse = {}
+    for k, snr_db in enumerate(config.snr_list_db):
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        sqs = []
+        for trial in range(config.n_trials):
+            rng = np.random.default_rng((config.seed, ex._SWEEP_TAG, k, trial))
+            noise = complex_normal(rng, sigma2, near_power.shape)
+            window, power_near = ex._sweep_filtered_stack(noise, sigma2, gains[near],
+                                                          near_power, rng)
+            power = np.empty(plan.n_beams)
+            power[near] = power_near
+            power[far] = far_power(rng, sigma2 / np.abs(gains[far]) ** 2)
+            peaks = clutter.top_local_maxima(power, n_t)
+            sq = np.empty((n_t, 3))
+            for i, b in enumerate(ex._match_peaks_to_targets(peaks, scene, plan)):
+                tensor = echo.EchoTensor(data=window[near.index(b)], scan_index=b, cfg=cfg,
+                                         stage="filtered")
+                res = music.estimate_candidate(tensor, b, cfg)
+                sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
+                         (res.range_hat - truth[i, 1]) ** 2,
+                         (res.speed_hat - truth[i, 2]) ** 2]
+            sqs.append(sq)
+        m = np.mean(sqs, axis=0)
+        for i in range(n_t):
+            for j, name in enumerate(("theta", "range", "speed")):
+                mse[(float(snr_db), f"{name}_{i + 1}")] = float(m[i, j])
+    return mse
+
+
+def test_sweep_blocks_match_the_per_trial_loop(tmp_path):
+    # 5 trials on 1, 2 and 3 threads: blocks of 2 + 3, 2 + 3 and 1 + 2 + 2
+    config = small_config(scene={"n_targets": 2, "min_separation_deg": 15.0},
+                          scan={"span_deg": 60.0}, snr_list_db=[0.0, 20.0], n_trials=5,
+                          sweep={"n_sym_synth": 24})
+    want = _sweep_mse_per_trial(config)
+    assert [len(r) for r in scene_blocks(5, 3)] == [1, 2, 2]
+    for threads in (1, 2, 3):
+        ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
+        rows = read_rows(tmp_path / str(threads) / "sweep.csv")[1:]
+        assert {(float(r[0]), r[1]): float(r[2]) for r in rows} == want
+        assert len(rows) == len(want) == 2 * 2 * 3
 
 
 def test_sweep_validates_synth_window():

@@ -221,6 +221,110 @@ def test_coefficients_match_np_trace(rng):
 
 
 # ---------------------------------------------------------------------------
+# oracle 4: root-MUSIC one snapshot matrix at a time, as the library ran it
+# before it stacked them. The stacked calls must return each slice's bytes.
+
+def _music_roots_per_item(data):
+    m, i = data.shape
+    r_hat = (data @ data.conj().T) / i
+    if not np.all(np.isfinite(r_hat)):
+        raise ValueError("sample covariance has non-finite entries")
+    vn = np.linalg.eigh(r_hat)[1][:, : m - 1]
+    proj = vn @ vn.conj().T
+    coeffs = np.array([proj.trace(k) for k in range(m - 1, -m, -1)])
+    return _reciprocal_symmetrize_loop(np.roots(coeffs))
+
+
+def _root_music_frequency_per_item(data, sign):
+    roots = _music_roots_per_item(data)
+    inside = roots[np.abs(roots) < 1.0]
+    if inside.size == 0:
+        raise RuntimeError("no polynomial root strictly inside the unit circle")
+    mags = np.abs(inside)
+    tied = inside[mags > mags.max() - 1e-12]
+    psi = sign * float(np.angle(tied[np.argmax(tied.real)])) / (2.0 * math.pi)
+    return psi + 1.0 if psi <= -0.5 else psi
+
+
+@st.composite
+def _snapshot_stacks(draw):
+    """(n, M, I) stacks, M from 2 to 21: noise, or a tone in noise, and rows
+    with a zeroed first or last snapshot row, whose null polynomial then has
+    zero end coefficients (np.roots strips them)."""
+    n, m, i = draw(st.integers(1, 5)), draw(st.integers(2, 21)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.standard_normal((n, m, i)) + 1j * rng.standard_normal((n, m, i))
+    for j in range(n):
+        if draw(st.booleans()):
+            tone = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(m))
+            data[j] += rng.uniform(0.1, 30.0) * np.outer(tone, np.exp(2j * np.pi * rng.random(i)))
+        zeroed = draw(st.sampled_from((None, 0, -1)))
+        if zeroed is not None:
+            data[j, zeroed] = 0
+    return data
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_snapshot_stacks(), st.sampled_from((-1, 1)), st.integers(-1, 4))
+def test_stacked_root_music_matches_per_item(data, sign, poisoned):
+    # poisoned >= 0 puts a non-finite entry in that row, when it exists
+    if poisoned < len(data):
+        data[poisoned, 0, -1] = (np.nan, np.inf)[poisoned % 2]
+    want = [_outcome(_music_roots_per_item, row) for row in data]
+    freqs = [_outcome(_root_music_frequency_per_item, row, sign) for row in data]
+    if any(isinstance(w, Exception) for w in want):
+        # the stack raises what its first failing row raises alone
+        first = next(w for w in want if isinstance(w, Exception))
+        with pytest.raises(type(first), match=str(first)):
+            mu.stacked_music_roots(data)
+        keep = [j for j, w in enumerate(want) if not isinstance(w, Exception)]
+        data, want, freqs = data[keep], [want[j] for j in keep], [freqs[j] for j in keep]
+        if not keep:
+            return
+    got = mu.stacked_music_roots(data)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    for j, row in enumerate(data):
+        assert mu.music_roots(mu.SnapshotMatrix(data=row, sign=sign)).tobytes() \
+            == want[j].tobytes()
+    failed = [f for f in freqs if isinstance(f, Exception)]
+    if failed:
+        with pytest.raises(type(failed[0])):
+            mu.stacked_root_music(data, sign)
+    else:
+        assert mu.stacked_root_music(data, sign) == freqs
+        assert [mu.root_music_frequency(mu.SnapshotMatrix(data=row, sign=sign))
+                for row in data] == freqs
+
+
+def test_estimate_candidates_isolate_a_failing_tensor(cfg, plan):
+    # one candidate's cube turns non-finite after filtering: its entry is the
+    # exception it raises alone, and the others keep their stacked estimates
+    rng = np.random.default_rng(5)
+    tensors = []
+    for b in (20, 21, 22):
+        target = Target(theta=float(plan.directions[b]), range=3.0 + 0.1 * b, speed=2.0,
+                        alpha=1.0)
+        y = ec.synthesize_echo(Scene((target,), ()), plan, b, cfg, seed=int(rng.integers(99)))
+        tensors.append(cl.filter_symbols(cl.normalize_by_gain(y, plan),
+                                         cl.design_butterworth_highpass(2, 0.04)))
+    alone = [mu.estimate_candidate(t, b, cfg) for t, b in zip(tensors, (20, 21, 22))]
+    assert mu.estimate_candidates(tensors, [20, 21, 22], cfg) == alone
+    tensors[1].data[0, 0, -1] = np.nan
+    got = mu.estimate_candidates(tensors, [20, 21, 22], cfg)
+    assert got[0] == alone[0] and got[2] == alone[2]
+    assert isinstance(got[1], ValueError) and "non-finite" in str(got[1])
+    with pytest.raises(ValueError, match="non-finite"):
+        mu.estimate_candidate(tensors[1], 21, cfg)
+
+
+# ---------------------------------------------------------------------------
 # snapshot builders vs a naive loop re-indexer
 
 def _loop_spatial(cube):
