@@ -218,27 +218,18 @@ def filter_symbols(y_tilde: EchoTensor, filt: IirFilter) -> EchoTensor:
     return filter_beams([y_tilde], filt)[0]
 
 
-def filter_beams(tensors: list[EchoTensor], filt: IirFilter,
-                 plan: BeamPlan | None = None) -> list[EchoTensor]:
+def filter_beams(tensors: list[EchoTensor], filt: IirFilter) -> list[EchoTensor]:
     """``filter_symbols`` of each tensor, in one recursion over their stack.
-    With a plan, the tensors are raw, and each is first divided by its scan's
-    gain in the stack, as ``normalize_by_gain`` divides it. The recursion is
-    elementwise, so each cube gets the bits it would get alone."""
+    The recursion is elementwise, so each cube gets the bits it would get alone."""
     warmup = default_warmup(filt)
     n_sym = tensors[0].data.shape[2]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
-    data = np.stack([y.data for y in tensors])
-    if plan is not None:
-        if any(y.stage != "raw" for y in tensors):
-            raise ValueError("expected raw tensors")
-        data /= np.array([g_tilde(plan, y.scan_index, y.cfg)
-                          for y in tensors])[:, None, None, None]
     mask = np.zeros(n_sym, dtype=bool)
     mask[:warmup] = True
+    filtered = step_matched_highpass(np.stack([y.data for y in tensors]), filt)
     return [EchoTensor(data=cube, scan_index=y.scan_index, cfg=y.cfg, stage="filtered",
-                       transient_mask=mask)
-            for cube, y in zip(step_matched_highpass(data, filt), tensors)]
+                       transient_mask=mask) for cube, y in zip(filtered, tensors)]
 
 
 def retained_symbols(y_check: EchoTensor) -> np.ndarray:

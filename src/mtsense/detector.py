@@ -129,9 +129,13 @@ def _glr_evaluator(candidate: tuple[float, float, float], grid: DetectionGrid,
         h0 = [float(e) / n_tot for e in np.sum(np.abs(py) ** 2, axis=(1, 2))]
         if denom < UNDETECTABLE_REL * m_rx:
             return [GlrOutcome(0.0, s0, s0, 0j, undetectable=True) for s0 in h0]
+        g = g_tilde(plan, b, cfg)
+        steer = g * np.outer(steering_range(psi_r, n_sub), steering_doppler(psi_d, n_sym))
+        matched = np.sum(np.conj(steer).ravel() * inner, axis=-1)
+        scale = abs(g) ** 2 * denom * n_sub * n_sym
         num = np.sum(np.abs(inner) ** 2, axis=-1)
         mean_power = np.mean(np.abs(cubes) ** 2, axis=(1, 2, 3))
-        matched, out = None, []
+        out = []
         for j, sigma2_h0 in enumerate(h0):
             num_total = float(num[j]) / denom
             # Fully explained data: the residual is projection roundoff, and so
@@ -143,12 +147,6 @@ def _glr_evaluator(candidate: tuple[float, float, float], grid: DetectionGrid,
                 t = 0.0 if num_total <= input_floor * n_tot else math.inf
                 out.append(GlrOutcome(t, sigma2_h0, sigma2_h0, 0j))
                 continue
-            if matched is None:    # g_tilde runs only for a cube that gets here
-                g = g_tilde(plan, b, cfg)
-                steer = g * np.outer(steering_range(psi_r, n_sub),
-                                     steering_doppler(psi_d, n_sym))
-                matched = np.sum(np.conj(steer).ravel() * inner, axis=-1)
-                scale = abs(g) ** 2 * denom * n_sub * n_sym
             out.append(GlrOutcome(statistic=num_total / (n_tot * sigma2_h0),
                                   sigma2_hat_h0=sigma2_h0,
                                   sigma2_hat_h1=max(sigma2_h0 - num_total / n_tot, 0.0),

@@ -132,19 +132,6 @@ def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polynomial_roots(coeffs: np.ndarray) -> list[np.ndarray]:
-    """np.roots of each row of an (n, K) stack, K >= 3: one eigvals call for
-    the companion matrices, built as np.roots builds them, of the rows with
-    nonzero end coefficients; np.roots itself for the rows it would trim."""
-    k = coeffs.shape[1]
-    full = (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0)
-    companion = np.zeros((np.count_nonzero(full), k - 1, k - 1), dtype=coeffs.dtype)
-    companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1
-    companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
-    roots = iter(np.linalg.eigvals(companion))
-    return [next(roots) if ok else np.roots(c) for c, ok in zip(coeffs, full.tolist())]
-
-
 def stacked_music_roots(data: np.ndarray) -> list[np.ndarray]:
     """Roots of the MUSIC null polynomial sum_k trace_k(Vn Vn^H) z^(M-1+k) of
     each matrix of an (n, M, I) snapshot stack; raises if any covariance is
@@ -153,17 +140,25 @@ def stacked_music_roots(data: np.ndarray) -> list[np.ndarray]:
     The coefficient for offset k is the sum of the k-th diagonal of the noise
     subspace projector, k = M-1 down to -(M-1). Rooting goes through the
     companion matrix (np.roots) followed by the reciprocal-pair restoration.
-    The linear algebra runs as one call per step over the stack: numpy's
-    linalg gufuncs and matmul call LAPACK and BLAS once per slice, and each
-    diagonal is summed from a contiguous copy in ``ndarray.trace``'s pairwise
-    order, so every slice gets the bits of its own call.
+    Each step is one call over the stack and gives every slice the bits of
+    its own call: linalg gufuncs and matmul call LAPACK and BLAS per slice,
+    each diagonal is summed from a contiguous copy in ``ndarray.trace``'s
+    order, and the companion matrices are np.roots's own, except that a row
+    with a zero end coefficient goes through np.roots, which trims it.
     """
     vn = _noise_subspaces(data)
     proj = vn @ vn.conj().swapaxes(-1, -2)
     m = proj.shape[-1]
     coeffs = np.stack([np.diagonal(proj, k, -2, -1).copy().sum(axis=-1)
                        for k in range(m - 1, -m, -1)], axis=-1)
-    return [_reciprocal_symmetrize(roots) for roots in _polynomial_roots(coeffs)]
+    full = (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0)
+    size = 2 * m - 2
+    companion = np.zeros((np.count_nonzero(full), size, size), dtype=coeffs.dtype)
+    companion[:, np.arange(1, size), np.arange(size - 1)] = 1
+    companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
+    roots = iter(np.linalg.eigvals(companion))
+    return [_reciprocal_symmetrize(next(roots) if ok else np.roots(c))
+            for c, ok in zip(coeffs, full.tolist())]
 
 
 def music_roots(f: SnapshotMatrix) -> np.ndarray:
@@ -226,19 +221,20 @@ def snapshots(y_check: EchoTensor, axis: int) -> SnapshotMatrix:
 def estimate_candidates(tensors: list[EchoTensor], scans: list[int],
                         cfg: SystemConfig) -> list[EstimationResult | Exception]:
     """``estimate_candidate`` of each tensor (scan scans[i]), one stacked
-    root-MUSIC call per axis for all of them. If the stack fails, each tensor
-    is estimated alone, and the entry of one that fails is its exception.
+    root-MUSIC call per axis for all of them. If the stack or a unit
+    conversion fails, each tensor is estimated alone, and the entry of one
+    that fails is its exception.
     """
     try:
         psi = [stacked_root_music(np.stack([snapshots(y, axis).data for y in tensors]),
                                   _SIGNS[axis]) for axis in range(3)]
+        return [EstimationResult(theta_from_psi_s(psi_s, cfg), range_from_psi_r(psi_r, cfg),
+                                 speed_from_psi_d(psi_d, cfg), psi_s, psi_r, psi_d, b)
+                for psi_s, psi_r, psi_d, b in zip(*psi, scans)]
     except Exception as exc:   # noqa: BLE001 - isolated per tensor below
         if len(tensors) == 1:
             return [exc]
         return [estimate_candidates([y], [b], cfg)[0] for y, b in zip(tensors, scans)]
-    return [EstimationResult(theta_from_psi_s(psi_s, cfg), range_from_psi_r(psi_r, cfg),
-                             speed_from_psi_d(psi_d, cfg), psi_s, psi_r, psi_d, b)
-            for psi_s, psi_r, psi_d, b in zip(*psi, scans)]
 
 
 def estimate_candidate(y_check: EchoTensor, b: int, cfg: SystemConfig) -> EstimationResult:

@@ -354,13 +354,13 @@ def scene_to_dict(scene: Scene) -> dict:
 # ---------------------------------------------------------------------------
 # work split into blocks and worker threads
 
-_BLOCK = 4   # cubes per stacked call; 8 ran no faster and held twice the memory
+_BLOCK = 4   # cubes per stacked call; on detect, 8 ran no faster and held twice the memory
 
 
-def blocks(n: int, at_least: int = 1) -> list[range]:
-    """range(n) in consecutive blocks of near-equal size, at most _BLOCK each,
+def blocks(n: int, at_least: int = 1, size: int = _BLOCK) -> list[range]:
+    """range(n) in consecutive blocks of near-equal size, at most ``size`` each,
     and at least ``at_least`` of them (one per worker thread) when n allows."""
-    count = min(n, max(-(-n // _BLOCK), at_least))
+    count = min(n, max(-(-n // size), at_least))
     return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 

@@ -516,6 +516,31 @@ def test_pipeline_isolates_a_candidate_that_fails_in_the_stacked_estimate(
         assert read_rows(tmp_path / "bad" / name) == [clean[0], clean[2]]
 
 
+def test_pipeline_isolates_a_candidate_whose_angle_conversion_fails(
+        tmp_path, monkeypatch):
+    # root-MUSIC succeeds for both candidates, but the first one's psi_s has
+    # no angle (as at d_spacing below half a wavelength, |psi_s| near 0.5):
+    # that scan gets one errors entry, the other keeps its rows
+    config = ex.config_from_dict({"detector": {"calib_trials": 20}})
+    ex.run_pipeline(config, tmp_path / "clean")
+    theta_from_psi_s, first = music.theta_from_psi_s, []
+
+    def fails_for_the_first(psi_s, cfg):
+        first[:] = first or [psi_s]
+        if psi_s == first[0]:
+            raise ValueError("psi_s outside the arcsin domain")
+        return theta_from_psi_s(psi_s, cfg)
+    monkeypatch.setattr(music, "theta_from_psi_s", fails_for_the_first)
+    manifest = ex.run_pipeline(config, tmp_path / "bad")
+    assert manifest["candidates"] == [6, 38]
+    assert manifest["errors"] == [{"scan": 6, "stage": "estimate", "error": "ValueError",
+                                   "message": "psi_s outside the arcsin domain"}]
+    for name in ("estimates.csv", "detections.csv"):
+        clean = read_rows(tmp_path / "clean" / name)
+        assert [r[0] for r in clean[1:]] == ["6", "38"]
+        assert read_rows(tmp_path / "bad" / name) == [clean[0], clean[2]]
+
+
 def test_manifest_is_one_json_dumps_string(tmp_path):
     manifest = ex.run_pipeline(small_config(), tmp_path)
     assert (tmp_path / "manifest.json").read_text() == \
@@ -682,12 +707,13 @@ def _sweep_mse_per_trial(config):
 
 
 def test_sweep_blocks_match_the_per_trial_loop(tmp_path):
-    # 5 trials on 1, 2 and 3 threads: blocks of 2 + 3, 2 + 3 and 1 + 2 + 2
+    # 5 trials on 1, 2 and 3 threads: blocks of 5, 2 + 3 and 1 + 2 + 2
     config = small_config(scene={"n_targets": 2, "min_separation_deg": 15.0},
                           scan={"span_deg": 60.0}, snr_list_db=[0.0, 20.0], n_trials=5,
                           sweep={"n_sym_synth": 24})
     want = _sweep_mse_per_trial(config)
-    assert [len(r) for r in scene_blocks(5, 3)] == [1, 2, 2]
+    assert [[len(r) for r in scene_blocks(5, t, ex._TRIAL_BLOCK)]
+            for t in (1, 2, 3)] == [[5], [2, 3], [1, 2, 2]]
     for threads in (1, 2, 3):
         ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
         rows = read_rows(tmp_path / str(threads) / "sweep.csv")[1:]

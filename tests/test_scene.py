@@ -163,3 +163,13 @@ def test_without_targets(cfg):
     scn = reference_scene(cfg, n_scatterers=5, seed=1)
     h0 = scn.without_targets()
     assert h0.targets == () and h0.scatterers == scn.scatterers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 120), at_least=st.integers(1, 4), size=st.integers(1, 20))
+def test_blocks_cover_range_in_order_and_near_equal(n, at_least, size):
+    parts = sc.blocks(n, at_least, size)
+    assert [i for r in parts for i in r] == list(range(n))
+    lengths = [len(r) for r in parts]
+    assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+    assert len(parts) >= min(n, at_least)
