@@ -91,13 +91,9 @@ def default_warmup(filt) -> int:
     return 3 * filt.order
 
 
-def normalize_by_gain(y: EchoTensor, plan: BeamPlan) -> EchoTensor:
-    """Divide the raw echo by the scan's boresight gain g_tilde."""
-    if y.stage != "raw":
-        raise ValueError(f"expected a raw tensor, got stage {y.stage!r}")
-    g = g_tilde(plan, y.scan_index, y.cfg)
-    return EchoTensor(data=y.data / g, scan_index=y.scan_index, cfg=y.cfg,
-                      stage="normalized")
+def normalize_by_gain(y: EchoTensor, plan: BeamPlan) -> np.ndarray:
+    """The raw echo's cube divided by the scan's boresight gain g_tilde."""
+    return y.data / g_tilde(plan, y.scan_index, y.cfg)
 
 
 def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
@@ -207,49 +203,33 @@ class FilteredPowerSampler:
         return self.draw(rng, var, noise)[1]
 
 
-def filter_symbols(y_tilde: EchoTensor, filt: IirFilter) -> EchoTensor:
-    """Run the step-matched high-pass along the symbol axis of each (m_r, l) series.
+def filter_symbols(cubes: np.ndarray, filt: IirFilter) -> np.ndarray:
+    """Run the step-matched high-pass along the symbol (last) axis of a stack of cubes.
 
     Stationary components vanish from the first symbol on. A moving target's
-    tone still needs a few symbols to settle; the first ``default_warmup``
-    outputs (3x filter order) are flagged in ``transient_mask`` and the
-    estimators skip them.
+    tone still needs a few symbols to settle; the estimators skip the first
+    ``default_warmup`` outputs (3x filter order). Each cube gets the bits it
+    would get alone: the recursion is elementwise.
     """
-    return filter_beams([y_tilde], filt)[0]
-
-
-def filter_beams(tensors: list[EchoTensor], filt: IirFilter) -> list[EchoTensor]:
-    """``filter_symbols`` of each tensor, in one recursion over their stack.
-    The recursion is elementwise, so each cube gets the bits it would get alone."""
     warmup = default_warmup(filt)
-    n_sym = tensors[0].data.shape[2]
+    n_sym = cubes.shape[-1]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
-    mask = np.zeros(n_sym, dtype=bool)
-    mask[:warmup] = True
-    filtered = step_matched_highpass(np.stack([y.data for y in tensors]), filt)
-    return [EchoTensor(data=cube, scan_index=y.scan_index, cfg=y.cfg, stage="filtered",
-                       transient_mask=mask) for cube, y in zip(filtered, tensors)]
+    return step_matched_highpass(cubes, filt)
 
 
-def retained_symbols(y_check: EchoTensor) -> np.ndarray:
-    """Symbol indices that survived the transient exclusion."""
-    if y_check.transient_mask is None:
-        return np.arange(y_check.data.shape[2])
-    return np.flatnonzero(~y_check.transient_mask)
-
-
-def scan_spectrum(checked: list[EchoTensor]) -> np.ndarray:
-    """Per-beam average residual power P(b) = sum_l sum_p ||y[:, l, p]||^2 / (L * P).
+def scan_spectrum(checked) -> np.ndarray:
+    """Per-beam average residual power P(b) = sum_l sum_p ||y[:, l, p]||^2 / (L * P)
+    of a sequence of filtered (M_r, L, P) cubes.
 
     With the step-matched filter initialization the stationary-clutter
     transient is already zero, so all P symbols contribute, transient ones
     included: the early symbols buy real SNR for the search.
     """
     out = np.empty(len(checked))
-    for i, tensor in enumerate(checked):
-        _, n_sub, n_p = tensor.data.shape
-        out[i] = float(np.sum(np.abs(tensor.data) ** 2)) / (n_sub * n_p)
+    for i, cube in enumerate(checked):
+        _, n_sub, n_p = cube.shape
+        out[i] = float(np.sum(np.abs(cube) ** 2)) / (n_sub * n_p)
     return out
 
 

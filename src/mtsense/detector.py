@@ -168,8 +168,6 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     subspace the outcome is flagged undetectable (t = 0) instead of dividing
     by ~zero.
     """
-    if y.stage != "raw":
-        raise ValueError(f"the detector works on raw echoes, got stage {y.stage!r}")
     return _glr_evaluator(candidate, grid, plan, cfg, y.scan_index)(y.data[None])[0]
 
 

@@ -17,7 +17,7 @@ later scan of that scene and cfg shares them as read-only arrays.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,21 +119,16 @@ def _scene_factors(scene: Scene, kind: str, cfg: SystemConfig) -> ElementFactors
 
 @dataclass
 class EchoTensor:
-    """One scan's data cube plus bookkeeping.
+    """One scan's raw echo cube.
 
     data            (M_r, L, P) complex
     scan_index      b
     cfg             the SystemConfig it was synthesized under
-    stage           "raw", "normalized" or "filtered"
-    transient_mask  (P,) bool, True where the filter output is still settling;
-                    None before filtering
     """
 
     data: np.ndarray
     scan_index: int
     cfg: SystemConfig
-    stage: str = "raw"
-    transient_mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         expected = (self.cfg.m_rx, self.cfg.n_sub, self.cfg.n_sym)
@@ -220,9 +215,13 @@ def write_tensor(tensor: EchoTensor, path) -> None:
 
 def read_tensor(path, cfg: SystemConfig) -> EchoTensor:
     with open(path, "rb") as fh:
-        m_rx, n_sub, n_sym, b = _HEADER.unpack(fh.read(_HEADER.size))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    if flat.size != 2 * m_rx * n_sub * n_sym:
-        raise ValueError(f"payload size {flat.size} does not match header of {path}")
+        blob = fh.read()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{path} is shorter than the {_HEADER.size}-byte header")
+    m_rx, n_sub, n_sym, b = _HEADER.unpack_from(blob)
+    if len(blob) - _HEADER.size != 16 * m_rx * n_sub * n_sym:
+        raise ValueError(f"payload of {len(blob) - _HEADER.size} bytes does not match "
+                         f"the header of {path}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     data = (flat[0::2] + 1j * flat[1::2]).reshape(n_sym, n_sub, m_rx).transpose(2, 1, 0)
-    return EchoTensor(data=data.copy(), scan_index=int(b), cfg=cfg, stage="raw")
+    return EchoTensor(data=data.copy(), scan_index=int(b), cfg=cfg)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import beams, clutter, crb, detector, music
 from ._version import __version__
-from .echo import EchoTensor, synthesize_echo, write_tensor
+from .echo import synthesize_echo, write_tensor
 from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, Scene,
                     SystemConfig, blocks, check_fields, complex_normal, generate_scene,
                     integer, is_finite, number, reference_scene, rule, scene_to_dict,
@@ -297,14 +297,14 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
         raw = thread_map(lambda b: synthesize_echo(scene, plan, b, cfg, seed=seed),
                          range(plan.n_beams), threads)
 
-    checked: list[EchoTensor] = []
+    checked: list[np.ndarray] = []     # per-beam views into the filtered blocks
     if last_idx >= 1:
         with run.stage("filter"):
             filtered = thread_map(
-                lambda scans: clutter.filter_beams(
-                    [clutter.normalize_by_gain(raw[b], plan) for b in scans], filt),
+                lambda scans: clutter.filter_symbols(
+                    np.stack([clutter.normalize_by_gain(raw[b], plan) for b in scans]), filt),
                 blocks(plan.n_beams, threads), threads)
-            checked = [y for block in filtered for y in block]
+            checked = [cube for block in filtered for cube in block]
 
     candidates: list[int] = []
     if last_idx >= 2:
@@ -320,8 +320,9 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
     if last_idx >= 3:
         with run.stage("estimate"):
             est_rows = []
-            results = music.estimate_candidates([checked[b] for b in candidates],
-                                                candidates, cfg)
+            warmup = clutter.default_warmup(filt)
+            cubes = [checked[b][..., warmup:] for b in candidates]
+            results = music.estimate_candidates(np.stack(cubes), candidates, cfg) if cubes else []
             for b, res in zip(candidates, results):
                 if isinstance(res, Exception):     # per-scan isolation
                     run.errors.append({"scan": b, "stage": "estimate",
@@ -504,12 +505,12 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 power[near] = power_near
                 power[far] = far_power(rng, sigma2 / far_gain2)
                 peaks = clutter.top_local_maxima(power, n_t)
-                for b in _match_peaks_to_targets(peaks, scene, plan):
-                    windows.append(EchoTensor(data=window[slot[b]].copy(), scan_index=b,
-                                              cfg=cfg, stage="filtered"))
-                    scans.append(b)
+                matched = _match_peaks_to_targets(peaks, scene, plan)
+                windows.append(window[[slot[b] for b in matched]])
+                scans += matched
             est = np.empty((len(trials) * n_t, 3))
-            for row, res in enumerate(music.estimate_candidates(windows, scans, cfg)):
+            for row, res in enumerate(music.estimate_candidates(np.concatenate(windows),
+                                                                scans, cfg)):
                 if isinstance(res, Exception):
                     raise res
                 est[row] = res.theta_hat, res.range_hat, res.speed_hat

@@ -14,33 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .echo import EchoTensor
-from .clutter import retained_symbols
 from .scene import (
     SystemConfig,
     range_from_psi_r,
     speed_from_psi_d,
     theta_from_psi_s,
 )
-
-
-@dataclass(frozen=True)
-class SnapshotMatrix:
-    """M x I complex snapshot stack for one axis.
-
-    sign      +1 where the steering phase progresses as e^{+j2pi psi k}
-              (spatial, doppler), -1 for the range axis (e^{-j2pi psi l})
-    """
-
-    data: np.ndarray
-    sign: int
-
-    def __post_init__(self):
-        m, i = self.data.shape
-        if m < 2 or i < 2:
-            raise ValueError(f"snapshot matrix needs M >= 2 and I >= 2, got {m}x{i}")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -54,18 +33,14 @@ class EstimationResult:
     scan_index: int
 
 
-def _noise_subspaces(data: np.ndarray) -> np.ndarray:
-    """``noise_subspace`` of each matrix of an (n, M, I) snapshot stack."""
+def noise_subspace(data: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the sample covariance for the M-1 smallest eigenvalues,
+    (n, M, M-1), of each matrix of an (n, M, I) snapshot stack."""
     r_hat = (data @ data.conj().swapaxes(-1, -2)) / data.shape[-1]
     if not np.all(np.isfinite(r_hat)):
         raise ValueError("sample covariance has non-finite entries")
     _, vecs = np.linalg.eigh(r_hat)  # ascending eigenvalues
     return vecs[..., : data.shape[-2] - 1]
-
-
-def noise_subspace(f: SnapshotMatrix) -> np.ndarray:
-    """Eigenvectors of the sample covariance for the M-1 smallest eigenvalues."""
-    return _noise_subspaces(f.data[None])[0]
 
 
 def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
@@ -132,7 +107,7 @@ def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def stacked_music_roots(data: np.ndarray) -> list[np.ndarray]:
+def music_roots(data: np.ndarray) -> list[np.ndarray]:
     """Roots of the MUSIC null polynomial sum_k trace_k(Vn Vn^H) z^(M-1+k) of
     each matrix of an (n, M, I) snapshot stack; raises if any covariance is
     non-finite.
@@ -146,7 +121,7 @@ def stacked_music_roots(data: np.ndarray) -> list[np.ndarray]:
     order, and the companion matrices are np.roots's own, except that a row
     with a zero end coefficient goes through np.roots, which trims it.
     """
-    vn = _noise_subspaces(data)
+    vn = noise_subspace(data)
     proj = vn @ vn.conj().swapaxes(-1, -2)
     m = proj.shape[-1]
     coeffs = np.stack([np.diagonal(proj, k, -2, -1).copy().sum(axis=-1)
@@ -161,22 +136,20 @@ def stacked_music_roots(data: np.ndarray) -> list[np.ndarray]:
             for c, ok in zip(coeffs, full.tolist())]
 
 
-def music_roots(f: SnapshotMatrix) -> np.ndarray:
-    """Roots of one snapshot matrix's MUSIC null polynomial (``stacked_music_roots``)."""
-    return stacked_music_roots(f.data[None])[0]
-
-
-def stacked_root_music(data: np.ndarray, sign: int) -> list[float]:
+def root_music_frequency(data: np.ndarray, sign: int) -> list[float]:
     """Normalized frequency in (-0.5, 0.5] of each matrix of an (n, M, I)
-    snapshot stack of one axis sign, from the root nearest the unit circle.
+    snapshot stack, from the root nearest the unit circle.
 
     Among roots strictly inside the circle the one with the largest modulus is
     selected (ties broken toward the larger real part); its phase divided by
-    2 pi is the frequency estimate, negated for the range axis to undo that
-    axis's opposite phase convention. Raises if any matrix has no such root.
+    2 pi, times ``sign``, is the frequency estimate: sign is +1 where the
+    steering phase goes as e^{+j2pi psi k} (spatial, doppler) and -1 for the
+    range axis (e^{-j2pi psi l}). Raises if any matrix has no such root.
     """
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
     out = []
-    for roots in stacked_music_roots(data):
+    for roots in music_roots(data):
         inside = roots[np.abs(roots) < 1.0]
         if inside.size == 0:
             raise RuntimeError("no polynomial root strictly inside the unit circle")
@@ -187,63 +160,63 @@ def stacked_root_music(data: np.ndarray, sign: int) -> list[float]:
     return out
 
 
-def root_music_frequency(f: SnapshotMatrix) -> float:
-    """Root-MUSIC frequency of one snapshot matrix (``stacked_root_music``)."""
-    return stacked_root_music(f.data[None], f.sign)[0]
-
-
 # ---------------------------------------------------------------------------
 # snapshot stacks
 #
-# The tensor is (M_r, L, P). Only symbols outside the filter transient are
-# stacked. The column order is fixed so rearrangements are reproducible bit
-# for bit.
+# Each cube of the stack is (M_r, L, P') and holds only the symbols the
+# estimator keeps: a filtered cube past its transient. The column order is
+# fixed so rearrangements are reproducible bit for bit.
 
 _SIGNS = (+1, -1, +1)          # spatial, range, doppler
 
 
-def snapshots(y_check: EchoTensor, axis: int) -> SnapshotMatrix:
-    """Snapshot stack along cube axis 0 (spatial), 1 (range) or 2 (doppler).
+def snapshots(cubes: np.ndarray, axis: int) -> np.ndarray:
+    """(n, M, I) snapshot stack of an (n, M_r, L, P') stack of cubes, along
+    cube axis 0 (spatial), 1 (range) or 2 (doppler); raises if M or I is below 2.
 
     Rows run over ``axis``; columns run over the other two axes, the lower
     one fastest:
 
-        spatial  M_r x (L * P_eff)    subcarrier fast, symbol slow
-        range    L x (M_r * P_eff)    antenna fast, symbol slow
-        doppler  P_eff x (M_r * L)    antenna fast, subcarrier slow
+        spatial  M_r x (L * P')    subcarrier fast, symbol slow
+        range    L x (M_r * P')    antenna fast, symbol slow
+        doppler  P' x (M_r * L)    antenna fast, subcarrier slow
     """
-    cube = y_check.data[:, :, retained_symbols(y_check)]
-    others = sorted({0, 1, 2} - {axis}, reverse=True)
-    data = cube.transpose(axis, *others).reshape(cube.shape[axis], -1)
-    return SnapshotMatrix(data=data, sign=_SIGNS[axis])
+    others = sorted({1, 2, 3} - {axis + 1}, reverse=True)
+    data = cubes.transpose(0, axis + 1, *others).reshape(len(cubes), cubes.shape[axis + 1], -1)
+    m, i = data.shape[1:]
+    if m < 2 or i < 2:
+        raise ValueError(f"snapshot matrix needs M >= 2 and I >= 2, got {m}x{i}")
+    return data
 
 
-def estimate_candidates(tensors: list[EchoTensor], scans: list[int],
+def estimate_candidates(cubes: np.ndarray, scans: list[int],
                         cfg: SystemConfig) -> list[EstimationResult | Exception]:
-    """``estimate_candidate`` of each tensor (scan scans[i]), one stacked
-    root-MUSIC call per axis for all of them. If the stack or a unit
-    conversion fails, each tensor is estimated alone, and the entry of one
-    that fails is its exception.
+    """``estimate_candidate`` of each cube of an (n, M_r, L, P') stack (scan
+    scans[i]), one stacked root-MUSIC call per axis for all of them. An empty
+    stack gives []. If the stacked estimate or a unit conversion fails, each
+    cube is estimated alone, and the entry of one that fails is its exception.
     """
+    if len(cubes) == 0:
+        return []
     try:
-        psi = [stacked_root_music(np.stack([snapshots(y, axis).data for y in tensors]),
-                                  _SIGNS[axis]) for axis in range(3)]
+        psi = [root_music_frequency(snapshots(cubes, axis), _SIGNS[axis]) for axis in range(3)]
         return [EstimationResult(theta_from_psi_s(psi_s, cfg), range_from_psi_r(psi_r, cfg),
                                  speed_from_psi_d(psi_d, cfg), psi_s, psi_r, psi_d, b)
                 for psi_s, psi_r, psi_d, b in zip(*psi, scans)]
-    except Exception as exc:   # noqa: BLE001 - isolated per tensor below
-        if len(tensors) == 1:
+    except Exception as exc:   # noqa: BLE001 - isolated per cube below
+        if len(cubes) == 1:
             return [exc]
-        return [estimate_candidates([y], [b], cfg)[0] for y, b in zip(tensors, scans)]
+        return [estimate_candidates(cubes[i:i + 1], [b], cfg)[0] for i, b in enumerate(scans)]
 
 
-def estimate_candidate(y_check: EchoTensor, b: int, cfg: SystemConfig) -> EstimationResult:
-    """Angle, range and speed of the single target assumed present in scan b.
+def estimate_candidate(cube: np.ndarray, b: int, cfg: SystemConfig) -> EstimationResult:
+    """Angle, range and speed of the single target assumed present in scan b,
+    from its (M_r, L, P') cube of retained symbols.
 
     Negative range-frequency estimates wrap by one cycle before the meter
     conversion (range is nonnegative); angle and speed keep their sign.
     """
-    (res,) = estimate_candidates([y_check], [b], cfg)
+    (res,) = estimate_candidates(cube[None], [b], cfg)
     if isinstance(res, Exception):
         raise res
     return res

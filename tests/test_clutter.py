@@ -9,7 +9,7 @@ from scipy import signal, stats
 
 from mtsense import clutter as cl
 from mtsense import echo as ec
-from mtsense.beams import default_plan
+from mtsense.beams import default_plan, g_tilde
 from mtsense.scene import (Scene, Scatterer, SystemConfig, Target, complex_normal,
                            reference_scene)
 
@@ -145,8 +145,7 @@ def test_power_sampler_matches_full_draw(with_target):
     target = Target(theta=float(plan.directions[b]), range=3.0, speed=2.0, alpha=1.0)
     scene = Scene((target,) if with_target else (),
                   reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
-    clean = cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0),
-                                 plan).data
+    clean = cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0), plan)
     filt = cl.design_butterworth_highpass(2, 0.04)
     rng = np.random.default_rng(11)
     full = np.concatenate([
@@ -164,8 +163,7 @@ def _clean_cube(with_target, cfg, b=4):
     target = Target(theta=float(plan.directions[b]), range=3.0, speed=2.0, alpha=1.0)
     scene = Scene((target,) if with_target else (),
                   reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
-    return cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0),
-                                plan).data
+    return cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0), plan)
 
 
 def test_windowed_sampler_is_the_gaussian_conditioning():
@@ -262,13 +260,14 @@ def test_stationary_input_annihilated(small_plan):
     cfg = SystemConfig(m_tx=4, m_rx=3, n_sub=4, n_sym=30, noise_var=0.0)
     y = ec.synthesize_echo(_static_scene(), small_plan, 2, cfg, noise_var=0.0)
     tilde = cl.normalize_by_gain(y, small_plan)
-    out = cl.filter_symbols(tilde, cl.design_butterworth_highpass(2, 0.04))
-    scale = float(np.max(np.abs(tilde.data)))
-    assert float(np.max(np.abs(out.data))) < 1e-10 * scale
-    assert out.stage == "filtered"
-    assert out.transient_mask is not None
-    assert int(out.transient_mask.sum()) == 6
-    assert bool(out.transient_mask[:6].all())
+    g = 2.0  # the boresight gain g_tilde, sqrt(m_tx) for m_tx = 4
+    assert np.allclose(tilde * g, y.data, atol=1e-12)
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    out = cl.filter_symbols(tilde, filt)
+    scale = float(np.max(np.abs(tilde)))
+    assert float(np.max(np.abs(out))) < 1e-10 * scale
+    assert out.shape == tilde.shape
+    assert cl.default_warmup(filt) == 6
 
 
 def test_tone_reaches_steady_state():
@@ -279,12 +278,11 @@ def test_tone_reaches_steady_state():
     p = np.arange(cfg.n_sym)
     tone = np.exp(2j * np.pi * psi_d * p)
     data = np.tile(tone, (cfg.m_rx, cfg.n_sub, 1)).astype(complex)
-    tensor = ec.EchoTensor(data=data, scan_index=0, cfg=cfg, stage="normalized")
     filt = cl.design_butterworth_highpass(2, 0.04)
-    out = cl.filter_symbols(tensor, filt)
+    out = cl.filter_symbols(data, filt)
     h = freq_response(filt.num_coeffs, filt.den_coeffs, psi_d)
     want = h * tone[150:]
-    assert np.allclose(out.data[0, 0, 150:], want, atol=1e-9)
+    assert np.allclose(out[0, 0, 150:], want, atol=1e-9)
 
 
 def test_filter_symbols_rejects_short_frames(small_plan):
@@ -299,11 +297,9 @@ def test_filter_symbols_rejects_short_frames(small_plan):
 # before it filtered blocks of beams. The block filter must return each
 # beam's bytes.
 
-def _filter_symbols_per_item(y_tilde, filt):
-    warmup = cl.default_warmup(filt)
-    mask = np.zeros(y_tilde.data.shape[2], dtype=bool)
-    mask[:warmup] = True
-    return cl.step_matched_highpass(y_tilde.data, filt), mask
+def _filter_symbols_per_item(y, plan, filt):
+    g = g_tilde(plan, y.scan_index, y.cfg)
+    return cl.step_matched_highpass(y.data / g, filt)
 
 
 @pytest.mark.parametrize("order,cutoff", [(1, 0.1), (2, 0.04), (4, 0.2)])
@@ -313,41 +309,13 @@ def test_filter_beams_match_per_beam_filter(order, cutoff):
     scene = reference_scene(cfg, n_scatterers=30, seed=4)
     filt = cl.design_butterworth_highpass(order, cutoff)
     raw = [ec.synthesize_echo(scene, plan, b, cfg, seed=9) for b in range(plan.n_beams)]
-    tilde = [cl.normalize_by_gain(y, plan) for y in raw]
-    want = [_filter_symbols_per_item(y, filt) for y in tilde]
+    want = [_filter_symbols_per_item(y, plan, filt) for y in raw]
     for block in ([3], [0, 1, 2, 3, 4, 5, 6], list(range(11))):
-        got = cl.filter_beams([tilde[b] for b in block], filt)
-        for y, b in zip(got, block):
-            assert (y.scan_index, y.stage) == (b, "filtered")
-            assert y.data.tobytes() == want[b][0].tobytes()
-            assert np.array_equal(y.transient_mask, want[b][1])
-    assert cl.filter_symbols(tilde[4], filt).data.tobytes() == want[4][0].tobytes()
-
-
-def test_normalize_by_gain_stage_guard(small_cfg, small_plan):
-    y = ec.synthesize_echo(_static_scene(), small_plan, 0, small_cfg,
-                           noise_var=0.0)
-    tilde = cl.normalize_by_gain(y, small_plan)
-    assert tilde.stage == "normalized"
-    g = 2.0  # sqrt(m_tx) for m_tx = 4
-    assert np.allclose(tilde.data * g, y.data, atol=1e-12)
-    with pytest.raises(ValueError):
-        cl.normalize_by_gain(tilde, small_plan)
-
-
-def test_retained_symbols(small_cfg):
-    data = np.ones((small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym),
-                   dtype=complex)
-    plain = ec.EchoTensor(data=data, scan_index=0, cfg=small_cfg,
-                          stage="normalized")
-    assert np.array_equal(cl.retained_symbols(plain),
-                          np.arange(small_cfg.n_sym))
-    mask = np.zeros(small_cfg.n_sym, dtype=bool)
-    mask[:2] = True
-    masked = ec.EchoTensor(data=data, scan_index=0, cfg=small_cfg,
-                           stage="filtered", transient_mask=mask)
-    assert np.array_equal(cl.retained_symbols(masked),
-                          np.arange(2, small_cfg.n_sym))
+        got = cl.filter_symbols(np.stack([cl.normalize_by_gain(raw[b], plan) for b in block]),
+                                filt)
+        assert [cube.tobytes() for cube in got] == [want[b].tobytes() for b in block]
+    tilde = cl.normalize_by_gain(raw[4], plan)
+    assert cl.filter_symbols(tilde, filt).tobytes() == want[4].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +326,7 @@ def test_scan_spectrum_hand_values(small_cfg):
     for b in range(3):
         data = np.full((small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym),
                        float(b + 1), dtype=complex)
-        rows.append(ec.EchoTensor(data=data, scan_index=b, cfg=small_cfg,
-                                  stage="normalized"))
+        rows.append(data)
     spec = cl.scan_spectrum(rows)
     # mean power per (subcarrier, symbol) cell summed over antennas:
     # m_rx * (b+1)^2

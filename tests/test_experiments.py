@@ -466,6 +466,29 @@ def test_pipeline_empty_scene(tmp_path):
     assert len(read_rows(tmp_path / "detections.csv")) == 1
 
 
+def test_pipeline_estimates_on_the_symbols_past_the_transient(tmp_path, monkeypatch):
+    # the estimator gets each candidate's filtered cube without its first
+    # 3 x order symbols, and nothing else
+    config = ex.config_from_dict({"filter": {"order": 3}})
+    cfg, filt = config.system, config.filter.build()
+    estimate_candidates, seen = music.estimate_candidates, []
+
+    def recorded(cubes, scans, cfg):
+        seen.append((cubes.copy(), list(scans)))
+        return estimate_candidates(cubes, scans, cfg)
+    monkeypatch.setattr(music, "estimate_candidates", recorded)
+    manifest = ex.run_pipeline(config, tmp_path, last_stage="estimate")
+    ((cubes, scans),) = seen
+    assert scans == manifest["candidates"] and len(scans) == 2
+    assert cubes.shape == (2, cfg.m_rx, cfg.n_sub, cfg.n_sym - 3 * 3)
+    plan = default_plan(cfg)
+    scene = ex.build_scene(config, cfg, config.seed)
+    for cube, b in zip(cubes, scans):
+        y = synthesize_echo(scene, plan, b, cfg, seed=config.seed)
+        want = clutter.step_matched_highpass(y.data / g_tilde(plan, b, cfg), filt)
+        assert cube.tobytes() == want[..., 9:].tobytes()
+
+
 def test_pipeline_stage_cutoff(tmp_path):
     config = small_config()
     manifest = ex.run_pipeline(config, tmp_path / "a", last_stage="spectrum")
@@ -496,13 +519,13 @@ def test_pipeline_isolates_a_candidate_that_fails_in_the_stacked_estimate(
     checked = []
     scan_spectrum, find_peaks = clutter.scan_spectrum, clutter.find_peaks
 
-    def kept(tensors):
-        checked[:] = tensors
-        return scan_spectrum(tensors)
+    def kept(cubes):
+        checked[:] = cubes
+        return scan_spectrum(cubes)
 
     def poisoned(spectrum, rel_threshold):
         peaks = find_peaks(spectrum, rel_threshold)
-        checked[peaks[0]].data[0, 0, -1] = np.nan
+        checked[peaks[0]][0, 0, -1] = np.nan
         return peaks
     monkeypatch.setattr(clutter, "scan_spectrum", kept)
     monkeypatch.setattr(clutter, "find_peaks", poisoned)
@@ -692,9 +715,7 @@ def _sweep_mse_per_trial(config):
             peaks = clutter.top_local_maxima(power, n_t)
             sq = np.empty((n_t, 3))
             for i, b in enumerate(ex._match_peaks_to_targets(peaks, scene, plan)):
-                tensor = echo.EchoTensor(data=window[near.index(b)], scan_index=b, cfg=cfg,
-                                         stage="filtered")
-                res = music.estimate_candidate(tensor, b, cfg)
+                res = music.estimate_candidate(window[near.index(b)], b, cfg)
                 sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
                          (res.range_hat - truth[i, 1]) ** 2,
                          (res.speed_hat - truth[i, 2]) ** 2]

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from mtsense import clutter as cl
 from mtsense import echo as ec
 from mtsense import music as mu
-from mtsense.scene import Scene, SystemConfig, Target, frequencies_target
+from mtsense.scene import Scene, Target, frequencies_target
 
 
 def tone_snapshots(psi, m, n_snap, sign=+1, noise=0.0, seed=0, amp=1.0):
-    """M x I stack of a single complex tone with random per-snapshot phases."""
+    """(1, M, I) snapshot stack of a single complex tone with random
+    per-snapshot phases."""
     rng = np.random.default_rng(seed)
     k = np.arange(m)[:, None]
     phases = np.exp(2j * np.pi * rng.random(n_snap))[None, :]
@@ -21,7 +22,7 @@ def tone_snapshots(psi, m, n_snap, sign=+1, noise=0.0, seed=0, amp=1.0):
     if noise > 0.0:
         data = data + np.sqrt(noise / 2) * (
             rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap)))
-    return mu.SnapshotMatrix(data=data, sign=sign)
+    return data[None]
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +35,7 @@ def tone_snapshots(psi, m, n_snap, sign=+1, noise=0.0, seed=0, amp=1.0):
 def test_noise_subspace_hand_oracle():
     j3 = np.ones((3, 3))
     f_data = np.sqrt(3.0) * (np.eye(3) + j3 / 3.0)
-    f = mu.SnapshotMatrix(data=f_data.astype(complex), sign=+1)
-    vn = mu.noise_subspace(f)
+    vn = mu.noise_subspace(f_data.astype(complex)[None])[0]
     assert vn.shape == (3, 2)
     proj = vn @ vn.conj().T
     assert np.allclose(proj, np.eye(3) - j3 / 3.0, atol=1e-10)
@@ -44,18 +44,19 @@ def test_noise_subspace_hand_oracle():
 def test_noise_subspace_rejects_nonfinite():
     data = np.ones((3, 4), dtype=complex)
     data[1, 2] = np.inf
-    f = mu.SnapshotMatrix(data=data, sign=+1)
     with pytest.raises(ValueError):
-        mu.noise_subspace(f)
+        mu.noise_subspace(data[None])
 
 
 def test_snapshot_matrix_validation():
+    # a cube stack whose snapshot matrices would be 1 x 5 or 5 x 1, and a sign
+    # that is neither +1 nor -1
     with pytest.raises(ValueError):
-        mu.SnapshotMatrix(data=np.ones((1, 5), dtype=complex), sign=+1)
+        mu.snapshots(np.ones((2, 1, 5, 1), dtype=complex), 0)
     with pytest.raises(ValueError):
-        mu.SnapshotMatrix(data=np.ones((5, 1), dtype=complex), sign=+1)
+        mu.snapshots(np.ones((2, 5, 1, 1), dtype=complex), 0)
     with pytest.raises(ValueError):
-        mu.SnapshotMatrix(data=np.ones((3, 3), dtype=complex), sign=2)
+        mu.root_music_frequency(np.ones((1, 3, 3), dtype=complex), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -63,12 +64,12 @@ def test_snapshot_matrix_validation():
 # polynomial rooting path; shares only the covariance/eigh step.
 
 def grid_music(f, step=1e-4):
-    vn = mu.noise_subspace(f)
+    vn = mu.noise_subspace(f)[0]
     proj = vn @ vn.conj().T
     m = proj.shape[0]
     grid = np.arange(-0.5 + step, 0.5 + step / 2, step)
     k = np.arange(m)[:, None]
-    steer = np.exp(f.sign * 2j * np.pi * k * grid[None, :])
+    steer = np.exp(2j * np.pi * k * grid[None, :])
     null = np.einsum("ki,kl,li->i", steer.conj(), proj, steer).real
     return float(grid[np.argmin(null)])
 
@@ -78,7 +79,7 @@ def test_root_matches_grid_search():
         rng = np.random.default_rng(100 + trial)
         psi = float(rng.uniform(-0.45, 0.45))
         f = tone_snapshots(psi, m=8, n_snap=64, noise=0.01, seed=200 + trial)
-        psi_root = mu.root_music_frequency(f)
+        (psi_root,) = mu.root_music_frequency(f, +1)
         psi_grid = grid_music(f, step=1e-4)
         assert abs(psi_root - psi_grid) < 1e-3
         assert abs(psi_root - psi) < 1e-3
@@ -87,19 +88,19 @@ def test_root_matches_grid_search():
 def test_exact_tone_recovery_both_signs():
     psi = 0.2173
     f_pos = tone_snapshots(psi, m=6, n_snap=32, sign=+1, seed=5)
-    assert mu.root_music_frequency(f_pos) == pytest.approx(psi, abs=1e-8)
+    assert mu.root_music_frequency(f_pos, +1) == pytest.approx([psi], abs=1e-8)
     # range-style data e^{-j2pi l psi} with sign=-1 must recover +psi
     f_neg = tone_snapshots(psi, m=6, n_snap=32, sign=-1, seed=6)
-    assert mu.root_music_frequency(f_neg) == pytest.approx(psi, abs=1e-8)
+    assert mu.root_music_frequency(f_neg, -1) == pytest.approx([psi], abs=1e-8)
     f_negpsi = tone_snapshots(-0.31, m=6, n_snap=32, sign=+1, seed=7)
-    assert mu.root_music_frequency(f_negpsi) == pytest.approx(-0.31, abs=1e-8)
+    assert mu.root_music_frequency(f_negpsi, +1) == pytest.approx([-0.31], abs=1e-8)
 
 
 def test_half_cycle_stays_in_range():
     # a tone at the Nyquist edge alternates sign; +0.5 and -0.5 are the same
     # frequency, so check closeness on the circle and the documented interval
     f = tone_snapshots(0.5, m=6, n_snap=32, seed=8)
-    psi = mu.root_music_frequency(f)
+    (psi,) = mu.root_music_frequency(f, +1)
     assert -0.5 < psi <= 0.5
     circ = min(abs(psi - 0.5), abs(psi + 0.5))
     assert circ < 1e-8
@@ -109,7 +110,7 @@ def test_roots_pair_conjugate_reciprocal():
     # real-coefficient-free sanity: the null polynomial is conjugate
     # symmetric, so roots off the unit circle come in (z, 1/conj(z)) pairs
     f = tone_snapshots(0.11, m=6, n_snap=40, noise=0.05, seed=9)
-    roots = mu.music_roots(f)
+    (roots,) = mu.music_roots(f)
     inside = roots[np.abs(roots) < 1.0 - 1e-9]
     for z in inside:
         partner = 1.0 / np.conj(z)
@@ -203,7 +204,7 @@ def test_reciprocal_symmetrize_matches_scalar_loop_on_companion_roots():
         if trial % 2:
             tone = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(m))
             data += rng.uniform(0.1, 30.0) * np.outer(tone, np.exp(2j * np.pi * rng.random(n_snap)))
-        proj = mu.noise_subspace(mu.SnapshotMatrix(data=data, sign=1))
+        proj = mu.noise_subspace(data[None])[0]
         proj = proj @ proj.conj().T
         _assert_same_pairing(np.roots([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
     for roots in ([0.5, 3.0], [0.0, 2.0, 0.5, 0.5], [1.0 + 1j, 0.5, 2.0], []):
@@ -213,10 +214,10 @@ def test_reciprocal_symmetrize_matches_scalar_loop_on_companion_roots():
 def test_coefficients_match_np_trace(rng):
     for m in (2, 5, 9, 16, 21):
         data = rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40))
-        vn = mu.noise_subspace(mu.SnapshotMatrix(data=data, sign=1))
+        vn = mu.noise_subspace(data[None])[0]
         proj = vn @ vn.conj().T
         want = np.roots(np.array([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
-        got = mu.music_roots(mu.SnapshotMatrix(data=data, sign=1))
+        (got,) = mu.music_roots(data[None])
         assert got.tobytes() == _reciprocal_symmetrize_loop(want).tobytes()
 
 
@@ -283,45 +284,51 @@ def test_stacked_root_music_matches_per_item(data, sign, poisoned):
         # the stack raises what its first failing row raises alone
         first = next(w for w in want if isinstance(w, Exception))
         with pytest.raises(type(first), match=str(first)):
-            mu.stacked_music_roots(data)
+            mu.music_roots(data)
         keep = [j for j, w in enumerate(want) if not isinstance(w, Exception)]
         data, want, freqs = data[keep], [want[j] for j in keep], [freqs[j] for j in keep]
         if not keep:
             return
-    got = mu.stacked_music_roots(data)
+    got = mu.music_roots(data)
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     for j, row in enumerate(data):
-        assert mu.music_roots(mu.SnapshotMatrix(data=row, sign=sign)).tobytes() \
-            == want[j].tobytes()
+        assert mu.music_roots(row[None])[0].tobytes() == want[j].tobytes()
     failed = [f for f in freqs if isinstance(f, Exception)]
     if failed:
         with pytest.raises(type(failed[0])):
-            mu.stacked_root_music(data, sign)
+            mu.root_music_frequency(data, sign)
     else:
-        assert mu.stacked_root_music(data, sign) == freqs
-        assert [mu.root_music_frequency(mu.SnapshotMatrix(data=row, sign=sign))
-                for row in data] == freqs
+        assert mu.root_music_frequency(data, sign) == freqs
+        assert [mu.root_music_frequency(row[None], sign)[0] for row in data] == freqs
 
 
 def test_estimate_candidates_isolate_a_failing_tensor(cfg, plan):
     # one candidate's cube turns non-finite after filtering: its entry is the
     # exception it raises alone, and the others keep their stacked estimates
     rng = np.random.default_rng(5)
-    tensors = []
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    cubes = []
     for b in (20, 21, 22):
         target = Target(theta=float(plan.directions[b]), range=3.0 + 0.1 * b, speed=2.0,
                         alpha=1.0)
         y = ec.synthesize_echo(Scene((target,), ()), plan, b, cfg, seed=int(rng.integers(99)))
-        tensors.append(cl.filter_symbols(cl.normalize_by_gain(y, plan),
-                                         cl.design_butterworth_highpass(2, 0.04)))
-    alone = [mu.estimate_candidate(t, b, cfg) for t, b in zip(tensors, (20, 21, 22))]
-    assert mu.estimate_candidates(tensors, [20, 21, 22], cfg) == alone
-    tensors[1].data[0, 0, -1] = np.nan
-    got = mu.estimate_candidates(tensors, [20, 21, 22], cfg)
+        cubes.append(cl.filter_symbols(cl.normalize_by_gain(y, plan), filt)
+                     [..., cl.default_warmup(filt):])
+    cubes = np.stack(cubes)
+    alone = [mu.estimate_candidate(c, b, cfg) for c, b in zip(cubes, (20, 21, 22))]
+    assert mu.estimate_candidates(cubes, [20, 21, 22], cfg) == alone
+    cubes[1, 0, 0, -1] = np.nan
+    got = mu.estimate_candidates(cubes, [20, 21, 22], cfg)
     assert got[0] == alone[0] and got[2] == alone[2]
     assert isinstance(got[1], ValueError) and "non-finite" in str(got[1])
     with pytest.raises(ValueError, match="non-finite"):
-        mu.estimate_candidate(tensors[1], 21, cfg)
+        mu.estimate_candidate(cubes[1], 21, cfg)
+
+
+def test_estimate_candidates_of_an_empty_stack(cfg):
+    # no candidates: no estimates, and no reshape of a zero-size stack
+    empty = np.empty((0, cfg.m_rx, cfg.n_sub, cfg.n_sym - 6), dtype=complex)
+    assert mu.estimate_candidates(empty, [], cfg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -346,48 +353,40 @@ def _loop_doppler(cube):
 
 
 def test_snapshot_builders_match_loops(small_cfg, rng):
-    shape = (small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym)
+    shape = (2, small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mask = np.zeros(small_cfg.n_sym, dtype=bool)
-    mask[:2] = True
-    t = ec.EchoTensor(data=data, scan_index=0, cfg=small_cfg, stage="filtered",
-                      transient_mask=mask)
-    cube = data[:, :, 2:]
+    cubes = data[..., 2:]      # the stack past a 2-symbol transient
 
-    sp = mu.snapshots(t, 0)
-    assert sp.sign == +1 and sp.data.shape[0] == small_cfg.m_rx
-    assert np.array_equal(sp.data, _loop_spatial(cube))
+    sp = mu.snapshots(cubes, 0)
+    assert mu._SIGNS[0] == +1 and sp.shape[:2] == (2, small_cfg.m_rx)
+    assert np.array_equal(sp, [_loop_spatial(c) for c in cubes])
 
-    ra = mu.snapshots(t, 1)
-    assert ra.sign == -1 and ra.data.shape[0] == small_cfg.n_sub
-    assert np.array_equal(ra.data, _loop_range(cube))
+    ra = mu.snapshots(cubes, 1)
+    assert mu._SIGNS[1] == -1 and ra.shape[:2] == (2, small_cfg.n_sub)
+    assert np.array_equal(ra, [_loop_range(c) for c in cubes])
 
-    do = mu.snapshots(t, 2)
-    assert do.sign == +1 and do.data.shape[0] == small_cfg.n_sym - 2
-    assert np.array_equal(do.data, _loop_doppler(cube))
+    do = mu.snapshots(cubes, 2)
+    assert mu._SIGNS[2] == +1 and do.shape[:2] == (2, small_cfg.n_sym - 2)
+    assert np.array_equal(do, [_loop_doppler(c) for c in cubes])
 
 
 @st.composite
-def _masked_cubes(draw):
-    """A random (M_r, L, P) cube and a transient mask that keeps >= 2 symbols."""
-    shape = tuple(draw(st.integers(2, 5)) for _ in range(3))
-    mask = np.array(draw(st.lists(st.booleans(), min_size=shape[2],
-                                  max_size=shape[2])))
-    mask[draw(st.lists(st.integers(0, shape[2] - 1), min_size=2, max_size=2,
-                       unique=True))] = False
+def _cube_stacks(draw):
+    """A random (n, M_r, L, P) stack, and a number of leading transient
+    symbols that keeps >= 2 of them."""
+    shape = (draw(st.integers(1, 3)), *(draw(st.integers(2, 5)) for _ in range(3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cfg = SystemConfig(m_tx=2, m_rx=shape[0], n_sub=shape[1], n_sym=shape[2])
-    return ec.EchoTensor(data=data, scan_index=0, cfg=cfg, stage="filtered",
-                         transient_mask=mask)
+    return data, draw(st.integers(0, shape[3] - 2))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(_masked_cubes(), st.integers(0, 2))
-def test_snapshots_match_loops_for_any_shape_and_mask(t, axis):
+@given(_cube_stacks(), st.integers(0, 2))
+def test_snapshots_match_loops_for_any_shape_and_mask(stack, axis):
+    data, warmup = stack
     loop = (_loop_spatial, _loop_range, _loop_doppler)[axis]
-    assert np.array_equal(mu.snapshots(t, axis).data,
-                          loop(t.data[:, :, ~t.transient_mask]))
+    assert np.array_equal(mu.snapshots(data[..., warmup:], axis),
+                          [loop(c[:, :, warmup:]) for c in data])
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +398,7 @@ def test_estimate_candidate_exact_on_clean_echo(cfg, plan):
     from mtsense.beams import beam_for_angle
     b = beam_for_angle(plan, target.theta)
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    tilde = cl.normalize_by_gain(y, plan)
-    res = mu.estimate_candidate(tilde, b, cfg)
+    res = mu.estimate_candidate(cl.normalize_by_gain(y, plan), b, cfg)
     psi_r, psi_d, psi_s = frequencies_target(target, cfg)
     assert res.psi_s_hat == pytest.approx(psi_s, abs=1e-8)
     assert res.psi_r_hat == pytest.approx(psi_r, abs=1e-8)
@@ -413,15 +411,15 @@ def test_estimate_candidate_exact_on_clean_echo(cfg, plan):
 
 def test_estimate_candidate_after_filtering(cfg, plan):
     # with the clutter filter in the loop the tone amplitude changes but the
-    # frequencies survive; transient symbols are excluded by the mask
+    # frequencies survive; the transient symbols are left out
     target = Target(theta=-0.35, range=3.0, speed=3.0, alpha=1.0 + 0.0j)
     scene = Scene((target,), ())
     from mtsense.beams import beam_for_angle
     b = beam_for_angle(plan, target.theta)
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    out = cl.filter_symbols(cl.normalize_by_gain(y, plan),
-                            cl.design_butterworth_highpass(2, 0.04))
-    res = mu.estimate_candidate(out, b, cfg)
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    out = cl.filter_symbols(cl.normalize_by_gain(y, plan), filt)
+    res = mu.estimate_candidate(out[..., cl.default_warmup(filt):], b, cfg)
     assert res.theta_hat == pytest.approx(target.theta, abs=2e-3)
     assert res.range_hat == pytest.approx(target.range, abs=2e-2)
     assert res.speed_hat == pytest.approx(target.speed, abs=2e-2)
