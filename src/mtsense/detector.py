@@ -214,8 +214,9 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     The default candidate is the first target of scene_h1 at its covering
     beam, tested at its true frequencies. Each hypothesis' noiseless cube is
     synthesized once; trial i of hypothesis h at the k-th SNR adds the noise
-    of seed (seed, k, h, i). The statistic runs on blocks of trials, spread
-    over ``threads`` worker threads, which changes only the execution order.
+    of seed (seed, k, h, i). The statistic runs on blocks of trials, and the
+    blocks of all SNRs and both hypotheses go to one pool of ``threads``
+    worker threads, which changes only the execution order.
     Thresholds sweep the pooled statistic range (quantile grid plus open
     endpoints), so each curve starts at (1, 1) and ends at (0, 0) and is
     monotone by construction. Returns {snr_db: [(gamma, p_fa, p_d), ...]}.
@@ -235,15 +236,18 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     evaluate = _glr_evaluator(candidate, grid, plan, cfg, b)
 
     def _block(job) -> list[float]:
-        k, h, trials, sigma2 = job
-        cubes = noisy_copies(clean[h], sigma2, [(seed, k, h, i) for i in trials])
+        k, h, trials = job
+        cubes = noisy_copies(clean[h], 10.0 ** (-snr_list_db[k] / 10.0),
+                             [(seed, k, h, i) for i in trials])
         return [out.statistic for out in evaluate(cubes)]
 
+    per_snr = [(h, trials) for h in (0, 1) for trials in blocks(n_trials)]
+    stats = thread_map(_block, [(k, *job) for k in range(len(snr_list_db))
+                                for job in per_snr], threads)
     curves: dict[float, list[tuple[float, float, float]]] = {}
     for k, snr_db in enumerate(snr_list_db):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        jobs = [(k, h, trials, sigma2) for h in (0, 1) for trials in blocks(n_trials)]
-        pooled = np.array([t for ts in thread_map(_block, jobs, threads) for t in ts])
+        own = stats[k * len(per_snr):(k + 1) * len(per_snr)]
+        pooled = np.array([t for ts in own for t in ts])
         t0, t1 = pooled[:n_trials], pooled[n_trials:]
         qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))
         gammas = np.concatenate([[-math.inf], np.unique(qs), [math.inf]])

@@ -45,9 +45,10 @@ from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, S
 
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
-# Sweep trials per worker call. A trial's windows are far smaller than a cube:
-# the default sweep at --threads 2 on a 2-vCPU host took 4.8 s in blocks of 16
-# and 7.0 s in blocks of 4, at the same peak RSS (one thread: 8.2 and 8.4 s).
+# Sweep (SNR, trial) pairs per worker call. The default sweep (600 pairs) at
+# --threads 2 on a 2-vCPU host took 3.6-4.1 s in blocks of 16 and 4.9-5.9 s in
+# blocks of 8; blocks of 32 took 3.3-4.1 s but raised peak RSS from 92 to
+# 112 MB. One thread took 6.6-7.1 s.
 _TRIAL_BLOCK = 16
 
 
@@ -452,9 +453,11 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         frame is drawn from its law given that window;
       - every other beam feeds the search its filtered power alone, drawn
         from its law.
-    Trials run in blocks, one per worker call; each trial keeps its own random
-    stream, and a block's windows are estimated in one stacked root-MUSIC
-    call per axis, so the bytes do not depend on the thread count.
+    The (SNR, trial) pairs of all SNRs are cut into blocks for one pool of
+    worker threads. Each trial keeps its own random stream, (seed, SNR index,
+    trial), and a block's windows are estimated in one stacked root-MUSIC
+    call per axis, so the bytes depend neither on the thread count nor on
+    the SNRs listed after a trial's own.
 
     The bound for each target is its own single-target FIM at the beam
     covering it: that is the data the per-beam estimator actually sees.
@@ -494,10 +497,12 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         gains = gains[near]
         slot = {b: i for i, b in enumerate(near)}
 
-        def _trials(args) -> np.ndarray:
-            k, trials, sigma2 = args
+        sigma2s = [10.0 ** (-snr_db / 10.0) for snr_db in config.snr_list_db]
+
+        def _trials(block) -> np.ndarray:
             windows, scans = [], []
-            for trial in trials:
+            for k, trial in block:
+                sigma2 = sigma2s[k]
                 rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
                 noise = complex_normal(rng, sigma2, near_power.shape)
                 window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power, rng)
@@ -508,13 +513,13 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 matched = _match_peaks_to_targets(peaks, scene, plan)
                 windows.append(window[[slot[b] for b in matched]])
                 scans += matched
-            est = np.empty((len(trials) * n_t, 3))
+            est = np.empty((len(block) * n_t, 3))
             for row, res in enumerate(music.estimate_candidates(np.concatenate(windows),
                                                                 scans, cfg)):
                 if isinstance(res, Exception):
                     raise res
                 est[row] = res.theta_hat, res.range_hat, res.speed_hat
-            return (est.reshape(len(trials), n_t, 3) - truth) ** 2
+            return (est.reshape(len(block), n_t, 3) - truth) ** 2
 
         unit_bounds = [
             crb.crb_eta_t(crb.fim_blocks(beams.beam_for_angle(plan, t.theta),
@@ -522,13 +527,13 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                                          plan, cfg, sigma2=1.0))
             for t in scene.targets
         ]
+        pairs = [(k, trial) for k in range(len(sigma2s)) for trial in range(config.n_trials)]
+        jobs = [pairs[r.start:r.stop] for r in blocks(len(pairs), threads, _TRIAL_BLOCK)]
+        sq = np.concatenate(thread_map(_trials, jobs, threads)).reshape(len(sigma2s), -1, n_t, 3)
         for k, snr_db in enumerate(config.snr_list_db):
-            sigma2 = 10.0 ** (-snr_db / 10.0)
-            jobs = [(k, trials, sigma2)
-                    for trials in blocks(config.n_trials, threads, _TRIAL_BLOCK)]
-            mse = np.mean(np.concatenate(thread_map(_trials, jobs, threads)), axis=0)
+            mse = np.mean(sq[k], axis=0)
             for i, unit in enumerate(unit_bounds):
-                bound = _bound_at(unit, sigma2)
+                bound = _bound_at(unit, sigma2s[k])
                 for j, name in enumerate(("theta", "range", "speed")):
                     rows.append((float(snr_db), f"{name}_{i + 1}", float(mse[i, j]),
                                  float(bound.crb_matrix[j, j])))

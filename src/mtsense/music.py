@@ -44,7 +44,8 @@ def noise_subspace(data: np.ndarray) -> np.ndarray:
 
 
 def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
-    """Restore the exact reciprocal pairing of the null polynomial's roots.
+    """Restore the exact reciprocal pairing of the null polynomial's roots,
+    for one root set (N,) or a stack of them (n, N).
 
     The coefficient sequence below is conjugate-symmetric (the projector is
     Hermitian to the bit), so the exact root multiset is closed under
@@ -57,54 +58,53 @@ def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
     (never the case for a conjugate-symmetric input) are left untouched.
 
     Greedy: the root farthest off the circle takes first, and its partner is
-    the nearest free root to its image 1/conj(u) (the lowest index on a tie).
-    The images, distances and tolerances are computed once as arrays, the
-    pairs rebuilt in one step. ``abs`` of a complex scalar is hypot(re, im);
-    np.abs of a complex array may differ from it in the last bit, so the
-    tolerance test uses np.hypot.
+    the nearest free root to its image 1/conj(u) (a NaN distance nearest, the
+    lowest index on a tie). The images, distances and tolerances are arrays;
+    the greedy steps through the ``order`` positions once for the whole
+    stack, one masked argmin per row and step, and the pairs are rebuilt in
+    one step. ``abs`` of a complex scalar is hypot(re, im); np.abs of a
+    complex array may differ from it in the last bit, so the tolerance test
+    uses np.hypot.
     """
-    n = len(roots)
-    if n % 2:
+    stack = np.atleast_2d(roots)
+    s, n = stack.shape
+    if n % 2 or stack.size == 0:
         return roots
-    order = np.argsort(-np.abs(np.abs(roots) - 1.0))  # most off-circle first
+    order = np.argsort(-np.abs(np.abs(stack) - 1.0), axis=1)  # most off-circle first
     with np.errstate(divide="ignore", invalid="ignore"):    # a zero root is never paired
-        images = 1.0 / np.conj(roots)
-    diff = roots[None, :] - images[:, None]          # row i: roots minus u_i's image
+        images = 1.0 / np.conj(stack)
+    diff = (stack[:, None, :] - images[:, :, None]).reshape(s * n, n)  # roots - image of flat i
     dist = np.abs(diff)
-    # nearest first, ties by index; a NaN distance comes first, as in np.argmin
-    nearest = np.argsort(np.where(np.isnan(dist), -np.inf, dist), axis=1,
-                         kind="stable").tolist()
-    matched = ~(np.hypot(diff.real, diff.imag)
-                > 1e-3 * (1.0 + np.hypot(images.real, images.imag))[:, None])
-    matched = matched.tolist()
-    pairable = ((roots != 0) & np.isfinite(roots)).tolist()
-    used = [False] * n
-    single, single_at, first, second, pair_at = [], [], [], [], []
-    at = 0                                            # next output position
-    for i in order.tolist():
-        if used[i]:
+    # distances >= 0 order as their bit patterns do; a NaN comes first, a used root last
+    key, last = np.where(np.isnan(dist), -1, dist.view(np.int64)), np.iinfo(np.int64).max
+    tol = (1e-3 * (1.0 + np.hypot(images.real, images.imag))).ravel()
+    flat, base = stack.ravel(), np.arange(s) * n     # base: flat index of each row's root 0
+    pairable = (flat != 0) & np.isfinite(flat)
+    used = np.zeros((s, n), dtype=bool)
+    flat_used = used.reshape(-1)
+    steps = []
+    for gi in (order + base[:, None]).T:
+        fresh = ~flat_used[gi]
+        if not fresh.any():
             continue
-        used[i] = True
-        j = next((j for j in nearest[i] if not used[j]), None) if pairable[i] else None
-        if j is None or not matched[i][j]:
-            single.append(i)
-            single_at.append(at)
-            at += 1
-            continue
-        used[j] = True
-        first.append(i)
-        second.append(j)
-        pair_at.append(at)
-        at += 2
-    u, v = roots[first], roots[second]
+        flat_used[gi] = True
+        j = np.where(used, last, key[gi]).argmin(axis=1)
+        d, gj = diff[gi, j], base + j
+        pair = fresh & pairable[gi] & ~flat_used[gj] & ~(np.hypot(d.real, d.imag) > tol[gi])
+        flat_used[gj] |= pair
+        steps.append((gi, gj, fresh, pair))
+    gi, gj, fresh, pair = map(np.array, zip(*steps))          # (steps, s) each
+    width = fresh + pair.astype(int)                 # output slots each step fills
+    at = base + np.cumsum(width, axis=0) - width     # flat output index
+    out = np.empty(s * n, dtype=complex)
+    single = fresh & ~pair
+    out[at[single]] = flat[gi[single]]
+    u, v, at = flat[gi[pair]], flat[gj[pair]], at[pair]
     r = np.sqrt(np.hypot(u.real, u.imag) / np.hypot(v.real, v.imag))
     zeta = r * np.exp(1j * (np.angle(u) + 0.5 * np.angle(v / u)))
-    out = np.empty(n, dtype=complex)
-    out[single_at] = roots[single]
-    pair_at = np.array(pair_at, dtype=int)
-    out[pair_at] = zeta
-    out[pair_at + 1] = 1.0 / np.conj(zeta)
-    return out
+    out[at] = zeta
+    out[at + 1] = 1.0 / np.conj(zeta)
+    return out.reshape(roots.shape)
 
 
 def music_roots(data: np.ndarray) -> list[np.ndarray]:
@@ -131,8 +131,8 @@ def music_roots(data: np.ndarray) -> list[np.ndarray]:
     companion = np.zeros((np.count_nonzero(full), size, size), dtype=coeffs.dtype)
     companion[:, np.arange(1, size), np.arange(size - 1)] = 1
     companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
-    roots = iter(np.linalg.eigvals(companion))
-    return [_reciprocal_symmetrize(next(roots) if ok else np.roots(c))
+    roots = iter(_reciprocal_symmetrize(np.linalg.eigvals(companion)))
+    return [next(roots) if ok else _reciprocal_symmetrize(np.roots(c))
             for c, ok in zip(coeffs, full.tolist())]
 
 
@@ -145,19 +145,23 @@ def root_music_frequency(data: np.ndarray, sign: int) -> list[float]:
     2 pi, times ``sign``, is the frequency estimate: sign is +1 where the
     steering phase goes as e^{+j2pi psi k} (spatial, doppler) and -1 for the
     range axis (e^{-j2pi psi l}). Raises if any matrix has no such root.
+    The selection runs as array steps over the whole stack.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    out = []
-    for roots in music_roots(data):
-        inside = roots[np.abs(roots) < 1.0]
-        if inside.size == 0:
-            raise RuntimeError("no polynomial root strictly inside the unit circle")
-        mags = np.abs(inside)
-        tied = inside[mags > mags.max() - 1e-12]
-        psi = sign * float(np.angle(tied[np.argmax(tied.real)])) / (2.0 * math.pi)
-        out.append(psi + 1.0 if psi <= -0.5 else psi)
-    return out
+    sets = music_roots(data)
+    roots = np.full((len(sets), max(map(len, sets))), np.nan, dtype=complex)
+    for row, found in zip(roots, sets):         # a trimmed set is padded with NaN
+        row[:len(found)] = found
+    mags = np.abs(roots)
+    inside = mags < 1.0
+    if not inside.any(axis=1).all():
+        raise RuntimeError("no polynomial root strictly inside the unit circle")
+    top = np.where(inside, mags, -np.inf).max(axis=1, keepdims=True)
+    tied = inside & (mags > top - 1e-12)
+    pick = np.where(tied, roots.real, -np.inf).argmax(axis=1)
+    psi = sign * np.angle(roots[np.arange(len(roots)), pick]) / (2.0 * math.pi)
+    return np.where(psi <= -0.5, psi + 1.0, psi).tolist()
 
 
 # ---------------------------------------------------------------------------

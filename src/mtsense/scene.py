@@ -225,9 +225,16 @@ def frequencies_scatterer(s: Scatterer, cfg: SystemConfig) -> tuple[float, float
 # random generation
 
 def complex_normal(rng: np.random.Generator, var: float, size=None) -> np.ndarray:
-    """CN(0, var): independent real/imag parts, each N(0, var/2)."""
+    """CN(0, var): independent real/imag parts, each N(0, var/2), the real parts
+    drawn first and filled in place, with the bytes of scale * (re + 1j * im)."""
     scale = math.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    if size is None:                              # one draw: plain Python arithmetic
+        return scale * (rng.standard_normal() + 1j * rng.standard_normal())
+    part = rng.standard_normal(size)
+    out = np.empty(part.shape, dtype=complex)
+    np.multiply(part, scale, out=out.real)
+    np.multiply(rng.standard_normal(out=part), scale, out=out.imag)
+    return out
 
 
 ANGLE_SUPPORT_DEG = (-60.0, 60.0)

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtsense import cli, clutter, echo, music
+from mtsense import cli, clutter, detector, echo, music
 from mtsense import experiments as ex
 from mtsense.echo import read_tensor, synthesize_echo
 from mtsense.beams import beam_for_angle, default_plan, g_tilde
 from mtsense.scene import (C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig,
                            Target, complex_normal)
 from mtsense.scene import blocks as scene_blocks
+from mtsense.scene import thread_map as scene_thread_map
 
 # a deliberately small setup so every pipeline test stays well under a second
 SMALL_RAW = {
@@ -740,6 +741,50 @@ def test_sweep_blocks_match_the_per_trial_loop(tmp_path):
         rows = read_rows(tmp_path / str(threads) / "sweep.csv")[1:]
         assert {(float(r[0]), r[1]): float(r[2]) for r in rows} == want
         assert len(rows) == len(want) == 2 * 2 * 3
+
+
+def _rows_at(path, snr_db):
+    lines = path.read_bytes().splitlines(keepends=True)
+    return [line for line in lines[1:] if float(line.split(b",")[0]) == snr_db]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads):
+    # 5 trials alone, or 10 (SNR, trial) pairs whose blocks mix the two SNRs
+    for name, snrs in (("one", [0.0]), ("two", [0.0, 20.0])):
+        config = small_config(snr_list_db=snrs, n_trials=5, sweep={"n_sym_synth": 24})
+        ex.sweep_snr(config, tmp_path / name, threads=threads)
+    one = _rows_at(tmp_path / "one" / "sweep.csv", 0.0)
+    assert len(one) == 3
+    assert _rows_at(tmp_path / "two" / "sweep.csv", 0.0) == one
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_roc_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads):
+    for name, snrs in (("one", [0.0]), ("two", [0.0, 10.0])):
+        config = small_config(snr_list_db=snrs, n_trials=9, detector={"n_thresholds": 11})
+        ex.roc_experiment(config, tmp_path / name, threads=threads)
+    one = _rows_at(tmp_path / "one" / "roc.csv", 0.0)
+    assert len(one) > 2
+    assert _rows_at(tmp_path / "two" / "roc.csv", 0.0) == one
+
+
+def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
+    # one job list per command: every (SNR, trial) block goes to one thread_map
+    calls = []
+
+    def counted(fn, items, threads):
+        calls.append(len(items))
+        return scene_thread_map(fn, items, threads)
+    monkeypatch.setattr(ex, "thread_map", counted)
+    monkeypatch.setattr(detector, "thread_map", counted)
+    config = small_config(snr_list_db=[0.0, 10.0, 20.0], n_trials=5,
+                          sweep={"n_sym_synth": 24})
+    ex.sweep_snr(config, tmp_path / "sweep", threads=2)
+    assert calls == [len(scene_blocks(3 * 5, 2, ex._TRIAL_BLOCK))]
+    calls.clear()
+    ex.roc_experiment(config, tmp_path / "roc", threads=2)
+    assert calls == [3 * 2 * len(scene_blocks(5))]
 
 
 def test_sweep_validates_synth_window():

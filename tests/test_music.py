@@ -118,12 +118,13 @@ def test_roots_pair_conjugate_reciprocal():
 
 
 @st.composite
-def _split_reciprocal_roots(draw):
+def _split_reciprocal_roots(draw, pairs=None):
     """A root multiset closed under z -> 1/conj(z), split the way np.roots
     splits it: off-circle pairs and double roots on the circle, every root
-    then moved by up to 1e-7 in any direction, in shuffled order."""
+    then moved by up to 1e-7 in any direction, in shuffled order. ``pairs``
+    fixes the number of pairs (1 to 6 when None)."""
     roots = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 6)) if pairs is None else pairs):
         u = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
         roots += [u, 1.0 / np.conj(u)]          # |u| = 1: a double circle root
     jitter = draw(st.lists(st.complex_numbers(max_magnitude=1e-7),
@@ -194,10 +195,30 @@ def test_reciprocal_symmetrize_matches_scalar_loop(roots):
     _assert_same_pairing(roots)
 
 
+def _assert_same_stacked_pairing(root_sets):
+    # the sets of each length as one (n, N) stack: every row has the bytes
+    # of the scalar loop on that set alone
+    for n in sorted({len(r) for r in root_sets}):
+        stack = np.array([r for r in root_sets if len(r) == n], dtype=complex)
+        got = mu._reciprocal_symmetrize(stack)
+        assert got.shape == stack.shape
+        assert [row.tobytes() for row in got] == \
+            [_reciprocal_symmetrize_loop(row).tobytes() for row in stack]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 6).flatmap(
+    lambda pairs: st.lists(_split_reciprocal_roots(pairs), min_size=1, max_size=6)))
+def test_stacked_reciprocal_symmetrize_matches_scalar_loop(root_sets):
+    _assert_same_stacked_pairing(root_sets)
+
+
 def test_reciprocal_symmetrize_matches_scalar_loop_on_companion_roots():
     # 2000 root sets as music_roots meets them: noise alone or a tone in noise,
-    # M from 4 to 21, plus unmatched, zero and odd-length inputs
+    # M from 4 to 21, plus unmatched, zero and odd-length inputs; then the
+    # sets of each M as one stack
     rng = np.random.default_rng(2024)
+    root_sets = []
     for trial in range(2000):
         m, n_snap = int(rng.integers(4, 22)), int(rng.integers(2, 60))
         data = rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))
@@ -206,9 +227,15 @@ def test_reciprocal_symmetrize_matches_scalar_loop_on_companion_roots():
             data += rng.uniform(0.1, 30.0) * np.outer(tone, np.exp(2j * np.pi * rng.random(n_snap)))
         proj = mu.noise_subspace(data[None])[0]
         proj = proj @ proj.conj().T
-        _assert_same_pairing(np.roots([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
-    for roots in ([0.5, 3.0], [0.0, 2.0, 0.5, 0.5], [1.0 + 1j, 0.5, 2.0], []):
+        root_sets.append(np.roots([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
+        _assert_same_pairing(root_sets[-1])
+    # the last: a subnormal root's image overflows, so every free root is at
+    # distance inf and the first free one (index 3, not the used index 0) pairs
+    odd = ([0.5, 3.0], [0.0, 2.0, 0.5, 0.5], [1.0 + 1j, 0.5, 2.0], [],
+           [2.0, np.nan, 0.5, 0.5], [np.inf, 0.5, 2.0, 0.0], [5.0, 1e-310, 0.2, 1.0])
+    for roots in odd:
         _assert_same_pairing(np.array(roots, dtype=complex))
+    _assert_same_stacked_pairing(root_sets + [np.array(r, dtype=complex) for r in odd])
 
 
 def test_coefficients_match_np_trace(rng):

@@ -159,6 +159,20 @@ def test_complex_normal_moments(rng):
     assert abs(np.mean(z ** 2)) < 0.02
 
 
+@pytest.mark.parametrize("var", [1e-3, 1.0, 3.7e5])
+@pytest.mark.parametrize("size", [(7,), (3, 4, 5), (10, 4, 16, 20)])
+def test_complex_normal_has_the_bytes_of_its_textbook_form(var, size):
+    # real parts first, then imaginary parts, both from the same stream
+    rng = np.random.default_rng(11)
+    want = math.sqrt(var / 2.0) * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    got = sc.complex_normal(np.random.default_rng(11), var, size)
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    first, second = np.random.default_rng(11).standard_normal(2)
+    scalar = sc.complex_normal(np.random.default_rng(11), var)
+    assert type(scalar) is complex
+    assert scalar == math.sqrt(var / 2.0) * complex(first, second)
+
+
 def test_without_targets(cfg):
     scn = reference_scene(cfg, n_scatterers=5, seed=1)
     h0 = scn.without_targets()
