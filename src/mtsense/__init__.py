@@ -15,7 +15,7 @@ from ._version import __version__
 from .scene import (
     SystemConfig, Target, Scatterer, Scene,
     spatial_frequency, range_frequency, doppler_frequency,
-    frequencies_target, frequencies_scatterer,
+    frequencies_target,
     generate_scene, reference_scene, REFERENCE_TARGETS,
 )
 from .beams import BeamPlan, default_plan, beamformer_weight, g_tilde
@@ -29,7 +29,7 @@ from .music import (
 )
 from .crb import FimBlocks, CrbResult, fim_blocks, total_fim, crb_eta_t
 from .detector import (
-    DetectionGrid, GlrOutcome, sample_grid, clutter_basis, perp_projector,
+    GlrOutcome, sample_grid, clutter_basis, perp_projector,
     glr_statistic, detect, calibrate_gamma, roc_curve,
 )
 from .experiments import (

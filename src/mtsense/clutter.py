@@ -198,10 +198,6 @@ class FilteredPowerSampler:
         power += 0.5 * var[:, 0] * (chi2 @ weights) + energy[:, ~self.random].sum(axis=1)
         return window.reshape(self.shape), power
 
-    def __call__(self, rng: np.random.Generator, var, noise=None) -> np.ndarray:
-        """Filtered power of every cube (see ``draw``)."""
-        return self.draw(rng, var, noise)[1]
-
 
 def filter_symbols(cubes: np.ndarray, filt: IirFilter) -> np.ndarray:
     """Run the step-matched high-pass along the symbol (last) axis of a stack of cubes.

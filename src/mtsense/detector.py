@@ -1,8 +1,8 @@
 """GLRT confirmation of moving-target candidates against a clutter subspace.
 
 A candidate (from the search + estimation stages) is tested on the RAW echo of
-its scan. The clutter is modeled as living in the span of receive responses
-sampled on an angle grid inside the beam; projecting it out leaves a residual
+its scan. The clutter is modeled as living in the span of the beam's receive
+response at its boresight direction; projecting it out leaves a residual
 whose energy along the candidate's steering vector is compared with its total
 energy. The statistic
 
@@ -29,21 +29,6 @@ from .echo import (EchoTensor, noisy_copies, steering_doppler, steering_range,
 from .scene import (Scene, SystemConfig, blocks, frequencies_target, spatial_frequency,
                     thread_map)
 
-DEFAULT_N_ANGLE = 1
-
-
-@dataclass(frozen=True)
-class DetectionGrid:
-    """Sampled spatial frequencies psi_s of the clutter grid for one scan."""
-
-    points: tuple[float, ...]
-    scan_index: int
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
 @dataclass(frozen=True)
 class GlrOutcome:
     statistic: float
@@ -53,41 +38,26 @@ class GlrOutcome:
     undetectable: bool = False
 
 
-def sample_grid(b: int, plan: BeamPlan, cfg: SystemConfig,
-                n_angle: int = DEFAULT_N_ANGLE) -> DetectionGrid:
-    """n_angle spatial frequencies spanning the image of the beam's coverage.
-
-    n_angle = 1 uses the beam center. The projector acts on the M_r receive
-    dimensions, so the grid must leave some of them free (n_angle < M_r),
-    otherwise it could swallow the data.
-    """
-    if not 1 <= n_angle < cfg.m_rx:
-        raise ValueError(f"n_angle must lie in [1, m_rx) = [1, {cfg.m_rx}), got {n_angle}")
-    lo, hi = plan.coverage_interval(b)
-    if n_angle == 1:
-        psi_s_grid = [spatial_frequency(float(plan.directions[b]), cfg)]
-    else:
-        psi_s_grid = np.linspace(spatial_frequency(lo, cfg),
-                                 spatial_frequency(hi, cfg), n_angle)
-    return DetectionGrid(points=tuple(float(ps) for ps in psi_s_grid), scan_index=b)
+def sample_grid(b: int, plan: BeamPlan, cfg: SystemConfig) -> float:
+    """Spatial frequency psi_s of scan b's boresight, its clutter direction."""
+    return spatial_frequency(float(plan.directions[b]), cfg)
 
 
-def clutter_basis(grid: DetectionGrid, plan: BeamPlan, cfg: SystemConfig) -> np.ndarray:
-    """M_r x N_G basis of hypothetical clutter responses g_tilde * a_rx(psi_s).
+def clutter_basis(b: int, plan: BeamPlan, cfg: SystemConfig) -> np.ndarray:
+    """M_r x 1 basis of scan b's hypothetical clutter response g_tilde * a_rx(psi_s).
 
-    Range and symbol index never enter: they scale a column by a unit phase
+    Range and symbol index never enter: they scale the column by a unit phase
     (clutter has no Doppler), which leaves the span unchanged.
     """
-    g = g_tilde(plan, grid.scan_index, cfg)
-    return g * steering_rx(np.array(grid.points), cfg.m_rx).T
+    psi = sample_grid(b, plan, cfg)
+    return g_tilde(plan, b, cfg) * steering_rx(np.array([psi]), cfg.m_rx).T
 
 
 def perp_projector(a_tilde: np.ndarray) -> np.ndarray:
     """Orthogonal-complement projector I - A (A^H A)^+ A^H (Hermitian, idempotent).
 
     Built from the left singular vectors of A's numerical range, not from
-    A @ pinv(A): columns at nearby angles make A ill conditioned, and the
-    product form would lose cond(A) digits of the projector.
+    A @ pinv(A): the product form would lose cond(A) digits of the projector.
     """
     m = a_tilde.shape[0]
     eye = np.eye(m, dtype=complex)
@@ -104,8 +74,8 @@ ZERO_RESIDUAL_REL = 1e-20  # sigma0_hat^2 below this fraction of the mean input
                            # power is projection roundoff, not signal
 
 
-def _glr_evaluator(candidate: tuple[float, float, float], grid: DetectionGrid,
-                   plan: BeamPlan, cfg: SystemConfig, b: int):
+def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
+                   cfg: SystemConfig, b: int):
     """``glr_statistic`` at scan b as a function of an (n, M_r, L, P) stack of
     raw cubes, one GlrOutcome per cube. The projector, a_sp and denom are
     built once, here; the products and sums run as one call over the stack.
@@ -115,9 +85,7 @@ def _glr_evaluator(candidate: tuple[float, float, float], grid: DetectionGrid,
     psi_d, psi_r, psi_s = candidate
     if not all(np.isfinite([psi_d, psi_r, psi_s])):
         raise ValueError("candidate frequencies must be finite")
-    if grid.scan_index != b:
-        raise ValueError(f"grid sampled for scan {grid.scan_index}, echo is scan {b}")
-    p_perp = perp_projector(clutter_basis(grid, plan, cfg))
+    p_perp = perp_projector(clutter_basis(b, plan, cfg))
     a_sp = steering_rx(psi_s, cfg.m_rx)
     denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
 
@@ -157,7 +125,7 @@ def _glr_evaluator(candidate: tuple[float, float, float], grid: DetectionGrid,
 
 
 def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
-                  grid: DetectionGrid, plan: BeamPlan, cfg: SystemConfig) -> GlrOutcome:
+                  plan: BeamPlan, cfg: SystemConfig) -> GlrOutcome:
     """Evaluate the GLRT statistic for candidate frequencies (psi_d, psi_r, psi_s).
 
     Operates on the raw (unfiltered, unnormalized) scan tensor. One projector
@@ -168,7 +136,7 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     subspace the outcome is flagged undetectable (t = 0) instead of dividing
     by ~zero.
     """
-    return _glr_evaluator(candidate, grid, plan, cfg, y.scan_index)(y.data[None])[0]
+    return _glr_evaluator(candidate, plan, cfg, y.scan_index)(y.data[None])[0]
 
 
 def detect(outcome: GlrOutcome, gamma: float) -> bool:
@@ -184,9 +152,9 @@ def candidate_from_target(target, cfg: SystemConfig) -> tuple[float, float, floa
 
 
 def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
-                    candidate: tuple[float, float, float], grid: DetectionGrid,
-                    cfg: SystemConfig, p_fa: float, n_trials: int = 500,
-                    seed=0, sigma2: float | None = None) -> float:
+                    candidate: tuple[float, float, float], cfg: SystemConfig,
+                    p_fa: float, n_trials: int = 500, seed=0,
+                    sigma2: float | None = None) -> float:
     """Empirical (1 - p_fa) quantile of the statistic under H0 Monte Carlo.
 
     The noiseless H0 cube is synthesized once; trial i adds the noise that
@@ -198,7 +166,7 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
         raise ValueError("p_fa must lie in (0, 1)")
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
     clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
-    evaluate = _glr_evaluator(candidate, grid, plan, cfg, b)
+    evaluate = _glr_evaluator(candidate, plan, cfg, b)
     ts = [out.statistic for trials in blocks(n_trials)
           for out in evaluate(noisy_copies(clean, sigma2, [(seed, i) for i in trials]))]
     return float(np.quantile(ts, 1.0 - p_fa))
@@ -206,13 +174,9 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
 
 def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPlan,
               snr_list_db, n_trials: int = 500, n_thresholds: int = 101, seed=0,
-              b: int | None = None, candidate: tuple[float, float, float] | None = None,
-              n_angle: int = DEFAULT_N_ANGLE,
               threads: int = 1) -> dict[float, list[tuple[float, float, float]]]:
-    """Monte-Carlo ROC per SNR for one candidate geometry.
-
-    The default candidate is the first target of scene_h1 at its covering
-    beam, tested at its true frequencies. Each hypothesis' noiseless cube is
+    """Monte-Carlo ROC per SNR for the first target of scene_h1, tested at
+    its true frequencies in its covering beam. Each hypothesis' noiseless cube is
     synthesized once; trial i of hypothesis h at the k-th SNR adds the noise
     of seed (seed, k, h, i). The statistic runs on blocks of trials, and the
     blocks of all SNRs and both hypotheses go to one pool of ``threads``
@@ -223,17 +187,12 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     """
     if not scene_h1.targets:
         raise ValueError("scene_h1 needs at least one target")
-    if candidate is None:
-        target = scene_h1.targets[0]
-        candidate = candidate_from_target(target, cfg)
-        if b is None:
-            b = beam_for_angle(plan, target.theta)
-    if b is None:
-        raise ValueError("pass b together with an explicit candidate")
-    grid = sample_grid(b, plan, cfg, n_angle=n_angle)
+    target = scene_h1.targets[0]
+    candidate = candidate_from_target(target, cfg)
+    b = beam_for_angle(plan, target.theta)
     clean = [synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
              for scene in (scene_h0, scene_h1)]
-    evaluate = _glr_evaluator(candidate, grid, plan, cfg, b)
+    evaluate = _glr_evaluator(candidate, plan, cfg, b)
 
     def _block(job) -> list[float]:
         k, h, trials = job

@@ -85,7 +85,6 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    n_angle: int = integer(detector.DEFAULT_N_ANGLE, 1)
     p_fa: float = number(0.01, 0, 1)
     calib_trials: int = integer(500, 10)
     n_thresholds: int = integer(101, 1)
@@ -119,9 +118,6 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_list_db", tuple(map(float, self.snr_list_db)))
         # the rules that tie fields of different sections together
         system, flt, scene, scan = self.system, self.filter, self.scene, self.scan
-        if self.detector.n_angle >= system.m_rx:
-            raise ValueError(f"detector.n_angle must be < system.m_rx = {system.m_rx}, "
-                             f"got {self.detector.n_angle!r}")
         try:
             flt.build()
         except ValueError as exc:
@@ -350,12 +346,11 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                 if not beams.angle_in_coverage(plan, b, res.theta_hat):
                     continue
                 try:
-                    grid = detector.sample_grid(b, plan, cfg, n_angle=dspec.n_angle)
                     cand = (res.psi_d_hat, res.psi_r_hat, res.psi_s_hat)
                     gamma = detector.calibrate_gamma(
-                        h0_scene, plan, b, cand, grid, cfg, dspec.p_fa,
+                        h0_scene, plan, b, cand, cfg, dspec.p_fa,
                         n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, b))
-                    outcome = detector.glr_statistic(raw[b], cand, grid, plan, cfg)
+                    outcome = detector.glr_statistic(raw[b], cand, plan, cfg)
                     decision = detector.detect(outcome, gamma)
                 except Exception as exc:   # noqa: BLE001 - per-scan isolation
                     run.errors.append({"scan": b, "stage": "detect",
@@ -508,7 +503,7 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power, rng)
                 power = np.empty(plan.n_beams)
                 power[near] = power_near
-                power[far] = far_power(rng, sigma2 / far_gain2)
+                power[far] = far_power.draw(rng, sigma2 / far_gain2)[1]
                 peaks = clutter.top_local_maxima(power, n_t)
                 matched = _match_peaks_to_targets(peaks, scene, plan)
                 windows.append(window[[slot[b] for b in matched]])
@@ -554,8 +549,7 @@ def roc_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         curves = detector.roc_curve(
             run.scene.without_targets(), run.scene, config.system, run.plan,
             config.snr_list_db, n_trials=config.n_trials,
-            n_thresholds=dspec.n_thresholds, seed=config.seed,
-            n_angle=dspec.n_angle, threads=threads)
+            n_thresholds=dspec.n_thresholds, seed=config.seed, threads=threads)
     rows = [(snr_db, *point) for snr_db in sorted(curves) for point in curves[snr_db]]
     run.write_csv("roc.csv", ("snr_db", "gamma", "p_fa", "p_d"), rows)
     return run.finish(n_trials=config.n_trials)

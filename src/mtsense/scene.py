@@ -216,11 +216,6 @@ def frequencies_target(t: Target, cfg: SystemConfig) -> tuple[float, float, floa
     )
 
 
-def frequencies_scatterer(s: Scatterer, cfg: SystemConfig) -> tuple[float, float]:
-    """(psi_r, psi_s) for a stationary scatterer."""
-    return range_frequency(s.range, cfg), spatial_frequency(s.theta, cfg)
-
-
 # ---------------------------------------------------------------------------
 # random generation
 

@@ -249,14 +249,13 @@ def test_criterion_7_glrt_invariants():
     scene = reference_scene(cfg, n_scatterers=400, seed=7)
     target = scene.targets[0]
     b = beams.beam_for_angle(plan, target.theta)
-    grid = detector.sample_grid(b, plan, cfg)
     cand = detector.candidate_from_target(target, cfg)
 
     # scale invariance
     y = synthesize_echo(scene, plan, b, cfg, seed=42)
-    t_ref = detector.glr_statistic(y, cand, grid, plan, cfg).statistic
+    t_ref = detector.glr_statistic(y, cand, plan, cfg).statistic
     y_scaled = EchoTensor(data=737.3 * y.data, scan_index=b, cfg=cfg)
-    t_scaled = detector.glr_statistic(y_scaled, cand, grid, plan, cfg).statistic
+    t_scaled = detector.glr_statistic(y_scaled, cand, plan, cfg).statistic
     scale_rel = abs(t_scaled - t_ref) / t_ref
     assert scale_rel < 1e-10
 
@@ -266,20 +265,20 @@ def test_criterion_7_glrt_invariants():
         Scatterer(theta=center, range=float(r), alpha=complex(1.0, 0.3 * r))
         for r in (1, 2, 3, 5, 7)))
     y0 = synthesize_echo(on_grid, plan, b, cfg, noise_var=0.0)
-    out0 = detector.glr_statistic(y0, cand, grid, plan, cfg)
+    out0 = detector.glr_statistic(y0, cand, plan, cfg)
     residual_rel = out0.sigma2_hat_h0 / float(np.mean(np.abs(y0.data) ** 2))
     assert residual_rel < 1e-8
     assert out0.statistic == 0.0
 
     # empirical false-alarm rate against the calibrated threshold
     h0 = scene.without_targets()
-    gamma = detector.calibrate_gamma(h0, plan, b, cand, grid, cfg, p_fa=0.01,
+    gamma = detector.calibrate_gamma(h0, plan, b, cand, cfg, p_fa=0.01,
                                      n_trials=500, seed=77)
     false_alarms = 0
     n_eval = 2000
     for i in range(n_eval):
         yi = synthesize_echo(h0, plan, b, cfg, seed=(88, i))
-        ti = detector.glr_statistic(yi, cand, grid, plan, cfg).statistic
+        ti = detector.glr_statistic(yi, cand, plan, cfg).statistic
         false_alarms += int(ti > gamma)
     p_fa_hat = false_alarms / n_eval
     assert abs(p_fa_hat - 0.01) <= 0.02

@@ -154,7 +154,7 @@ def test_power_sampler_matches_full_draw(with_target):
             axis=(1, 2, 3))
         for _ in range(n_draws // chunk)])
     sampler = cl.FilteredPowerSampler(clean[None], filt)
-    sampled = np.concatenate([sampler(rng, [var]) for _ in range(n_draws)])
+    sampled = np.concatenate([sampler.draw(rng, [var])[1] for _ in range(n_draws)])
     assert stats.ks_2samp(full, sampled).pvalue > 0.01
 
 

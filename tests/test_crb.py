@@ -11,8 +11,7 @@ from mtsense import cli, crb
 from mtsense import echo as ec
 from mtsense.beams import BeamPlan, steering_rx, steering_tx, tx_gain
 from mtsense.scene import (C0, Scatterer, Scene, SystemConfig, Target,
-                           frequencies_scatterer, frequencies_target,
-                           spatial_frequency)
+                           frequencies_target, range_frequency, spatial_frequency)
 
 
 def _noiseless_vec(scene, plan, b, cfg):
@@ -67,6 +66,11 @@ def _fd_jacobian(scene, plan, b, cfg, h=1e-6):
 
 
 # per-(l, p) oracles of the vectorized response and Jacobian builders
+
+def frequencies_scatterer(s: Scatterer, cfg: SystemConfig) -> tuple[float, float]:
+    """(psi_r, psi_s) for a stationary scatterer."""
+    return range_frequency(s.range, cfg), spatial_frequency(s.theta, cfg)
+
 
 def response_vector(element, b: int, l: int, p: int, plan: BeamPlan,
                     cfg: SystemConfig) -> np.ndarray:

@@ -19,43 +19,21 @@ def _target_in_beam(plan, b, **kw):
 
 
 # ---------------------------------------------------------------------------
-# grid sampling
+# grid sampling: one clutter direction per scan
 
 def test_single_point_grid_sits_at_centers(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_angle=1)
-    assert grid.size == 1 and grid.scan_index == 10
-    assert grid.points[0] == pytest.approx(
+    assert dt.sample_grid(10, plan, cfg) == pytest.approx(
         spatial_frequency(float(plan.directions[10]), cfg), abs=1e-15)
-
-
-def test_grid_angle_axis_spans_coverage(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_angle=3)
-    pss = sorted(grid.points)
-    lo, hi = plan.coverage_interval(10)
-    assert pss[0] == pytest.approx(spatial_frequency(lo, cfg), abs=1e-15)
-    assert pss[-1] == pytest.approx(spatial_frequency(hi, cfg), abs=1e-15)
-    assert grid.size == 3
-
-
-def test_grid_dof_guard(small_cfg, small_plan):
-    # m_rx = 3 for the small config: at most 2 angles leave a free dimension
-    assert dt.sample_grid(0, small_plan, small_cfg, n_angle=2).size == 2
-    with pytest.raises(ValueError):
-        dt.sample_grid(0, small_plan, small_cfg, n_angle=3)
-    with pytest.raises(ValueError):
-        dt.sample_grid(0, small_plan, small_cfg, n_angle=0)
 
 
 # ---------------------------------------------------------------------------
 # clutter basis and projector
 
 def test_clutter_basis_hand_loop(cfg, plan):
-    grid = dt.sample_grid(10, plan, cfg, n_angle=2)
-    a = dt.clutter_basis(grid, plan, cfg)
-    assert a.shape == (cfg.m_rx, 2)
-    g = g_tilde(plan, 10, cfg)
-    for n, ps in enumerate(grid.points):
-        assert np.array_equal(a[:, n], g * steering_rx(ps, cfg.m_rx))
+    a = dt.clutter_basis(10, plan, cfg)
+    assert a.shape == (cfg.m_rx, 1)
+    ps = spatial_frequency(float(plan.directions[10]), cfg)
+    assert np.array_equal(a[:, 0], g_tilde(plan, 10, cfg) * steering_rx(ps, cfg.m_rx))
 
 
 def test_perp_projector_algebra(rng):
@@ -84,8 +62,8 @@ def test_perp_projector_edge_cases(rng):
 # statistic on constructed echoes
 
 def _on_grid_scatterer(plan, b, cfg):
-    # the default grid is the beam center, and range does not change the
-    # span, so this scatterer's response lies in the clutter span
+    # the clutter direction is the beam center, and range does not change
+    # the span, so this scatterer's response lies in the clutter span
     return Scatterer(theta=float(plan.directions[b]), range=2.0,
                      alpha=1.1 + 0.3j)
 
@@ -94,10 +72,8 @@ def test_pure_on_grid_clutter_scores_zero(cfg, plan):
     b = 25
     scene = Scene((), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    grid = dt.sample_grid(b, plan, cfg)
     target = _target_in_beam(plan, b)
-    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), grid,
-                           plan, cfg)
+    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), plan, cfg)
     assert out.statistic == 0.0
     assert not out.undetectable
 
@@ -107,9 +83,7 @@ def test_target_plus_clutter_noiseless_scores_one(cfg, plan):
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    grid = dt.sample_grid(b, plan, cfg)
-    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), grid,
-                           plan, cfg)
+    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), plan, cfg)
     assert out.statistic == pytest.approx(1.0, abs=1e-9)
     assert out.sigma2_hat_h1 == pytest.approx(0.0, abs=1e-12)
 
@@ -117,10 +91,8 @@ def test_target_plus_clutter_noiseless_scores_one(cfg, plan):
 def test_all_zero_echo_scores_zero(cfg, plan):
     b = 25
     y = ec.synthesize_echo(Scene((), ()), plan, b, cfg, noise_var=0.0)
-    grid = dt.sample_grid(b, plan, cfg)
     target = _target_in_beam(plan, b)
-    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), grid,
-                           plan, cfg)
+    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), plan, cfg)
     assert out.statistic == 0.0
 
 
@@ -128,11 +100,10 @@ def test_candidate_on_grid_angle_is_undetectable(cfg, plan):
     b = 25
     scene = Scene((), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, seed=3)
-    grid = dt.sample_grid(b, plan, cfg)
     # candidate at the beam-center spatial frequency: the steering vector is
     # inside the clutter span for every subcarrier
     psi_s = spatial_frequency(float(plan.directions[b]), cfg)
-    out = dt.glr_statistic(y, (0.1, 0.2, psi_s), grid, plan, cfg)
+    out = dt.glr_statistic(y, (0.1, 0.2, psi_s), plan, cfg)
     assert out.undetectable
     assert out.statistic == 0.0
 
@@ -145,9 +116,7 @@ def test_alpha_hat_exact_for_pure_target(cfg, plan):
     b = 25
     off = _target_in_beam(plan, b, alpha=0.37 - 0.81j)
     y = ec.synthesize_echo(Scene((off,), ()), plan, b, cfg, noise_var=0.0)
-    grid = dt.sample_grid(b, plan, cfg)
-    out = dt.glr_statistic(y, dt.candidate_from_target(off, cfg), grid,
-                           plan, cfg)
+    out = dt.glr_statistic(y, dt.candidate_from_target(off, cfg), plan, cfg)
     want = off.alpha * tx_gain(off.theta, plan, b, cfg) / g_tilde(plan, b, cfg)
     assert out.alpha_hat == pytest.approx(want, abs=1e-10)
     assert out.statistic == pytest.approx(1.0, abs=1e-9)
@@ -155,8 +124,7 @@ def test_alpha_hat_exact_for_pure_target(cfg, plan):
     centered = Target(theta=float(plan.directions[b]) + 1e-6, range=3.2,
                       speed=2.5, alpha=0.37 - 0.81j)
     y2 = ec.synthesize_echo(Scene((centered,), ()), plan, b, cfg, noise_var=0.0)
-    out2 = dt.glr_statistic(y2, dt.candidate_from_target(centered, cfg), grid,
-                            plan, cfg)
+    out2 = dt.glr_statistic(y2, dt.candidate_from_target(centered, cfg), plan, cfg)
     assert out2.alpha_hat == pytest.approx(centered.alpha, abs=1e-3)
 
 
@@ -165,11 +133,10 @@ def test_statistic_scale_invariant(cfg, plan):
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, seed=5)
-    grid = dt.sample_grid(b, plan, cfg)
     cand = dt.candidate_from_target(target, cfg)
-    t1 = dt.glr_statistic(y, cand, grid, plan, cfg).statistic
+    t1 = dt.glr_statistic(y, cand, plan, cfg).statistic
     scaled = ec.EchoTensor(data=737.3 * y.data, scan_index=b, cfg=cfg)
-    t2 = dt.glr_statistic(scaled, cand, grid, plan, cfg).statistic
+    t2 = dt.glr_statistic(scaled, cand, plan, cfg).statistic
     assert t2 == pytest.approx(t1, rel=1e-10)
 
 
@@ -177,11 +144,10 @@ def test_statistic_bounded_and_ordered(cfg, plan):
     b = 25
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
-    grid = dt.sample_grid(b, plan, cfg)
     cand = dt.candidate_from_target(target, cfg)
     for seed in range(8):
         y = ec.synthesize_echo(scene, plan, b, cfg, seed=seed)
-        out = dt.glr_statistic(y, cand, grid, plan, cfg)
+        out = dt.glr_statistic(y, cand, plan, cfg)
         assert 0.0 <= out.statistic <= 1.0 + 1e-12
         assert out.sigma2_hat_h1 <= out.sigma2_hat_h0 + 1e-15
         assert out.statistic == pytest.approx(
@@ -189,27 +155,21 @@ def test_statistic_bounded_and_ordered(cfg, plan):
 
 
 def test_grid_of_another_scan_is_rejected():
-    # as is a candidate with a non-finite frequency
+    # the clutter direction is the scan's own, so only a non-finite candidate
+    # frequency is left to reject
     cfg, plan, target, b, clut = _small_setup()
-    other = dt.sample_grid(b + 1, plan, cfg)
-    cand = dt.candidate_from_target(target, cfg)
     y = ec.synthesize_echo(clut, plan, b, cfg, seed=1)
     with pytest.raises(ValueError, match="finite"):
-        dt.glr_statistic(y, (np.nan, 0.1, 0.1), dt.sample_grid(b, plan, cfg), plan, cfg)
-    with pytest.raises(ValueError, match="scan"):
-        dt.glr_statistic(y, cand, other, plan, cfg)
-    with pytest.raises(ValueError, match="scan"):
-        dt.calibrate_gamma(clut, plan, b, cand, other, cfg, p_fa=0.1,
-                           n_trials=10, seed=1)
+        dt.glr_statistic(y, (np.nan, 0.1, 0.1), plan, cfg)
 
 
 # oracle: the statistic with one projector per subcarrier, looping over l
 # exactly as the seed implementation did, on the seed's range/angle clutter
-# grid (8 range frequencies over 0..7 m crossed with the grid's angles). Its
-# basis is built here column by column; it shares only perp_projector,
+# grid (8 range frequencies over 0..7 m crossed with the beam-center angle).
+# Its basis is built here column by column; it shares only perp_projector,
 # tested on its own above.
 
-def per_subcarrier_glr(y, candidate, grid, plan, cfg):
+def per_subcarrier_glr(y, candidate, plan, cfg):
     psi_d, psi_r, psi_s = candidate
     b = y.scan_index
     m_rx, n_sub, n_sym = y.data.shape
@@ -218,10 +178,11 @@ def per_subcarrier_glr(y, candidate, grid, plan, cfg):
     a_sp = steering_rx(psi_s, cfg.m_rx)
     dopp_phase = np.exp(2j * math.pi * psi_d * np.arange(n_sym))
     range_grid = np.linspace(0.0, range_frequency(7.0, cfg), 8)
+    ps = spatial_frequency(float(plan.directions[b]), cfg)
     energy_h0, num_total, alpha_acc = 0.0, 0.0, 0j
     for l in range(n_sub):
         basis = np.stack([g * np.exp(-2j * math.pi * l * pr) * steering_rx(ps, cfg.m_rx)
-                          for pr in range_grid for ps in grid.points], axis=1)
+                          for pr in range_grid], axis=1)
         p_perp = dt.perp_projector(basis)
         denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
         py = p_perp @ y.data[:, l, :]
@@ -243,8 +204,7 @@ def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
                               range=float(rng.uniform(1.0, 7.0)),
                               alpha=complex(rng.normal(), rng.normal()))
                     for _ in range(30))
-    grid = dt.sample_grid(b, plan, cfg, n_angle=3)
-    p_perp = dt.perp_projector(dt.clutter_basis(grid, plan, cfg))
+    p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg))
     eps = np.finfo(float).eps
     for offset in (0.8, 3.0, 6.0):      # candidate angle, in coverage half widths
         target = _target_in_beam(
@@ -253,14 +213,14 @@ def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
         a_sp = steering_rx(cand[2], cfg.m_rx)
         denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
         # Both versions carry projector roundoff of order eps, which t, s1 and
-        # alpha amplify by M_r / (a^H Pperp a). Inside the coverage of a
-        # three-angle grid the candidate almost lies in the clutter span
-        # (denom / M_r ~ 3e-7 at 0.8 half widths), so 1e-12 holds only away from it.
+        # alpha amplify by M_r / (a^H Pperp a). Inside the coverage the
+        # candidate lies near the boresight clutter column (denom / M_r ~ 0.04
+        # at 0.8 half widths), so the bound there is that amplification.
         rel = 1e-12 if offset >= 3.0 else 64 * eps * cfg.m_rx / denom
         for seed, scene in enumerate((Scene((target,), clutter), Scene((), clutter))):
             y = ec.synthesize_echo(scene, plan, b, cfg, seed=seed)
-            out = dt.glr_statistic(y, cand, grid, plan, cfg)
-            t, s0, s1, alpha = per_subcarrier_glr(y, cand, grid, plan, cfg)
+            out = dt.glr_statistic(y, cand, plan, cfg)
+            t, s0, s1, alpha = per_subcarrier_glr(y, cand, plan, cfg)
             assert not out.undetectable
             assert out.statistic == pytest.approx(t, rel=rel)
             assert out.sigma2_hat_h0 == pytest.approx(s0, rel=1e-12)
@@ -294,32 +254,30 @@ def _small_setup():
 
 def test_calibrate_gamma_deterministic_and_monotone():
     cfg, plan, target, b, clut = _small_setup()
-    grid = dt.sample_grid(b, plan, cfg, n_angle=1)
     cand = dt.candidate_from_target(target, cfg)
-    g1 = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
+    g1 = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
                             n_trials=80, seed=21)
-    g2 = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
+    g2 = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
                             n_trials=80, seed=21)
     assert g1 == g2
-    strict = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.01,
+    strict = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.01,
                                 n_trials=80, seed=21)
     assert strict >= g1
     assert 0.0 <= g1 <= 1.0
     with pytest.raises(ValueError):
-        dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.0,
+        dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.0,
                            n_trials=10, seed=21)
 
 
 def test_calibrate_gamma_matches_full_synthesis_loop():
     cfg, plan, target, b, clut = _small_setup()
-    grid = dt.sample_grid(b, plan, cfg, n_angle=1)
     cand = dt.candidate_from_target(target, cfg)
     ts = [dt.glr_statistic(ec.synthesize_echo(clut, plan, b, cfg, seed=(21, i),
                                               noise_var=0.3),
-                           cand, grid, plan, cfg).statistic
+                           cand, plan, cfg).statistic
           for i in range(50)]
     want = float(np.quantile(ts, 0.9))
-    got = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
+    got = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
                              n_trials=50, seed=21, sigma2=0.3)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -328,7 +286,7 @@ def test_roc_curve_shape_and_endpoints():
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
     curves = dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 10.0], n_trials=60,
-                          seed=31, n_angle=1)
+                          seed=31)
     assert set(curves) == {0.0, 10.0}
     for curve in curves.values():
         assert curve[0][0] == -math.inf and curve[0][1:] == (1.0, 1.0)
@@ -344,7 +302,7 @@ def test_roc_curve_shape_and_endpoints():
 def test_roc_curve_threads_match_serial():
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
-    kw = dict(n_trials=40, seed=5, n_angle=1)
+    kw = dict(n_trials=40, seed=5)
     serial = dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], threads=1, **kw)
     assert dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], threads=3, **kw) == serial
 
@@ -352,8 +310,7 @@ def test_roc_curve_threads_match_serial():
 def test_roc_identical_scenes_track_diagonal():
     cfg, plan, target, b, clut = _small_setup()
     scene = Scene((target,), clut.scatterers)
-    curve = dt.roc_curve(scene, scene, cfg, plan, [0.0], n_trials=200, seed=11,
-                         n_angle=1)[0.0]
+    curve = dt.roc_curve(scene, scene, cfg, plan, [0.0], n_trials=200, seed=11)[0.0]
     dev = max(abs(pd - pfa) for _, pfa, pd in curve)
     assert dev < 0.2
 
@@ -362,10 +319,6 @@ def test_roc_needs_target_or_explicit_candidate():
     cfg, plan, target, b, clut = _small_setup()
     with pytest.raises(ValueError):
         dt.roc_curve(clut, clut, cfg, plan, [0.0], n_trials=5, seed=1)
-    scene_h1 = Scene((target,), ())
-    with pytest.raises(ValueError):
-        dt.roc_curve(clut, scene_h1, cfg, plan, [0.0], n_trials=5, seed=1,
-                     candidate=(0.1, 0.1, 0.1))  # no beam given
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +333,12 @@ def _add_noise(clean, sigma2, seed):
     return ec.EchoTensor(data=data, scan_index=clean.scan_index, cfg=clean.cfg)
 
 
-def _glr_statistic_per_item(y, candidate, grid, plan, cfg):
+def _glr_statistic_per_item(y, candidate, plan, cfg):
     psi_d, psi_r, psi_s = candidate
     b = y.scan_index
     m_rx, n_sub, n_sym = y.data.shape
     n_tot = m_rx * n_sub * n_sym
-    p_perp = dt.perp_projector(dt.clutter_basis(grid, plan, cfg))
+    p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg))
     a_sp = steering_rx(psi_s, cfg.m_rx)
     denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))
     py = p_perp @ y.data.reshape(m_rx, n_sub * n_sym)
@@ -410,7 +363,6 @@ def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
     b = 25
     target = _target_in_beam(plan, b)
     clutter = _on_grid_scatterer(plan, b, cfg)
-    grid = dt.sample_grid(b, plan, cfg)
     center = spatial_frequency(float(plan.directions[b]), cfg)
     cubes = [ec.synthesize_echo(Scene((target,), (clutter,)), plan, b, cfg, seed=s)
              for s in range(5)]
@@ -420,9 +372,9 @@ def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
     outcomes = {}
     for name, cand in (("target", dt.candidate_from_target(target, cfg)),
                        ("on grid", (0.1, 0.2, center))):
-        want = [_glr_statistic_per_item(y, cand, grid, plan, cfg) for y in cubes]
-        assert [dt.glr_statistic(y, cand, grid, plan, cfg) for y in cubes] == want
-        evaluate = dt._glr_evaluator(cand, grid, plan, cfg, b)
+        want = [_glr_statistic_per_item(y, cand, plan, cfg) for y in cubes]
+        assert [dt.glr_statistic(y, cand, plan, cfg) for y in cubes] == want
+        evaluate = dt._glr_evaluator(cand, plan, cfg, b)
         assert evaluate(np.stack([y.data for y in cubes])) == want
         assert evaluate(np.stack([y.data for y in cubes[3:6]])) == want[3:6]
         outcomes[name] = want
@@ -436,26 +388,25 @@ def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
 
 def test_calibrate_gamma_matches_per_trial_oracle():
     cfg, plan, target, b, clut = _small_setup()
-    grid = dt.sample_grid(b, plan, cfg, n_angle=1)
     cand = dt.candidate_from_target(target, cfg)
     clean = ec.synthesize_echo(clut, plan, b, cfg, noise_var=0.0)
     for n_trials in (1, 8, 21):             # one block, a full block, unequal blocks
         ts = [_glr_statistic_per_item(_add_noise(clean, 0.3, (21, i)), cand,
-                                      grid, plan, cfg).statistic for i in range(n_trials)]
-        got = dt.calibrate_gamma(clut, plan, b, cand, grid, cfg, p_fa=0.1,
+                                      plan, cfg).statistic for i in range(n_trials)]
+        got = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
                                  n_trials=n_trials, seed=21, sigma2=0.3)
         assert got == float(np.quantile(ts, 0.9))
 
 
 def _roc_curve_per_trial(scene_h0, scene_h1, cfg, plan, snr_list_db, n_trials,
-                         n_thresholds, seed, b, cand, grid):
+                         n_thresholds, seed, b, cand):
     clean = [ec.synthesize_echo(s, plan, b, cfg, noise_var=0.0) for s in (scene_h0, scene_h1)]
     curves = {}
     for k, snr_db in enumerate(snr_list_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         pooled = np.array([
             _glr_statistic_per_item(_add_noise(clean[h], sigma2, (seed, k, h, i)),
-                                    cand, grid, plan, cfg).statistic
+                                    cand, plan, cfg).statistic
             for h in (0, 1) for i in range(n_trials)])
         t0, t1 = pooled[:n_trials], pooled[n_trials:]
         qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))
@@ -470,7 +421,6 @@ def test_roc_curve_matches_per_trial_oracle(threads):
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
     want = _roc_curve_per_trial(clut, scene_h1, cfg, plan, [0.0, 5.0], 19, 31, 5, b,
-                                dt.candidate_from_target(target, cfg),
-                                dt.sample_grid(b, plan, cfg, n_angle=1))
+                                dt.candidate_from_target(target, cfg))
     assert dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], n_trials=19,
-                        n_thresholds=31, seed=5, n_angle=1, threads=threads) == want
+                        n_thresholds=31, seed=5, threads=threads) == want

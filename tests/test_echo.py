@@ -11,7 +11,7 @@ import pytest
 from mtsense import beams as bm
 from mtsense import echo as ec
 from mtsense.scene import (Scatterer, Scene, SystemConfig, Target,
-                           frequencies_scatterer, frequencies_target)
+                           frequencies_target, range_frequency, spatial_frequency)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def brute_force_echo(scene, plan, b, cfg):
                             * cmath.exp(-2j * cmath.pi * l * psi_r)
                             * cmath.exp(2j * cmath.pi * m * psi_s))
                 for s in scene.scatterers:
-                    psi_r, psi_s = frequencies_scatterer(s, cfg)
+                    psi_r, psi_s = range_frequency(s.range, cfg), spatial_frequency(s.theta, cfg)
                     g = bm.tx_gain(s.theta, plan, b, cfg)
                     acc += (s.alpha * g
                             * cmath.exp(-2j * cmath.pi * l * psi_r)

@@ -101,7 +101,6 @@ def _valid_configs(draw):
         filter=ex.FilterSpec(order=order, cutoff=draw(
             st.floats(0.001, 0.499).filter(lambda c: _designs(order, c)))),
         detector=ex.DetectorSpec(
-            n_angle=draw(st.integers(1, m_rx - 1)),
             p_fa=draw(st.floats(1e-6, 0.999)),
             calib_trials=draw(st.integers(10, 10_000)),
             n_thresholds=draw(st.integers(1, 1001))),
@@ -131,36 +130,11 @@ def test_config_rejects_unknown_keys():
         ex.config_from_dict({"system": 7})
     with pytest.raises(ValueError):
         ex.config_from_dict({"scene": {"kind": "martian"}})
-    # the detector's clutter grid is angle only: range settings no longer exist
-    for key in ("n_range", "r_max"):
-        with pytest.raises(ValueError, match=key):
-            ex.config_from_dict({"detector": {key: 3}})
-
-
-@pytest.mark.parametrize("m_rx, bad", [
-    (16, 0), (16, -1), (16, 16), (16, 40), (16, "2"), (16, 2.0), (16, True),
-    (16, None), (4, 4),
-])
-def test_config_rejects_bad_detector_n_angle(m_rx, bad):
-    raw = {"system": {"m_rx": m_rx}, "detector": {"n_angle": bad}}
-    with pytest.raises(ValueError, match="detector.n_angle"):
-        ex.config_from_dict(raw)
-
-
-def test_config_accepts_largest_n_angle():
-    raw = {"system": {"m_rx": 4}, "detector": {"n_angle": 3}}
-    assert ex.config_from_dict(raw).detector.n_angle == 3
-
-
-def test_cli_detect_fails_on_bad_n_angle(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(SMALL_RAW, detector={"n_angle": 0})))
-    rc = cli.main(["detect", "--config", str(cfg_path),
-                   "--out-dir", str(tmp_path / "out")])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and "detector.n_angle" in err["message"]
-    assert not (tmp_path / "out" / "detections.csv").exists()
+    # the detector's clutter model is the beam's boresight direction alone,
+    # so range settings and an angle count are unknown keys
+    for raw in ({"n_range": 3}, {"r_max": 3}, {"n_angle": 1}):
+        with pytest.raises(ValueError, match=next(iter(raw))):
+            ex.config_from_dict({"detector": raw})
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -254,7 +228,7 @@ def test_config_rejects_bad_field_types(raw, name):
     ("scene", {"kind": "random", "n_targets": 1, "min_separation_deg": 6}),
     ("scan", {"n_beams": 9, "span_deg": 40}),
     ("filter", {"order": 3, "cutoff": 0.05}),
-    ("detector", {"n_angle": 3, "p_fa": 0.05}),
+    ("detector", {"p_fa": 0.05}),
     ("sweep", {"n_sym_synth": 32}),
     ("filter", {"order": 6, "cutoff": 0.25}),     # 18 transient, 2 of 20 left
 ])
@@ -712,7 +686,7 @@ def _sweep_mse_per_trial(config):
                                                           near_power, rng)
             power = np.empty(plan.n_beams)
             power[near] = power_near
-            power[far] = far_power(rng, sigma2 / np.abs(gains[far]) ** 2)
+            power[far] = far_power.draw(rng, sigma2 / np.abs(gains[far]) ** 2)[1]
             peaks = clutter.top_local_maxima(power, n_t)
             sq = np.empty((n_t, 3))
             for i, b in enumerate(ex._match_peaks_to_targets(peaks, scene, plan)):

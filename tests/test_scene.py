@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from mtsense import scene as sc
 from mtsense.scene import (Scatterer, Scene, SystemConfig, Target,
-                           doppler_frequency, frequencies_scatterer,
-                           frequencies_target, generate_scene, range_frequency,
+                           doppler_frequency, frequencies_target, generate_scene, range_frequency,
                            reference_scene, spatial_frequency)
 
 C0 = 299_792_458.0
