@@ -7,10 +7,10 @@ power P(b) then peaks at beams containing moving targets.
 
 The filter is designed and run in numpy alone, by the same arithmetic as
 scipy.signal's butter, lfilter_zi and lfilter, so the outputs carry the same
-bits. FilteredPowerSampler filters clean cubes once and then draws what their
-noisy copies give after the filter: the last symbols of the filtered cube from
-a window of noise, and the filtered power of the rest from its law given that
-window, without drawing the rest of the noise.
+bits. FilteredPowerSampler filters the rows of clean cubes given as coef @ rows
+once and then draws what their noisy copies give after the filter: the last
+symbols of the filtered cube from a window of noise, and the filtered power of
+the rest from its law given that window, without drawing the rest of the noise.
 """
 from __future__ import annotations
 
@@ -130,11 +130,12 @@ def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
 
 
 class FilteredPowerSampler:
-    """Filters each clean cube c of a stack once, then draws what the noisy
-    cube c + n, n ~ CN(0, v) white, gives after step_matched_highpass: the
-    last ``window`` filtered symbols in full, and the total filtered power.
-    Only the window's share of n is drawn, by the caller; with window 0
-    nothing is.
+    """Filters the rows of a stack of clean cubes c = coef[i] @ rows once,
+    then draws what each noisy cube c + n, n ~ CN(0, v) white, gives after
+    step_matched_highpass: the last ``window`` filtered symbols in full, and
+    the total filtered power. Only the window's share of n is drawn, by the
+    caller; with window 0 nothing is. coef is (cubes, ..., R) and rows (R, P),
+    so no cube of P symbols is built; whole cubes pass as (cubes, eye(P)).
 
     The filter is linear along the symbol axis: y = x M with M =
     step_matched_highpass(eye(n_sym)), real. Put the window's columns first,
@@ -154,32 +155,34 @@ class FilteredPowerSampler:
     series in place of the full noise and the filter.
     """
 
-    def __init__(self, clean: np.ndarray, filt: IirFilter, window: int = 0):
-        n_sym = clean.shape[-1]
+    def __init__(self, coef: np.ndarray, rows: np.ndarray, filt: IirFilter, window: int = 0):
+        n_rows, n_sym = rows.shape
         if not 0 <= window < n_sym:
             raise ValueError(f"window must lie in [0, {n_sym}), got {window!r}")
         m = step_matched_highpass(np.eye(n_sym), filt)
         m_w, m_r = m[:, n_sym - window:], m[:, :n_sym - window]
         t = np.linalg.qr(np.concatenate((m_w, m_r), axis=1), mode="r")
         _, s, vt = np.linalg.svd(t[window:, window:])
-        n_series = math.prod(clean.shape[1:-1])
-        series = clean.reshape(len(clean), n_series, n_sym)
+        n_series = math.prod(coef.shape[1:-1])
+        series = coef.reshape(len(coef), n_series, n_rows)
         self.window = window
-        self.shape = (*clean.shape[:-1], window)
+        self.shape = (*coef.shape[:-1], window)
         self.factor = t[:window, :window]                 # F
         self.directions = vt.T                            # V
         self.mean_map = t[:window, window:] @ self.directions      # G V
         self.weights = s ** 2
         self.random = self.weights > _NEGLIGIBLE * np.sum(m ** 2)
         self.dof = 2 * n_series
-        self.clean_window = series @ m_w                  # (cubes, n_series, window)
-        clean_mean = series @ (m_r @ self.directions)    # (cubes, n_series, rest)
-        self.energy = np.sum(np.abs(clean_mean) ** 2, axis=1)
-        self.clean_mean = clean_mean if window else None   # else energy is all draw reads
+        self.clean_window = series @ (rows @ m_w)         # (cubes, n_series, window)
+        mean_rows = rows @ m_r @ self.directions
+        self.clean_mean = series @ mean_rows if window else None   # (cubes, n_series, rest)
+        # what draw reads at window 0, from series = Q R: ||series @ x|| = ||R x||, so >= 0
+        self.energy = None if window else np.sum(
+            np.abs(np.linalg.qr(series, mode="r") @ mean_rows) ** 2, axis=1)
 
     def draw(self, rng: np.random.Generator, var, noise=None) -> tuple[np.ndarray, np.ndarray]:
         """(window, power) of every cube: its filtered window, shape
-        (*clean.shape[:-1], window), and its filtered power over all symbols.
+        (*coef.shape[:-1], window), and its filtered power over all symbols.
 
         var[i] is cube i's noise variance; noise[i], shaped like cube i's
         window, is its z, CN(0, var[i]) white (omit it when window is 0).

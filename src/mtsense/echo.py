@@ -165,15 +165,40 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
     y = np.zeros((m_rx, n_sub, n_sym), dtype=complex)
     if scene.targets:
         f = _scene_factors(scene, "targets", cfg)
-        weighted = f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
         range_doppler = (f.a_r[:, :, None] * f.a_d[:, None, :]).reshape(len(f.theta), -1)
-        y += (weighted.T @ range_doppler).reshape(m_rx, n_sub, n_sym)
+        y += (_weighted_rx(f, plan, b).T @ range_doppler).reshape(m_rx, n_sub, n_sym)
     if scene.scatterers:
         f = _scene_factors(scene, "scatterers", cfg)
-        weighted = f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
-        y += (weighted.T @ f.a_r)[:, :, None]
+        y += (_weighted_rx(f, plan, b).T @ f.a_r)[:, :, None]
     _add_noise_to(y, sigma2, seed, b)
     return EchoTensor(data=y, scan_index=b, cfg=cfg)
+
+
+def _weighted_rx(f: ElementFactors, plan: BeamPlan, b: int) -> np.ndarray:
+    """(N, M_r): each element's receive steering times its alpha and scan b's transmit gain."""
+    return f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
+
+
+def clean_factors(scene: Scene, plan: BeamPlan,
+                  cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every scan's noiseless cube factored along the symbol axis, without
+    building it: coef (n_beams, M_r, L, R) and rows (R, P), where coef[b] @ rows
+    is ``synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data`` up to
+    rounding. rows: all ones for the scatterers (if any), then each target's a_d.
+    """
+    n_t = len(scene.targets)
+    rows = np.ones((bool(scene.scatterers) + n_t, cfg.n_sym), dtype=complex)
+    coef = np.empty((plan.n_beams, cfg.m_rx, cfg.n_sub, len(rows)), dtype=complex)
+    if scene.targets:
+        t = _scene_factors(scene, "targets", cfg)
+        rows[len(rows) - n_t:] = t.a_d
+        for b in range(plan.n_beams):
+            coef[b, ..., len(rows) - n_t:] = _weighted_rx(t, plan, b).T[:, None, :] * t.a_r.T
+    if scene.scatterers:
+        s = _scene_factors(scene, "scatterers", cfg)
+        for b in range(plan.n_beams):
+            coef[b, ..., 0] = _weighted_rx(s, plan, b).T @ s.a_r
+    return coef, rows
 
 
 def _add_noise_to(data: np.ndarray, sigma2: float, seed, b: int) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import beams, clutter, crb, detector, music
 from ._version import __version__
-from .echo import synthesize_echo, write_tensor
+from .echo import clean_factors, synthesize_echo, write_tensor
 from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, Scene,
                     SystemConfig, blocks, check_fields, complex_normal, generate_scene,
                     integer, is_finite, number, reference_scene, rule, scene_to_dict,
@@ -92,7 +92,7 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    n_sym_synth: int = 64          # symbols synthesized before the frame window
+    n_sym_synth: int = 64          # symbols each trial filters; it estimates on the last n_sym
 
 
 @dataclass(frozen=True)
@@ -439,9 +439,10 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     Each trial observes a longer frame (sweep.n_sym_synth symbols) through the
     clutter filter and estimates on the last n_sym filtered symbols, so the
     filter transient has fully decayed and the estimation window length
-    matches the CRB's. The clean cubes are synthesized and filtered once; a
-    trial draws only what it reads, each in law exactly as drawing the full
-    noise and filtering it (clutter.FilteredPowerSampler):
+    matches the CRB's. No clean cube is synthesized: the samplers filter the
+    symbol rows of echo.clean_factors once. A trial draws only what it reads,
+    each in law exactly as drawing the full noise and filtering it
+    (clutter.FilteredPowerSampler):
       - the beams the estimator can reach (within _MATCH_STEPS of a target's
         covering beam) get the window of noise behind their last n_sym
         filtered symbols, and their filtered power over the rest of the
@@ -471,23 +472,19 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     plan, scene, seed = run.plan, run.scene, config.seed
     if not scene.targets:
         raise ValueError("the sweep needs at least one target in the scene")
-    cfg_synth = replace(cfg, n_sym=n_synth)
     filt = config.filter.build()
     n_t = len(scene.targets)
     truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
 
     rows = []
     with run.stage("sweep"):
-        clean = np.stack([
-            synthesize_echo(scene, plan, b, cfg_synth, seed=seed, noise_var=0.0).data
-            for b in range(plan.n_beams)
-        ])
+        coef, symbol_rows = clean_factors(scene, plan, replace(cfg, n_sym=n_synth))
         gains = np.array([beams.g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
-        clean /= gains[:, None, None, None]
+        coef /= gains[:, None, None, None]
         near = _reachable_beams(scene, plan)
         far = np.setdiff1d(np.arange(plan.n_beams), near)
-        near_power = clutter.FilteredPowerSampler(clean[near], filt, window=cfg.n_sym)
-        far_power = clutter.FilteredPowerSampler(clean[far], filt)
+        near_power = clutter.FilteredPowerSampler(coef[near], symbol_rows, filt, window=cfg.n_sym)
+        far_power = clutter.FilteredPowerSampler(coef[far], symbol_rows, filt)
         far_gain2 = np.abs(gains[far]) ** 2
         gains = gains[near]
         slot = {b: i for i, b in enumerate(near)}

@@ -361,8 +361,10 @@ _BLOCK = 4   # cubes per stacked call; on detect, 8 ran no faster and held twice
 
 def blocks(n: int, at_least: int = 1, size: int = _BLOCK) -> list[range]:
     """range(n) in consecutive blocks of near-equal size, at most ``size`` each,
-    and at least ``at_least`` of them (one per worker thread) when n allows."""
-    count = min(n, max(-(-n // size), at_least))
+    and at least ``at_least`` of them (one per worker thread), their count a
+    multiple of ``at_least`` so no worker gets one block more, when n allows."""
+    count = max(-(-n // size), at_least)
+    count = min(n, -(-count // at_least) * at_least)
     return [range(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 

@@ -153,7 +153,7 @@ def test_power_sampler_matches_full_draw(with_target):
             clean + complex_normal(rng, var, (chunk, *clean.shape)), filt)) ** 2,
             axis=(1, 2, 3))
         for _ in range(n_draws // chunk)])
-    sampler = cl.FilteredPowerSampler(clean[None], filt)
+    sampler = cl.FilteredPowerSampler(clean[None], np.eye(cfg.n_sym), filt)
     sampled = np.concatenate([sampler.draw(rng, [var])[1] for _ in range(n_draws)])
     assert stats.ks_2samp(full, sampled).pvalue > 0.01
 
@@ -173,7 +173,7 @@ def test_windowed_sampler_is_the_gaussian_conditioning():
     clean = _clean_cube(True, cfg)
     filt = cl.design_butterworth_highpass(2, 0.04)
     for window in (1, 12, 39):
-        sampler = cl.FilteredPowerSampler(clean[None], filt, window=window)
+        sampler = cl.FilteredPowerSampler(clean[None], np.eye(cfg.n_sym), filt, window=window)
         m = cl.step_matched_highpass(np.eye(cfg.n_sym), filt)
         m_w, m_r = m[:, cfg.n_sym - window:], m[:, :cfg.n_sym - window]
         gram = m_w.T @ m_w
@@ -193,7 +193,40 @@ def test_windowed_sampler_is_the_gaussian_conditioning():
         np.testing.assert_allclose(sampler.clean_mean @ v.T, filtered[..., :cfg.n_sym - window],
                                    rtol=0, atol=1e-12 * scale)
     with pytest.raises(ValueError, match="window"):
-        cl.FilteredPowerSampler(clean[None], filt, window=cfg.n_sym)
+        cl.FilteredPowerSampler(clean[None], np.eye(cfg.n_sym), filt, window=cfg.n_sym)
+
+
+@pytest.mark.parametrize("with_target", [True, False], ids=["clutter+target", "clutter"])
+def test_factored_sampler_matches_whole_cubes(with_target):
+    # every beam's clean cube as coef @ rows: the far energies come from the
+    # triangular factor of each beam's (n_series, R) coefficients, and must
+    # equal the direct sum over the series; with stationary clutter alone the
+    # filter nulls them, and they must still be >= 0
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=40, noise_var=0.0)
+    plan = default_plan(cfg, n_beams=9, span_deg=40.0)
+    target = Target(theta=float(plan.directions[4]), range=3.0, speed=2.0, alpha=1.0)
+    scene = Scene((target,) if with_target else (),
+                  reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
+    coef, rows = ec.clean_factors(scene, plan, cfg)
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    far = cl.FilteredPowerSampler(coef, rows, filt)
+    m = cl.step_matched_highpass(np.eye(cfg.n_sym), filt)
+    series = coef.reshape(plan.n_beams, -1, len(rows))
+    direct = np.sum(np.abs(series @ (rows @ m @ far.directions)) ** 2, axis=1)
+    assert np.all(far.energy >= 0)
+    if with_target:
+        np.testing.assert_allclose(far.energy, direct, rtol=0, atol=1e-12 * np.max(direct))
+    else:
+        clean_energy = np.sum(np.abs(coef) ** 2) * np.sum(np.abs(rows) ** 2)
+        assert np.sum(far.energy) <= 1e-18 * clean_energy
+    # the windowed sampler of the factors equals that of the whole cubes
+    cubes = coef @ rows
+    scale = float(np.max(np.abs(cubes)))
+    got = cl.FilteredPowerSampler(coef, rows, filt, window=12)
+    want = cl.FilteredPowerSampler(cubes, np.eye(cfg.n_sym), filt, window=12)
+    assert got.shape == want.shape == (plan.n_beams, cfg.m_rx, cfg.n_sub, 12)
+    np.testing.assert_allclose(got.clean_window, want.clean_window, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(got.clean_mean, want.clean_mean, rtol=0, atol=1e-12 * scale)
 
 
 def _full_and_sampled(clean, filt, window, var, n_draws=10_000, chunk=1000, seed=11):
@@ -206,8 +239,8 @@ def _full_and_sampled(clean, filt, window, var, n_draws=10_000, chunk=1000, seed
                                      filt)
         full_power.append(np.sum(np.abs(y) ** 2, axis=(1, 2, 3)))
         full_entry.append(y[:, 0, 0, -1])
-    sampler = cl.FilteredPowerSampler(np.broadcast_to(clean, (chunk, *clean.shape)), filt,
-                                      window=window)
+    sampler = cl.FilteredPowerSampler(np.broadcast_to(clean, (chunk, *clean.shape)),
+                                      np.eye(clean.shape[-1]), filt, window=window)
     power, entry = [], []
     for _ in range(n_draws // chunk):
         noise = complex_normal(rng, var, sampler.shape)

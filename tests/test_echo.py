@@ -10,8 +10,8 @@ import pytest
 
 from mtsense import beams as bm
 from mtsense import echo as ec
-from mtsense.scene import (Scatterer, Scene, SystemConfig, Target,
-                           frequencies_target, range_frequency, spatial_frequency)
+from mtsense.scene import (Scatterer, Scene, SystemConfig, Target, frequencies_target,
+                           range_frequency, reference_scene, spatial_frequency)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,24 @@ def test_element_factors_match_scalar_helpers(small_cfg, small_plan):
     assert np.allclose(f.a_d[0], ec.steering_doppler(psi_d, small_cfg.n_sym), rtol=0,
                        atol=1e-15)
     assert np.array_equal(f.a_d[2], np.ones(small_cfg.n_sym))   # scatterer: no Doppler
+
+
+@pytest.mark.parametrize("with_scatterers", [True, False], ids=["reference", "targets only"])
+def test_clean_factors_expand_to_the_synthesized_cubes(with_scatterers):
+    # coef @ rows, at the sweep's 64-symbol frame, is every beam's noiseless cube
+    cfg = SystemConfig(n_sym=64)
+    plan = bm.default_plan(cfg, n_beams=61, span_deg=60.0)
+    scene = reference_scene(cfg)
+    if not with_scatterers:
+        scene = Scene(scene.targets, ())
+    coef, rows = ec.clean_factors(scene, plan, cfg)
+    n_rows = len(scene.targets) + with_scatterers
+    assert coef.shape == (plan.n_beams, cfg.m_rx, cfg.n_sub, n_rows)
+    assert rows.shape == (n_rows, cfg.n_sym)
+    for b in range(plan.n_beams):
+        want = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data
+        np.testing.assert_allclose(coef[b] @ rows, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_clean_cube_plus_noise_is_bit_identical(small_cfg, small_plan):

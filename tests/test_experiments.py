@@ -663,18 +663,16 @@ def _sweep_mse_per_trial(config):
     cfg = config.system
     plan = default_plan(cfg, n_beams=config.scan.n_beams, span_deg=config.scan.span_deg)
     scene = ex.build_scene(config, cfg, config.seed)
-    cfg_synth = replace(cfg, n_sym=config.sweep.n_sym_synth)
     filt = config.filter.build()
     n_t = len(scene.targets)
     truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
-    clean = np.stack([synthesize_echo(scene, plan, b, cfg_synth, seed=config.seed,
-                                      noise_var=0.0).data for b in range(plan.n_beams)])
+    coef, rows = echo.clean_factors(scene, plan, replace(cfg, n_sym=config.sweep.n_sym_synth))
     gains = np.array([g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
-    clean /= gains[:, None, None, None]
+    coef /= gains[:, None, None, None]
     near = ex._reachable_beams(scene, plan)
     far = np.setdiff1d(np.arange(plan.n_beams), near)
-    near_power = clutter.FilteredPowerSampler(clean[near], filt, window=cfg.n_sym)
-    far_power = clutter.FilteredPowerSampler(clean[far], filt)
+    near_power = clutter.FilteredPowerSampler(coef[near], rows, filt, window=cfg.n_sym)
+    far_power = clutter.FilteredPowerSampler(coef[far], rows, filt)
     mse = {}
     for k, snr_db in enumerate(config.snr_list_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)

@@ -186,3 +186,14 @@ def test_blocks_cover_range_in_order_and_near_equal(n, at_least, size):
     lengths = [len(r) for r in parts]
     assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
     assert len(parts) >= min(n, at_least)
+    assert len(parts) % at_least == 0 or len(parts) == n
+
+
+def test_blocks_count_is_a_multiple_of_the_workers():
+    # 36 sweep pairs on 2 workers: 4 blocks of 9, not 3 of 12 (one worker
+    # would run two of them while the other runs one)
+    assert [len(r) for r in sc.blocks(36, 2, 16)] == [9] * 4
+    assert len(sc.blocks(600, 2, 16)) == 38
+    assert [len(r) for r in sc.blocks(5, 3, 16)] == [1, 2, 2]
+    assert len(sc.blocks(61, 1, 4)) == len(sc.blocks(61, 2, 4)) == 16
+    assert len(sc.blocks(3, 4, 1)) == 3          # n does not allow 4
