@@ -91,13 +91,18 @@ def default_warmup(filt) -> int:
     return 3 * filt.order
 
 
-def normalize_by_gain(y: EchoTensor, plan: BeamPlan) -> np.ndarray:
-    """The raw echo's cube divided by the scan's boresight gain g_tilde."""
-    return y.data / g_tilde(plan, y.scan_index, y.cfg)
+def normalize_by_gain(y: EchoTensor, plan: BeamPlan,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The raw echo's cube divided by the scan's boresight gain g_tilde, into
+    ``out`` if given."""
+    return np.divide(y.data, g_tilde(plan, y.scan_index, y.cfg), out=out)
 
 
-def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
-    """High-pass every series along the last axis of a stack of any shape.
+def step_matched_highpass(data: np.ndarray, filt: IirFilter,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """High-pass every series along the last axis of a stack of any shape,
+    into ``out`` if given (a C-contiguous array of data's shape, data itself
+    allowed).
 
     The filter state is seeded with the steady-state step response scaled by
     each series' first sample, so a component that is constant along the
@@ -106,27 +111,33 @@ def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
     num, den = filt.num_coeffs, filt.den_coeffs
     b, a = num.tolist(), den.tolist()
     order = len(a) - 1
-    dtype = np.result_type(data, num)
-    # Symbol axis first, so each time step is one contiguous row. The
-    # coefficients are real, so real and imaginary parts filter apart.
-    x = np.ascontiguousarray(np.moveaxis(np.asarray(data), -1, 0), dtype=dtype)
-    x_rows = x.view(float).reshape(len(x), -1)
-    y_rows = np.empty_like(x_rows)
-    state = np.multiply.outer(_step_state(num, den), x_rows[0])
-    tmp = np.empty_like(x_rows[0])
-    for xp, yp in zip(x_rows, y_rows):     # direct form II transposed
-        np.multiply(xp, b[0], out=yp)
-        yp += state[0]
+    data = np.asarray(data)
+    # One series per row. Each time step is gathered into one contiguous
+    # vector before its output is scattered back, so the output is the only
+    # array of the input's size, and it may be the input. The coefficients are
+    # real, so real and imaginary parts filter apart.
+    x = np.ascontiguousarray(data, dtype=np.result_type(data, num)).reshape(-1, data.shape[-1])
+    y = np.empty_like(x) if out is None else out.reshape(x.shape)
+    xp, yp = np.empty((2, len(x)), dtype=x.dtype)
+    xf, yf = xp.view(float), yp.view(float)
+    xp[:] = x[:, 0]
+    state = np.multiply.outer(_step_state(num, den), xf)
+    tmp = np.empty_like(xf)
+    for p in range(x.shape[1]):     # direct form II transposed
+        xp[:] = x[:, p]
+        np.multiply(xf, b[0], out=yf)
+        yf += state[0]
         for n in range(1, order + 1):
             z = state[n - 1]
             if n < order:
-                np.multiply(xp, b[n], out=tmp)
+                np.multiply(xf, b[n], out=tmp)
                 np.add(state[n], tmp, out=z)
             else:
-                np.multiply(xp, b[n], out=z)
-            np.multiply(yp, a[n], out=tmp)
+                np.multiply(xf, b[n], out=z)
+            np.multiply(yf, a[n], out=tmp)
             z -= tmp
-    return np.ascontiguousarray(np.moveaxis(y_rows.view(dtype).reshape(x.shape), 0, -1))
+        y[:, p] = yp
+    return y.reshape(data.shape)
 
 
 class FilteredPowerSampler:
@@ -202,8 +213,10 @@ class FilteredPowerSampler:
         return window.reshape(self.shape), power
 
 
-def filter_symbols(cubes: np.ndarray, filt: IirFilter) -> np.ndarray:
-    """Run the step-matched high-pass along the symbol (last) axis of a stack of cubes.
+def filter_symbols(cubes: np.ndarray, filt: IirFilter,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Run the step-matched high-pass along the symbol (last) axis of a stack
+    of cubes, into ``out`` if given (cubes itself allowed).
 
     Stationary components vanish from the first symbol on. A moving target's
     tone still needs a few symbols to settle; the estimators skip the first
@@ -214,7 +227,7 @@ def filter_symbols(cubes: np.ndarray, filt: IirFilter) -> np.ndarray:
     n_sym = cubes.shape[-1]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
-    return step_matched_highpass(cubes, filt)
+    return step_matched_highpass(cubes, filt, out)
 
 
 def scan_spectrum(checked) -> np.ndarray:

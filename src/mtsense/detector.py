@@ -78,7 +78,9 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
                    cfg: SystemConfig, b: int):
     """``glr_statistic`` at scan b as a function of an (n, M_r, L, P) stack of
     raw cubes, one GlrOutcome per cube. The projector, a_sp and denom are
-    built once, here; the products and sums run as one call over the stack.
+    built once, here; the products and sums run as one call over the stack,
+    into ``work`` if given: Pperp y (complex) and its squared magnitudes
+    (float), each (at least n, M_r, L*P).
     matmul calls BLAS once per slice, and a sum over each slice's contiguous
     entries keeps their pairwise order, so each cube gets the bits of its own
     call."""
@@ -89,12 +91,17 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
     a_sp = steering_rx(psi_s, cfg.m_rx)
     denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
 
-    def evaluate(cubes: np.ndarray) -> list[GlrOutcome]:
+    def evaluate(cubes: np.ndarray, work=None) -> list[GlrOutcome]:
         n, m_rx, n_sub, n_sym = cubes.shape
         n_tot = m_rx * n_sub * n_sym
-        py = p_perp @ cubes.reshape(n, m_rx, n_sub * n_sym)
+        flat = cubes.reshape(n, m_rx, n_sub * n_sym)
+        if work is None:
+            work = np.empty(flat.shape, dtype=complex), np.empty(flat.shape)
+        py, power = (w[:n] for w in work)
+        np.matmul(p_perp, flat, out=py)
         inner = a_sp.conj() @ py                                # (n, L*P)
-        h0 = [float(e) / n_tot for e in np.sum(np.abs(py) ** 2, axis=(1, 2))]
+        np.square(np.abs(py, out=power), out=power)
+        h0 = [float(e) / n_tot for e in np.sum(power, axis=(1, 2))]
         if denom < UNDETECTABLE_REL * m_rx:
             return [GlrOutcome(0.0, s0, s0, 0j, undetectable=True) for s0 in h0]
         g = g_tilde(plan, b, cfg)
@@ -102,7 +109,8 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
         matched = np.sum(np.conj(steer).ravel() * inner, axis=-1)
         scale = abs(g) ** 2 * denom * n_sub * n_sym
         num = np.sum(np.abs(inner) ** 2, axis=-1)
-        mean_power = np.mean(np.abs(cubes) ** 2, axis=(1, 2, 3))
+        np.square(np.abs(flat, out=power), out=power)
+        mean_power = np.mean(power, axis=(1, 2))
         out = []
         for j, sigma2_h0 in enumerate(h0):
             num_total = float(num[j]) / denom
@@ -160,15 +168,22 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
     The noiseless H0 cube is synthesized once; trial i adds the noise that
     ``synthesize_echo(..., seed=(seed, i))`` would, so every trial is
     bit-identical to a full synthesis with that seed. The statistic runs on
-    blocks of trials.
+    blocks of trials, all in one stack and one scratch that every block
+    reuses: blocks that each allocated and freed about 1 MB would have the
+    allocator hand the heap top back to the OS and fault it in again.
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
     clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
     evaluate = _glr_evaluator(candidate, plan, cfg, b)
-    ts = [out.statistic for trials in blocks(n_trials)
-          for out in evaluate(noisy_copies(clean, sigma2, [(seed, i) for i in trials]))]
+    trial_blocks = blocks(n_trials)
+    size = max(map(len, trial_blocks))
+    stack = np.empty((size, *clean.data.shape), dtype=complex)
+    shape = (size, cfg.m_rx, cfg.n_sub * cfg.n_sym)
+    work = np.empty(shape, dtype=complex), np.empty(shape)
+    ts = [out.statistic for trials in trial_blocks for out in evaluate(
+        noisy_copies(clean, sigma2, [(seed, i) for i in trials], out=stack), work)]
     return float(np.quantile(ts, 1.0 - p_fa))
 
 

@@ -17,6 +17,7 @@ later scan of that scene and cfg shares them as read-only arrays.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,22 +99,26 @@ def element_factors(elements, cfg: SystemConfig) -> ElementFactors:
     )
 
 
+_FACTORS_LOCK = threading.Lock()
+
+
 def _scene_factors(scene: Scene, kind: str, cfg: SystemConfig) -> ElementFactors:
     """``element_factors`` of scene.targets or scene.scatterers (``kind``), built
     on the first call for that kind and cfg and shared read-only afterwards.
 
     The entry is stored on the scene itself (and so reaches its
     ``without_targets`` copies), so it lives as long as the scene and the
-    lookup never hashes or compares the elements. Two threads that
-    miss at once may both build an entry; each stores only a complete one.
+    lookup never hashes or compares the elements. Threads that miss at once
+    wait for one build, so no scene builds or holds two copies.
     """
     key = (kind, cfg)
-    f = scene._factors.get(key)
-    if f is None:
-        f = element_factors(getattr(scene, kind), cfg)
-        for arr in vars(f).values():
-            arr.flags.writeable = False
-        scene._factors[key] = f
+    with _FACTORS_LOCK:
+        f = scene._factors.get(key)
+        if f is None:
+            f = element_factors(getattr(scene, kind), cfg)
+            for arr in vars(f).values():
+                arr.flags.writeable = False
+            scene._factors[key] = f
     return f
 
 
@@ -209,10 +214,14 @@ def _add_noise_to(data: np.ndarray, sigma2: float, seed, b: int) -> None:
         data += complex_normal(rng, sigma2, data.shape)
 
 
-def noisy_copies(clean: EchoTensor, sigma2: float, seeds) -> np.ndarray:
+def noisy_copies(clean: EchoTensor, sigma2: float, seeds, out=None) -> np.ndarray:
     """An (n, M_r, L, P) stack: copy i of clean's cube plus the CN(0, sigma2)
-    noise ``synthesize_echo`` would add with seed seeds[i], bit for bit."""
-    cubes = np.repeat(clean.data[None], len(seeds), axis=0)
+    noise ``synthesize_echo`` would add with seed seeds[i], bit for bit; in
+    the first n cubes of ``out`` if given."""
+    if out is None:
+        out = np.empty((len(seeds), *clean.data.shape), dtype=complex)
+    cubes = out[:len(seeds)]
+    cubes[:] = clean.data
     for cube, seed in zip(cubes, seeds):
         _add_noise_to(cube, sigma2, seed, clean.scan_index)
     return cubes

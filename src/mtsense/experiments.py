@@ -7,8 +7,10 @@ with the same config and seed produce byte-identical CSVs at a fixed BLAS
 thread count (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS); worker threads only
 change the execution order, never the results.
 
-Every manifest holds library_version, seed, config_hash, config, scene,
-outputs (files written), stage_seconds and errors (per-scan failures), plus
+The scan pipeline keeps one power per beam and only the few candidate cubes
+(run_pipeline). Every manifest holds library_version, seed, config_hash,
+config, scene, outputs (files written), stage_seconds (seconds per stage;
+busy time for the scan layers) and errors (per-scan failures), plus
 candidates, n_detections and wall_seconds (scan pipeline), n_trials (sweep,
 ROC), full_cube_beams and sampled_beams (sweep: the beams whose estimation
 window is drawn, and those whose power alone is) or include_scatterers (CRB).
@@ -226,7 +228,7 @@ class _Run:
     def stage(self, name: str):
         tic = time.perf_counter()
         yield
-        self.stage_seconds[name] = time.perf_counter() - tic
+        self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + time.perf_counter() - tic
 
     def path(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -266,7 +268,7 @@ def _start(config: ExperimentConfig, out_dir) -> _Run:
 # ---------------------------------------------------------------------------
 # scan pipeline
 
-_STAGE_ORDER = ("synthesize", "filter", "spectrum", "estimate", "detect")
+_STAGE_ORDER = ("spectrum", "estimate", "detect")
 
 
 def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
@@ -274,6 +276,15 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
     """Full scan pipeline: synth -> normalize -> filter -> spectrum -> peaks ->
     estimate -> GLRT detect. Writes plan.csv, spectrum.csv, estimates.csv,
     detections.csv and manifest.json into out_dir and returns the manifest.
+
+    Two passes. The scan pass streams: each worker thread walks one contiguous
+    part of the beams in blocks (scene.blocks), filters each block in one
+    buffer it reuses, and keeps only each beam's power. After the search each
+    candidate's raw cube is synthesized again from its seed (GLRT) and the
+    candidates are filtered as one stack (estimator); synthesis is seeded per
+    scan and the filter is elementwise, so each cube keeps its bits.
+    stage_seconds of synthesize, filter and spectrum is busy time, summed
+    over blocks and workers.
 
     A failure while processing one scan's candidate is recorded in the report
     and aborts only that scan's downstream stages.
@@ -290,36 +301,47 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
     run.write_csv("plan.csv", ("b", "theta_deg", "halfwidth_deg"),
                   beams.plan_summary_rows(plan))
 
-    with run.stage("synthesize"):
-        raw = thread_map(lambda b: synthesize_echo(scene, plan, b, cfg, seed=seed),
-                         range(plan.n_beams), threads)
+    def _scan(part: range) -> tuple[np.ndarray, np.ndarray]:
+        subs = blocks(len(part))
+        buf = np.empty((max(map(len, subs)), cfg.m_rx, cfg.n_sub, cfg.n_sym), dtype=complex)
+        power, busy = np.empty(len(part)), np.zeros(3)
+        for sub in subs:
+            for i, cube in zip(sub, buf):
+                tic = time.perf_counter()
+                y = synthesize_echo(scene, plan, part[i], cfg, seed=seed)
+                toc = time.perf_counter()
+                clutter.normalize_by_gain(y, plan, out=cube)
+                busy[:2] += toc - tic, time.perf_counter() - toc
+            tic = time.perf_counter()
+            block = clutter.filter_symbols(buf[:len(sub)], filt, out=buf[:len(sub)])
+            toc = time.perf_counter()
+            power[sub.start:sub.stop] = clutter.scan_spectrum(block)
+            busy[1:] += toc - tic, time.perf_counter() - toc
+        return power, busy
 
-    checked: list[np.ndarray] = []     # per-beam views into the filtered blocks
-    if last_idx >= 1:
-        with run.stage("filter"):
-            filtered = thread_map(
-                lambda scans: clutter.filter_symbols(
-                    np.stack([clutter.normalize_by_gain(raw[b], plan) for b in scans]), filt),
-                blocks(plan.n_beams, threads), threads)
-            checked = [cube for block in filtered for cube in block]
-
-    candidates: list[int] = []
-    if last_idx >= 2:
-        with run.stage("spectrum"):
-            spectrum = clutter.scan_spectrum(checked)
-            rows = [(b, math.degrees(plan.directions[b]), float(spectrum[b]))
-                    for b in range(plan.n_beams)]
-            run.write_csv("spectrum.csv", ("b", "theta_deg", "power"), rows)
-            candidates = clutter.find_peaks(spectrum, config.search_rel_threshold)
-            extra["candidates"] = candidates
+    parts = thread_map(_scan, blocks(plan.n_beams, threads, plan.n_beams), threads)
+    spectrum = np.concatenate([power for power, _ in parts])
+    run.stage_seconds.update(zip(("synthesize", "filter", "spectrum"),
+                                 sum(busy for _, busy in parts).tolist()))
+    with run.stage("spectrum"):
+        rows = [(b, math.degrees(plan.directions[b]), float(spectrum[b]))
+                for b in range(plan.n_beams)]
+        run.write_csv("spectrum.csv", ("b", "theta_deg", "power"), rows)
+        candidates = clutter.find_peaks(spectrum, config.search_rel_threshold)
+        extra["candidates"] = candidates
 
     estimates: list[music.EstimationResult] = []
-    if last_idx >= 3:
+    if last_idx >= 1:
+        with run.stage("synthesize"):
+            raw = {b: synthesize_echo(scene, plan, b, cfg, seed=seed) for b in candidates}
+        with run.stage("filter"):
+            warmup = clutter.default_warmup(filt)
+            checked = np.ascontiguousarray(clutter.filter_symbols(
+                np.stack([clutter.normalize_by_gain(y, plan) for y in raw.values()]),
+                filt)[..., warmup:]) if candidates else []
         with run.stage("estimate"):
             est_rows = []
-            warmup = clutter.default_warmup(filt)
-            cubes = [checked[b][..., warmup:] for b in candidates]
-            results = music.estimate_candidates(np.stack(cubes), candidates, cfg) if cubes else []
+            results = music.estimate_candidates(checked, candidates, cfg)
             for b, res in zip(candidates, results):
                 if isinstance(res, Exception):     # per-scan isolation
                     run.errors.append({"scan": b, "stage": "estimate",
@@ -333,7 +355,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                           ("b", "theta_deg", "range_m", "speed_mps",
                            "psi_s", "psi_r", "psi_d"), est_rows)
 
-    if last_idx >= 4:
+    if last_idx >= 2:
         with run.stage("detect"):
             det_rows = []
             h0_scene = scene.without_targets()

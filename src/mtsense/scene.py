@@ -356,7 +356,9 @@ def scene_to_dict(scene: Scene) -> dict:
 # ---------------------------------------------------------------------------
 # work split into blocks and worker threads
 
-_BLOCK = 4   # cubes per stacked call; on detect, 8 ran no faster and held twice the memory
+# Cubes per stacked call. It also bounds detect's scan pass, which holds one
+# block per worker thread. On detect, 8 ran no faster and held twice the memory.
+_BLOCK = 4
 
 
 def blocks(n: int, at_least: int = 1, size: int = _BLOCK) -> list[range]:

@@ -349,6 +349,13 @@ def test_filter_beams_match_per_beam_filter(order, cutoff):
         assert [cube.tobytes() for cube in got] == [want[b].tobytes() for b in block]
     tilde = cl.normalize_by_gain(raw[4], plan)
     assert cl.filter_symbols(tilde, filt).tobytes() == want[4].tobytes()
+    # in place, in the first cubes of a reused buffer that holds stale values
+    buf = np.full((8, cfg.m_rx, cfg.n_sub, cfg.n_sym), np.nan, dtype=complex)
+    for b, cube in zip(range(5), buf):
+        cl.normalize_by_gain(raw[b], plan, out=cube)
+    got = cl.filter_symbols(buf[:5], filt, out=buf[:5])
+    assert np.shares_memory(got, buf)
+    assert [cube.tobytes() for cube in got] == [want[b].tobytes() for b in range(5)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import cmath
 import math
 import re
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from mtsense import beams as bm
 from mtsense import echo as ec
 from mtsense.scene import (Scatterer, Scene, SystemConfig, Target, frequencies_target,
-                           range_frequency, reference_scene, spatial_frequency)
+                           range_frequency, reference_scene, spatial_frequency,
+                           thread_map)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +129,29 @@ def test_clean_cube_plus_noise_is_bit_identical(small_cfg, small_plan):
     fresh = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
     assert np.array_equal(clean.data, fresh.data)      # noisy_copies copies
     assert np.array_equal(ec.noisy_copies(clean, 0.0, [1])[0], clean.data)
+    # into the first cubes of a larger buffer that holds stale values
+    buf = np.full((len(seeds) + 2, *clean.data.shape), np.nan, dtype=complex)
+    into = ec.noisy_copies(clean, 0.7, seeds, out=buf)
+    assert np.shares_memory(into, buf) and into.tobytes() == noisy.tobytes()
+
+
+def test_threads_that_miss_at_once_build_the_factors_once(small_cfg, small_plan,
+                                                          monkeypatch):
+    scene = _two_element_scene()
+    want = [ec.synthesize_echo(scene, small_plan, b, small_cfg, seed=1).data
+            for b in range(small_plan.n_beams)]
+    built, element_factors = [], ec.element_factors
+
+    def slow(elements, cfg):
+        built.append(len(elements))
+        time.sleep(0.05)      # every worker misses while the first one builds
+        return element_factors(elements, cfg)
+    monkeypatch.setattr(ec, "element_factors", slow)
+    scene = _two_element_scene()
+    got = thread_map(lambda b: ec.synthesize_echo(scene, small_plan, b, small_cfg, seed=1).data,
+                     range(small_plan.n_beams), 4)
+    assert sorted(built) == [1, 2]       # the scatterer and the targets, once each
+    assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
 
 
 def test_noise_variance_and_determinism(small_cfg, small_plan):

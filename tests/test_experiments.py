@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -470,8 +471,42 @@ def test_pipeline_stage_cutoff(tmp_path):
     assert manifest["outputs"] == ["plan.csv", "spectrum.csv"]
     assert not (tmp_path / "a" / "estimates.csv").exists()
     assert "candidates" in manifest
-    with pytest.raises(ValueError):
-        ex.run_pipeline(config, tmp_path / "b", last_stage="confabulate")
+    # the scan pass keeps no cubes, so it has no synthesize-only or filter-only stop
+    for stage in ("synthesize", "filter", "confabulate"):
+        with pytest.raises(ValueError, match=f"unknown stage '{stage}'"):
+            ex.run_pipeline(config, tmp_path / stage, last_stage=stage)
+        assert not (tmp_path / stage).exists()
+
+
+def test_stage_seconds_name_each_layer_the_command_runs(tmp_path):
+    config = small_config()
+    scan = ex.run_pipeline(config, tmp_path / "scan", last_stage="spectrum")
+    full = ex.run_pipeline(config, tmp_path / "detect", threads=2)
+    assert full["candidates"]
+    assert sorted(scan["stage_seconds"]) == ["filter", "spectrum", "synthesize"]
+    assert sorted(full["stage_seconds"]) == ["detect", "estimate", "filter", "spectrum",
+                                             "synthesize"]
+    for manifest in (scan, full):
+        assert all(s >= 0 for s in manifest["stage_seconds"].values())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scan_pass_memory_does_not_grow_with_the_beams(tmp_path, threads):
+    # the scan pass keeps one power per beam and one block buffer per worker:
+    # 40 more beams must not hold even 8 more cubes at the peak
+    cfg = SystemConfig()
+    cube_bytes = cfg.m_rx * cfg.n_sub * cfg.n_sym * np.dtype(complex).itemsize
+    peak = {}
+    for n_beams in (21, 61):
+        config = ex.config_from_dict({"scan": {"n_beams": n_beams}})
+        tracemalloc.start()
+        try:
+            ex.run_pipeline(config, tmp_path / str(n_beams), threads=threads,
+                            last_stage="spectrum")
+            peak[n_beams] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[61] - peak[21] < 8 * cube_bytes
 
 
 def test_pipeline_reruns_are_byte_identical(tmp_path):
@@ -487,23 +522,26 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
 
 def test_pipeline_isolates_a_candidate_that_fails_in_the_stacked_estimate(
         tmp_path, monkeypatch):
-    # the first candidate's filtered cube turns non-finite after the search:
-    # that scan gets one errors entry, the other keeps its rows
+    # the first candidate's filtered cube turns non-finite where the pipeline
+    # rebuilds the candidates after the search: that scan gets one errors
+    # entry, the other keeps its rows
     config = ex.config_from_dict({"detector": {"calib_trials": 20}})
     ex.run_pipeline(config, tmp_path / "clean")
-    checked = []
-    scan_spectrum, find_peaks = clutter.scan_spectrum, clutter.find_peaks
+    peaks = []
+    find_peaks, filter_symbols = clutter.find_peaks, clutter.filter_symbols
 
-    def kept(cubes):
-        checked[:] = cubes
-        return scan_spectrum(cubes)
+    def recorded(spectrum, rel_threshold):
+        peaks[:] = find_peaks(spectrum, rel_threshold)
+        return list(peaks)
 
-    def poisoned(spectrum, rel_threshold):
-        peaks = find_peaks(spectrum, rel_threshold)
-        checked[peaks[0]][0, 0, -1] = np.nan
-        return peaks
-    monkeypatch.setattr(clutter, "scan_spectrum", kept)
-    monkeypatch.setattr(clutter, "find_peaks", poisoned)
+    def poisoned(cubes, filt, out=None):
+        filtered = filter_symbols(cubes, filt, out)
+        if peaks:     # after the search: the candidates' stack
+            assert len(cubes) == len(peaks)
+            filtered[0, 0, 0, -1] = np.nan
+        return filtered
+    monkeypatch.setattr(clutter, "find_peaks", recorded)
+    monkeypatch.setattr(clutter, "filter_symbols", poisoned)
     manifest = ex.run_pipeline(config, tmp_path / "bad")
     assert manifest["candidates"] == [6, 38]
     assert manifest["errors"] == [{"scan": 6, "stage": "estimate", "error": "ValueError",
