@@ -14,7 +14,10 @@ scaling of y, so thresholds calibrate cleanly by Monte Carlo under H0.
 Clutter carries no Doppler, and a scatterer's range only multiplies its
 column at subcarrier l by the unit phase exp(-j 2 pi l psi_r), so the clutter
 span depends on angle alone and is the same for every l and every range: one
-projector per statistic evaluation serves the whole (M_r, L*P) cube.
+unit column u spans it for the whole (M_r, L*P) cube. The projector
+Pperp = I - u u^H is applied as two rows, never as a matrix: with
+w = Pperp a, z = [u, w]^H y gives a^H Pperp y = z_1 and Pperp y = y - u z_0,
+2 M_r multiply-adds per column instead of M_r^2.
 """
 from __future__ import annotations
 
@@ -58,6 +61,8 @@ def perp_projector(a_tilde: np.ndarray) -> np.ndarray:
 
     Built from the left singular vectors of A's numerical range, not from
     A @ pinv(A): the product form would lose cond(A) digits of the projector.
+    The GLRT applies its rank-1 projector as two rows instead; this stays as
+    the tests' dense reference and a benchmark-traced name (ROADMAP item 2).
     """
     m = a_tilde.shape[0]
     eye = np.eye(m, dtype=complex)
@@ -77,19 +82,25 @@ ZERO_RESIDUAL_REL = 1e-20  # sigma0_hat^2 below this fraction of the mean input
 def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
                    cfg: SystemConfig, b: int):
     """``glr_statistic`` at scan b as a function of an (n, M_r, L, P) stack of
-    raw cubes, one GlrOutcome per cube. The projector, a_sp and denom are
-    built once, here; the products and sums run as one call over the stack,
-    into ``work`` if given: Pperp y (complex) and its squared magnitudes
-    (float), each (at least n, M_r, L*P).
+    raw cubes, one GlrOutcome per cube. u = c / |c| of the clutter column c,
+    w = Pperp a_sp = a_sp - u (u^H a_sp), denom and the rows [u, w]^H are
+    built once, here. Each stack takes one z = rows @ y, a (2, M_r) GEMM that
+    BLAS keeps on the calling thread (a dense (M_r, M_r) one wakes its pool):
+    a^H Pperp y = z_1, and Pperp y = y - u z_0 stays an explicit subtraction.
+    The sums run as one call over the stack, into ``work`` if given: Pperp y
+    (complex) and its squared magnitudes (float), each (at least n, M_r, L*P).
     matmul calls BLAS once per slice, and a sum over each slice's contiguous
     entries keeps their pairwise order, so each cube gets the bits of its own
     call."""
     psi_d, psi_r, psi_s = candidate
     if not all(np.isfinite([psi_d, psi_r, psi_s])):
         raise ValueError("candidate frequencies must be finite")
-    p_perp = perp_projector(clutter_basis(b, plan, cfg))
+    c = clutter_basis(b, plan, cfg)[:, 0]
+    u = c / np.linalg.norm(c)
     a_sp = steering_rx(psi_s, cfg.m_rx)
-    denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))  # a^H Pperp a / |g|^2
+    w = a_sp - u * (u.conj() @ a_sp)                        # Pperp a
+    denom = float(np.real(a_sp.conj() @ w))                 # a^H Pperp a / |g|^2
+    rows = np.stack([u, w]).conj()
 
     def evaluate(cubes: np.ndarray, work=None) -> list[GlrOutcome]:
         n, m_rx, n_sub, n_sym = cubes.shape
@@ -97,9 +108,10 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
         flat = cubes.reshape(n, m_rx, n_sub * n_sym)
         if work is None:
             work = np.empty(flat.shape, dtype=complex), np.empty(flat.shape)
-        py, power = (w[:n] for w in work)
-        np.matmul(p_perp, flat, out=py)
-        inner = a_sp.conj() @ py                                # (n, L*P)
+        py, power = (buf[:n] for buf in work)
+        z = rows @ flat                                         # (n, 2, L*P)
+        np.subtract(flat, np.multiply(u[:, None], z[:, :1], out=py), out=py)
+        inner = z[:, 1]
         np.square(np.abs(py, out=power), out=power)
         h0 = [float(e) / n_tot for e in np.sum(power, axis=(1, 2))]
         if denom < UNDETECTABLE_REL * m_rx:
@@ -137,9 +149,9 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     """Evaluate the GLRT statistic for candidate frequencies (psi_d, psi_r, psi_s).
 
     Operates on the raw (unfiltered, unnormalized) scan tensor. One projector
-    is computed per call and applied to all subcarriers and symbols at once:
-    a clutter basis column at subcarrier l is its l = 0 column times the unit
-    phase exp(-j 2 pi l psi_r), so the span, and Pperp, do not depend on l.
+    serves all subcarriers and symbols at once: a clutter basis column at
+    subcarrier l is its l = 0 column times the unit phase
+    exp(-j 2 pi l psi_r), so the span, and Pperp, do not depend on l.
     If the candidate steering vector is indistinguishable from the clutter
     subspace the outcome is flagged undetectable (t = 0) instead of dividing
     by ~zero.
@@ -168,23 +180,28 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
     The noiseless H0 cube is synthesized once; trial i adds the noise that
     ``synthesize_echo(..., seed=(seed, i))`` would, so every trial is
     bit-identical to a full synthesis with that seed. The statistic runs on
-    blocks of trials, all in one stack and one scratch that every block
-    reuses: blocks that each allocated and freed about 1 MB would have the
-    allocator hand the heap top back to the OS and fault it in again.
+    blocks of trials (see ``_statistics``).
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
     clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
-    evaluate = _glr_evaluator(candidate, plan, cfg, b)
-    trial_blocks = blocks(n_trials)
-    size = max(map(len, trial_blocks))
-    stack = np.empty((size, *clean.data.shape), dtype=complex)
+    ts = _statistics(_glr_evaluator(candidate, plan, cfg, b), cfg, [
+        (clean, sigma2, [(seed, i) for i in trials]) for trials in blocks(n_trials)])
+    return float(np.quantile(ts, 1.0 - p_fa))
+
+
+def _statistics(evaluate, cfg: SystemConfig, jobs) -> list[float]:
+    """The statistic of every trial of ``jobs``, (clean, sigma2, seeds) blocks,
+    in order. Every block goes through one noisy stack and one scratch:
+    blocks that each allocated and freed about 1 MB would have the allocator
+    hand the heap top back to the OS and fault it in again."""
+    size = max(len(seeds) for *_, seeds in jobs)
+    stack = np.empty((size, cfg.m_rx, cfg.n_sub, cfg.n_sym), dtype=complex)
     shape = (size, cfg.m_rx, cfg.n_sub * cfg.n_sym)
     work = np.empty(shape, dtype=complex), np.empty(shape)
-    ts = [out.statistic for trials in trial_blocks for out in evaluate(
-        noisy_copies(clean, sigma2, [(seed, i) for i in trials], out=stack), work)]
-    return float(np.quantile(ts, 1.0 - p_fa))
+    return [out.statistic for clean, sigma2, seeds in jobs
+            for out in evaluate(noisy_copies(clean, sigma2, seeds, out=stack), work)]
 
 
 def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPlan,
@@ -193,9 +210,10 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     """Monte-Carlo ROC per SNR for the first target of scene_h1, tested at
     its true frequencies in its covering beam. Each hypothesis' noiseless cube is
     synthesized once; trial i of hypothesis h at the k-th SNR adds the noise
-    of seed (seed, k, h, i). The statistic runs on blocks of trials, and the
-    blocks of all SNRs and both hypotheses go to one pool of ``threads``
-    worker threads, which changes only the execution order.
+    of seed (seed, k, h, i). The statistic runs on blocks of trials; the
+    blocks of all SNRs and both hypotheses are split into ``threads``
+    contiguous parts, one per worker thread, each with its own stack and
+    scratch, which changes only the execution order.
     Thresholds sweep the pooled statistic range (quantile grid plus open
     endpoints), so each curve starts at (1, 1) and ends at (0, 0) and is
     monotone by construction. Returns {snr_db: [(gamma, p_fa, p_d), ...]}.
@@ -208,20 +226,15 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     clean = [synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
              for scene in (scene_h0, scene_h1)]
     evaluate = _glr_evaluator(candidate, plan, cfg, b)
-
-    def _block(job) -> list[float]:
-        k, h, trials = job
-        cubes = noisy_copies(clean[h], 10.0 ** (-snr_list_db[k] / 10.0),
-                             [(seed, k, h, i) for i in trials])
-        return [out.statistic for out in evaluate(cubes)]
-
-    per_snr = [(h, trials) for h in (0, 1) for trials in blocks(n_trials)]
-    stats = thread_map(_block, [(k, *job) for k in range(len(snr_list_db))
-                                for job in per_snr], threads)
+    jobs = [(clean[h], 10.0 ** (-snr_db / 10.0), [(seed, k, h, i) for i in trials])
+            for k, snr_db in enumerate(snr_list_db) for h in (0, 1)
+            for trials in blocks(n_trials)]
+    parts = thread_map(lambda part: _statistics(evaluate, cfg, jobs[part.start:part.stop]),
+                       blocks(len(jobs), threads, len(jobs)), threads)
+    stats = [t for ts in parts for t in ts]
     curves: dict[float, list[tuple[float, float, float]]] = {}
     for k, snr_db in enumerate(snr_list_db):
-        own = stats[k * len(per_snr):(k + 1) * len(per_snr)]
-        pooled = np.array([t for ts in own for t in ts])
+        pooled = np.array(stats[2 * n_trials * k:2 * n_trials * (k + 1)])
         t0, t1 = pooled[:n_trials], pooled[n_trials:]
         qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))
         gammas = np.concatenate([[-math.inf], np.unique(qs), [math.inf]])

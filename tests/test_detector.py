@@ -1,5 +1,8 @@
 """GLRT detector: projector algebra, degenerate inputs, calibration, ROC."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,6 +231,76 @@ def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
             assert abs(out.alpha_hat - alpha) <= rel * abs(alpha)
 
 
+def test_two_rows_match_dense_projector_in_dense_clutter(cfg, plan, ref_scene):
+    # H0 cubes (three noisy, one noiseless) in the reference scene's 400
+    # scatterers, at each reference target and at candidates 0.8, 3 and 6
+    # coverage half widths off its beam's boresight.
+    # Both forms compute each column of Pperp y to within a length-M_r dot
+    # product's roundoff, M_r eps |y|, which moves |Pperp y|^2 by
+    # 2 M_r eps |y| / |Pperp y| <= 2 M_r eps |y|^2 / |Pperp y|^2 relative.
+    # t, s1 and alpha also divide by denom = M_r - |u^H a|^2, whose roundoff
+    # 2 M_r^2 eps is 2 M_r eps (M_r / denom) relative.
+    eps = np.finfo(float).eps
+    h0 = ref_scene.without_targets()
+    for target in ref_scene.targets:
+        b = beam_for_angle(plan, target.theta)
+        cubes = [ec.synthesize_echo(h0, plan, b, cfg, seed=s) for s in range(3)]
+        cubes.append(ec.synthesize_echo(h0, plan, b, cfg, noise_var=0.0))
+        p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg))
+        off_axis = [_target_in_beam(plan, b, theta=float(plan.directions[b])
+                                    + offset * plan.coverage_halfwidth)
+                    for offset in (0.8, 3.0, 6.0)]
+        for cand in (dt.candidate_from_target(t, cfg) for t in [target, *off_axis]):
+            a_sp = steering_rx(cand[2], cfg.m_rx)
+            denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
+            outs = dt._glr_evaluator(cand, plan, cfg, b)(np.stack([y.data for y in cubes]))
+            for y, out in zip(cubes, outs):
+                t, s0, s1, alpha = per_subcarrier_glr(y, cand, plan, cfg)
+                ratio = float(np.mean(np.abs(y.data) ** 2)) / s0
+                rel_s0 = 2 * cfg.m_rx * eps * ratio
+                rel = 2 * cfg.m_rx * eps * (ratio + cfg.m_rx / denom)
+                assert ratio > 1.0 and not out.undetectable
+                assert out.sigma2_hat_h0 == pytest.approx(s0, rel=rel_s0)
+                assert out.statistic == pytest.approx(t, rel=rel)
+                assert out.sigma2_hat_h1 == pytest.approx(s1, rel=rel)
+                assert abs(out.alpha_hat - alpha) <= rel * abs(alpha)
+
+
+_SPIN = """
+import time
+import numpy as np
+from mtsense import detector as dt
+from mtsense.beams import beam_for_angle, default_plan
+from mtsense.scene import SystemConfig, reference_scene
+cfg = SystemConfig()
+plan = default_plan(cfg)
+target = reference_scene(cfg).targets[0]
+evaluate = dt._glr_evaluator(dt.candidate_from_target(target, cfg), plan, cfg,
+                             beam_for_angle(plan, target.theta))
+shape = (4, cfg.m_rx, cfg.n_sub, cfg.n_sym, 2)
+cubes = np.random.default_rng(0).standard_normal(shape).view(complex)[..., 0]
+evaluate(cubes)
+cpu = time.process_time()
+time.sleep(0.05)
+print(time.process_time() - cpu)
+"""
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((_CPUS or 1) < 2, reason="needs 2 CPUs")
+def test_statistic_leaves_no_blas_thread_spinning():
+    # A BLAS product large enough to be split across threads leaves the
+    # library's worker threads spinning for a while after it returns, each
+    # burning a CPU; the GLRT's two-row product is run on the calling thread.
+    # The block is built without BLAS, so only the evaluator can wake them.
+    proc = subprocess.run([sys.executable, "-c", _SPIN], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.010
+
+
 def test_detect_thresholding():
     out = dt.GlrOutcome(statistic=0.4, sigma2_hat_h0=1.0, sigma2_hat_h1=0.6,
                         alpha_hat=0j)
@@ -323,9 +396,10 @@ def test_roc_needs_target_or_explicit_candidate():
 
 # ---------------------------------------------------------------------------
 # oracle: the statistic one cube at a time, each cube a noisy copy of its own,
-# as the library ran it before it stacked the cubes of a calibration or ROC
-# block. The stacked evaluation must return each cube's outcome to the bit,
-# in every branch.
+# in the library's two-row arithmetic (Pperp = I - u u^H applied as the rows
+# [u, Pperp a]^H), without the stacking of a calibration or ROC block. The
+# stacked evaluation must return each cube's outcome to the bit, in every
+# branch. The dense-projector oracles above check the arithmetic itself.
 
 def _add_noise(clean, sigma2, seed):
     data = clean.data.copy()
@@ -338,14 +412,18 @@ def _glr_statistic_per_item(y, candidate, plan, cfg):
     b = y.scan_index
     m_rx, n_sub, n_sym = y.data.shape
     n_tot = m_rx * n_sub * n_sym
-    p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg))
+    c = dt.clutter_basis(b, plan, cfg)[:, 0]
+    u = c / np.linalg.norm(c)
     a_sp = steering_rx(psi_s, cfg.m_rx)
-    denom = float(np.real(a_sp.conj() @ (p_perp @ a_sp)))
-    py = p_perp @ y.data.reshape(m_rx, n_sub * n_sym)
+    a_perp = a_sp - u * (u.conj() @ a_sp)
+    denom = float(np.real(a_sp.conj() @ a_perp))
+    data = y.data.reshape(m_rx, n_sub * n_sym)
+    z = np.stack([u, a_perp]).conj() @ data
+    py = data - u[:, None] * z[:1]
     sigma2_h0 = float(np.sum(np.abs(py) ** 2)) / n_tot
     if denom < dt.UNDETECTABLE_REL * m_rx:
         return dt.GlrOutcome(0.0, sigma2_h0, sigma2_h0, 0j, undetectable=True)
-    inner = a_sp.conj() @ py
+    inner = z[1]
     num_total = float(np.sum(np.abs(inner) ** 2)) / denom
     input_floor = dt.ZERO_RESIDUAL_REL * float(np.mean(np.abs(y.data) ** 2))
     if sigma2_h0 <= input_floor:

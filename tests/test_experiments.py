@@ -780,7 +780,8 @@ def test_roc_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads
 
 
 def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
-    # one job list per command: every (SNR, trial) block goes to one thread_map
+    # one job list per command: every (SNR, trial) block goes to one thread_map,
+    # the sweep's as blocks, the roc's as one contiguous part per worker thread
     calls = []
 
     def counted(fn, items, threads):
@@ -794,7 +795,8 @@ def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
     assert calls == [len(scene_blocks(3 * 5, 2, ex._TRIAL_BLOCK))]
     calls.clear()
     ex.roc_experiment(config, tmp_path / "roc", threads=2)
-    assert calls == [3 * 2 * len(scene_blocks(5))]
+    n_jobs = 3 * 2 * len(scene_blocks(5))
+    assert calls == [len(scene_blocks(n_jobs, 2, n_jobs))]
 
 
 def test_sweep_validates_synth_window():
