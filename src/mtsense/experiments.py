@@ -531,7 +531,10 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
             for row, res in enumerate(music.estimate_candidates(np.concatenate(windows),
                                                                 scans, cfg)):
                 if isinstance(res, Exception):
-                    raise res
+                    k, trial = block[row // n_t]
+                    raise RuntimeError(f"sweep estimate of target {row % n_t + 1} failed at "
+                                       f"{config.snr_list_db[k]:g} dB, trial {trial}: "
+                                       f"{res}") from res
                 est[row] = res.theta_hat, res.range_hat, res.speed_hat
             return (est.reshape(len(block), n_t, 3) - truth) ** 2
 

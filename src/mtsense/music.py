@@ -5,7 +5,9 @@ rank-1 outer product of a spatial, a range and a Doppler steering vector. Each
 axis is estimated independently: slice the tensor into snapshot columns along
 that axis, take the sample covariance, and root the MUSIC null polynomial of
 its noise subspace. One source per scan is assumed throughout, so the noise
-subspace always has dimension M-1.
+subspace always has dimension M-1 and one root is used: the one at the
+deepest null of the spectrum, found by Newton's method from a grid search,
+not picked from all 2(M-1) roots.
 """
 from __future__ import annotations
 
@@ -43,124 +45,73 @@ def noise_subspace(data: np.ndarray) -> np.ndarray:
     return vecs[..., : data.shape[-2] - 1]
 
 
-def _reciprocal_symmetrize(roots: np.ndarray) -> np.ndarray:
-    """Restore the exact reciprocal pairing of the null polynomial's roots,
-    for one root set (N,) or a stack of them (n, N).
-
-    The coefficient sequence below is conjugate-symmetric (the projector is
-    Hermitian to the bit), so the exact root multiset is closed under
-    z -> 1/conj(z); circle zeros have even order because the polynomial is
-    nonnegative there. np.roots loses that structure for (near-)double roots
-    on the unit circle, splitting them by ~sqrt(eps) in arbitrary directions.
-    Rebuild each matched pair (u, v ~ 1/conj(u)) around its mean so the pair
-    is reciprocal exactly; the displacement stays within the roots' own
-    companion-matrix error. Pairs that do not match within a loose tolerance
-    (never the case for a conjugate-symmetric input) are left untouched.
-
-    Greedy: the root farthest off the circle takes first, and its partner is
-    the nearest free root to its image 1/conj(u) (a NaN distance nearest, the
-    lowest index on a tie). The images, distances and tolerances are arrays;
-    the greedy steps through the ``order`` positions once for the whole
-    stack, one masked argmin per row and step, and the pairs are rebuilt in
-    one step. ``abs`` of a complex scalar is hypot(re, im); np.abs of a
-    complex array may differ from it in the last bit, so the tolerance test
-    uses np.hypot.
-    """
-    stack = np.atleast_2d(roots)
-    s, n = stack.shape
-    if n % 2 or stack.size == 0:
-        return roots
-    order = np.argsort(-np.abs(np.abs(stack) - 1.0), axis=1)  # most off-circle first
-    with np.errstate(divide="ignore", invalid="ignore"):    # a zero root is never paired
-        images = 1.0 / np.conj(stack)
-    diff = (stack[:, None, :] - images[:, :, None]).reshape(s * n, n)  # roots - image of flat i
-    dist = np.abs(diff)
-    # distances >= 0 order as their bit patterns do; a NaN comes first, a used root last
-    key, last = np.where(np.isnan(dist), -1, dist.view(np.int64)), np.iinfo(np.int64).max
-    tol = (1e-3 * (1.0 + np.hypot(images.real, images.imag))).ravel()
-    flat, base = stack.ravel(), np.arange(s) * n     # base: flat index of each row's root 0
-    pairable = (flat != 0) & np.isfinite(flat)
-    used = np.zeros((s, n), dtype=bool)
-    flat_used = used.reshape(-1)
-    steps = []
-    for gi in (order + base[:, None]).T:
-        fresh = ~flat_used[gi]
-        if not fresh.any():
-            continue
-        flat_used[gi] = True
-        j = np.where(used, last, key[gi]).argmin(axis=1)
-        d, gj = diff[gi, j], base + j
-        pair = fresh & pairable[gi] & ~flat_used[gj] & ~(np.hypot(d.real, d.imag) > tol[gi])
-        flat_used[gj] |= pair
-        steps.append((gi, gj, fresh, pair))
-    gi, gj, fresh, pair = map(np.array, zip(*steps))          # (steps, s) each
-    width = fresh + pair.astype(int)                 # output slots each step fills
-    at = base + np.cumsum(width, axis=0) - width     # flat output index
-    out = np.empty(s * n, dtype=complex)
-    single = fresh & ~pair
-    out[at[single]] = flat[gi[single]]
-    u, v, at = flat[gi[pair]], flat[gj[pair]], at[pair]
-    r = np.sqrt(np.hypot(u.real, u.imag) / np.hypot(v.real, v.imag))
-    zeta = r * np.exp(1j * (np.angle(u) + 0.5 * np.angle(v / u)))
-    out[at] = zeta
-    out[at + 1] = 1.0 / np.conj(zeta)
-    return out.reshape(roots.shape)
+class RootNotFound(RuntimeError):
+    """Newton's method did not settle on a root of a null polynomial within
+    NEWTON_STEPS evaluations."""
 
 
-def music_roots(data: np.ndarray) -> list[np.ndarray]:
-    """Roots of the MUSIC null polynomial sum_k trace_k(Vn Vn^H) z^(M-1+k) of
-    each matrix of an (n, M, I) snapshot stack; raises if any covariance is
-    non-finite.
+NEWTON_STEPS = 100      # cap on the polynomial evaluations per matrix
+_STEP_TOL = 1e-13       # a Newton step below this fraction of |z| ends the search
+_GRID = 8               # null-spectrum grid points per snapshot row
 
-    The coefficient for offset k is the sum of the k-th diagonal of the noise
-    subspace projector, k = M-1 down to -(M-1). Rooting goes through the
-    companion matrix (np.roots) followed by the reciprocal-pair restoration.
-    Each step is one call over the stack and gives every slice the bits of
-    its own call: linalg gufuncs and matmul call LAPACK and BLAS per slice,
-    each diagonal is summed from a contiguous copy in ``ndarray.trace``'s
-    order, and the companion matrices are np.roots's own, except that a row
-    with a zero end coefficient goes through np.roots, which trims it.
+
+def _null_root(data: np.ndarray) -> np.ndarray:
+    """(n,) root of the MUSIC null polynomial p(z) = sum_k c_k z^(M-1+k) of
+    each matrix of an (n, M, I) snapshot stack: the root Newton's method
+    reaches from the deepest null of the spectrum. Raises ValueError if any
+    covariance is non-finite and RootNotFound if any matrix does not converge.
+
+    c_k is the sum of the k-th diagonal of the noise-subspace projector, k =
+    M-1 down to -(M-1). On the unit circle |p(e^{jw})| = D(w) = sum_k c_k
+    e^{jwk}, the null spectrum, so one zero-padded FFT of the coefficients
+    gives |D| on an 8M-point grid for the whole stack, and its minimum seeds
+    z. Plain Newton steps z <- z - p(z)/p'(z) follow, by Horner's rule. A
+    row leaves the stack once a step is at most 1e-13 |z|, or once |p(z)| is
+    within one rounding unit of sum |c_i| |z|^i: z is then a root to the
+    precision p can be evaluated in. That ends the search at the double root
+    of noiseless data, where the steps stop shrinking about 1e-8 from it.
+    Every step is elementwise, so each row gets the bits it gets alone.
     """
     vn = noise_subspace(data)
     proj = vn @ vn.conj().swapaxes(-1, -2)
     m = proj.shape[-1]
     coeffs = np.stack([np.diagonal(proj, k, -2, -1).copy().sum(axis=-1)
                        for k in range(m - 1, -m, -1)], axis=-1)
-    full = (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0)
-    size = 2 * m - 2
-    companion = np.zeros((np.count_nonzero(full), size, size), dtype=coeffs.dtype)
-    companion[:, np.arange(1, size), np.arange(size - 1)] = 1
-    companion[:, 0] = -coeffs[full, 1:] / coeffs[full, :1]
-    roots = iter(_reciprocal_symmetrize(np.linalg.eigvals(companion)))
-    return [next(roots) if ok else _reciprocal_symmetrize(np.roots(c))
-            for c, ok in zip(coeffs, full.tolist())]
+    spec = np.fft.fft(coeffs, _GRID * m, axis=-1)
+    z = np.exp(2j * math.pi * np.argmin(spec.real ** 2 + spec.imag ** 2, axis=-1) / (_GRID * m))
+    rows, scale = np.arange(len(z)), np.abs(coeffs)
+    for _ in range(NEWTON_STEPS):
+        zr, c, a = z[rows], coeffs[rows].T, scale[rows].T
+        mag = np.abs(zr)
+        p, dp, bound = c[0], np.zeros_like(zr), a[0]
+        for ci, ai in zip(c[1:], a[1:]):
+            dp = dp * zr + p
+            p = p * zr + ci
+            bound = bound * mag + ai
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p / dp
+        at_root = np.abs(p) <= np.finfo(float).eps / 2 * bound
+        zr = np.where(at_root, zr, zr - step)
+        z[rows] = zr
+        rows = rows[~(at_root | (np.abs(step) <= _STEP_TOL * np.abs(zr)))]
+        if rows.size == 0:
+            return z
+    raise RootNotFound(f"Newton's method found no null-polynomial root of {rows.size} of "
+                       f"{len(z)} snapshot matrices within the step cap of {NEWTON_STEPS}")
 
 
 def root_music_frequency(data: np.ndarray, sign: int) -> list[float]:
     """Normalized frequency in (-0.5, 0.5] of each matrix of an (n, M, I)
-    snapshot stack, from the root nearest the unit circle.
+    snapshot stack, from the phase of its ``_null_root``.
 
-    Among roots strictly inside the circle the one with the largest modulus is
-    selected (ties broken toward the larger real part); its phase divided by
-    2 pi, times ``sign``, is the frequency estimate: sign is +1 where the
-    steering phase goes as e^{+j2pi psi k} (spatial, doppler) and -1 for the
-    range axis (e^{-j2pi psi l}). Raises if any matrix has no such root.
-    The selection runs as array steps over the whole stack.
+    The phase divided by 2 pi, times ``sign``, is the frequency estimate:
+    sign is +1 where the steering phase goes as e^{+j2pi psi k} (spatial,
+    doppler) and -1 for the range axis (e^{-j2pi psi l}). The roots come in
+    pairs (z, 1/conj(z)) with one phase, so either of a pair gives it.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    sets = music_roots(data)
-    roots = np.full((len(sets), max(map(len, sets))), np.nan, dtype=complex)
-    for row, found in zip(roots, sets):         # a trimmed set is padded with NaN
-        row[:len(found)] = found
-    mags = np.abs(roots)
-    inside = mags < 1.0
-    if not inside.any(axis=1).all():
-        raise RuntimeError("no polynomial root strictly inside the unit circle")
-    top = np.where(inside, mags, -np.inf).max(axis=1, keepdims=True)
-    tied = inside & (mags > top - 1e-12)
-    pick = np.where(tied, roots.real, -np.inf).argmax(axis=1)
-    psi = sign * np.angle(roots[np.arange(len(roots)), pick]) / (2.0 * math.pi)
+    psi = sign * np.angle(_null_root(data)) / (2.0 * math.pi)
     return np.where(psi <= -0.5, psi + 1.0, psi).tolist()
 
 

