@@ -15,18 +15,16 @@ import numpy as np
 from .scene import SystemConfig, spatial_frequency
 
 
-def steering_tx(psi_s, m_tx: int) -> np.ndarray:
-    """Transmit spatial steering vector, entry m = exp(+j 2 pi m psi_s).
+def steering(psi, n: int) -> np.ndarray:
+    """Steering vector of frequency psi, entry k = exp(+j 2 pi k psi), k < n.
 
-    An array of N frequencies gives one vector per row, shape (N, m_tx); each
-    row is bit-identical to the scalar call.
+    One function for every axis: the transmit and receive arrays (psi_s), the
+    symbols (psi_d) and, with the sign of its phase flipped, the subcarriers
+    (steering(-psi_r, L), entry l = exp(-j 2 pi l psi_r)). An array of N
+    frequencies gives one vector per row, shape (N, n); each row is
+    bit-identical to the scalar call.
     """
-    return np.exp(np.multiply.outer(2j * np.pi * psi_s, np.arange(m_tx)))
-
-
-def steering_rx(psi_s, m_rx: int) -> np.ndarray:
-    """Receive spatial steering vector, same phase progression as transmit."""
-    return np.exp(np.multiply.outer(2j * np.pi * psi_s, np.arange(m_rx)))
+    return np.exp(np.multiply.outer(2j * np.pi * psi, np.arange(n)))
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ def beamformer_weight(theta_tilde: float, cfg: SystemConfig) -> np.ndarray:
     if abs(theta_tilde) >= math.pi / 2:
         raise ValueError("beam direction must satisfy |theta| < pi/2")
     psi = spatial_frequency(theta_tilde, cfg)
-    return np.conj(steering_tx(psi, cfg.m_tx)) / math.sqrt(cfg.m_tx)
+    return np.conj(steering(psi, cfg.m_tx)) / math.sqrt(cfg.m_tx)
 
 
 def default_plan(cfg: SystemConfig, n_beams: int = 61, span_deg: float = 60.0) -> BeamPlan:
@@ -84,7 +82,7 @@ def default_plan(cfg: SystemConfig, n_beams: int = 61, span_deg: float = 60.0) -
 def tx_gain(theta: float, plan: BeamPlan, b: int, cfg: SystemConfig) -> complex:
     """Transmit array gain a_tx(psi_s(theta))^T x_b toward an arbitrary angle."""
     psi = spatial_frequency(theta, cfg)
-    return complex(steering_tx(psi, cfg.m_tx) @ plan.weights[b])
+    return complex(steering(psi, cfg.m_tx) @ plan.weights[b])
 
 
 GAIN_FLOOR = 1e-9

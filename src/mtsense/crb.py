@@ -17,10 +17,11 @@ per-beam blocks before the Schur step.
 Every column of J (the alpha-weighted parameter derivatives) and of A is a
 sum of one or two Kronecker "atoms" c_b * (u kron v kron w), with per-axis
 factors u (M_r,), v (L,), w (P,) that do not depend on the scan and a scalar
-coefficient c_b that does (through the transmit gain). With the factors of
-n atoms as the rows of U (n x M_r), V (n x L) and W (n x P), the Gram of the
-atoms is the elementwise product of the per-axis Grams (the Khatri-Rao Gram
-identity),
+coefficient c_b that does (through the transmit gain). Both come from echo's
+``element_factors`` and ``tx_gains``, the forward model of synthesis. With
+the factors of n atoms as the rows of U (n x M_r), V (n x L) and W (n x P),
+the Gram of the atoms is the elementwise product of the per-axis Grams (the
+Khatri-Rao Gram identity),
 
     G = (U^* U^T) o (V^* V^T) o (W^* W^T),
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .beams import BeamPlan
 from .echo import element_factors, tx_gains
-from .scene import C0, Scene, SystemConfig
+from .scene import Scene, SystemConfig, doppler_frequency, range_frequency
 
 TARGET_PARAMS = 3  # theta, range, speed
 SCATTERER_PARAMS = 2  # theta, range
@@ -78,13 +79,14 @@ class CrbResult:
 # ---------------------------------------------------------------------------
 # Kronecker atoms of the columns of [J | A]
 
-def _atoms(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig):
-    """Kronecker atoms of the columns of [J | A] for the listed beams.
+def _atoms(scene: Scene, weights: np.ndarray, cfg: SystemConfig):
+    """Kronecker atoms of the columns of [J | A] for the scans of a (B, M_t)
+    stack of probing weights.
 
-    Atom i is coef[i, j] * (rx[i] kron rng[i] kron dop[i]) in scan beams[j].
+    Atom i is coef[i, j] * (rx[i] kron rng[i] kron dop[i]) in scan j.
     The factor rows come from ``element_factors`` and do not depend on the
-    beam; coef holds g, alpha*g*dpsi_s, alpha*g'*dpsi_s or alpha*g, where g and
-    its psi_s-derivative g' are the transmit gains of the beam. The atoms are
+    scan; coef holds g, alpha*g*dpsi_s, alpha*g'*dpsi_s or alpha*g, where g and
+    its psi_s-derivative g' are the ``tx_gains`` of the scan. The atoms are
     sorted by the column of [J | A] they add into, and column c is the sum of
     the atoms from starts[c] to starts[c + 1]. J has k columns,
     [theta_t..., r_t..., v_t..., theta_s..., r_s...], and A one per element,
@@ -96,14 +98,15 @@ def _atoms(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig):
     n_t, n_el = len(scene.targets), len(elements)
     f = element_factors(elements, cfg)
     d_tx = 2j * math.pi * np.arange(cfg.m_tx) * f.a_tx
-    g = np.stack([tx_gains(f.a_tx, plan.weights[b]) for b in beams], axis=1)
-    dg = np.stack([tx_gains(d_tx, plan.weights[b]) for b in beams], axis=1)
+    g = tx_gains(f.a_tx, weights)
+    dg = tx_gains(d_tx, weights)
     alpha = f.alpha[:, None]
     dpsi_s = (cfg.spacing * np.cos(f.theta) / cfg.wavelength)[:, None]
 
+    # d/dpsi of each steering factor, times dpsi/dr and dpsi/dv of the linear maps
     m_phase = 2j * math.pi * np.arange(cfg.m_rx)
-    l_phase = -2j * math.pi * np.arange(cfg.n_sub) * (2.0 * cfg.delta_f / C0)
-    p_phase = 2j * math.pi * np.arange(cfg.n_sym) * (2.0 * cfg.t_total / cfg.wavelength)
+    l_phase = -2j * math.pi * np.arange(cfg.n_sub) * range_frequency(1.0, cfg)
+    p_phase = 2j * math.pi * np.arange(cfg.n_sym) * doppler_frequency(1.0, cfg)
 
     n = np.arange(n_el)
     t = n[:n_t]
@@ -125,7 +128,7 @@ def _atoms(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig):
 
 def _dense_columns(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig):
     """[J | A] of scan b as a dense (M_r*L*P, k + N_el) matrix, and k."""
-    rx, rng, dop, coef, starts, k = _atoms(scene, plan, [b], cfg)
+    rx, rng, dop, coef, starts, k = _atoms(scene, plan.weights[b:b + 1], cfg)
     cube = np.einsum("i,im,il,ip->imlp", coef[:, 0], rx, rng, dop)
     flat = cube.reshape(len(rx), cfg.m_rx * cfg.n_sub * cfg.n_sym)
     return np.add.reduceat(flat, starts, axis=0).T, k
@@ -146,14 +149,14 @@ def jacobian_matrix(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig) -> 
     return cols[:, :k]
 
 
-def _fim(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig,
+def _fim(scene: Scene, weights: np.ndarray, cfg: SystemConfig,
          sigma2: float | None) -> FimBlocks:
-    """Information blocks summed over the listed beams, from the atom Gram
-    G o (C^H C) of the module docstring, summed into the columns of [J | A]."""
+    """Information blocks summed over the scans of a (B, M_t) weight stack, from
+    the atom Gram G o (C^H C) of the module docstring, summed into the columns of [J | A]."""
     sigma2 = cfg.noise_var if sigma2 is None else sigma2
     if sigma2 <= 0:
         raise ValueError("the information matrix needs sigma2 > 0")
-    rx, rng, dop, coef, starts, k = _atoms(scene, plan, beams, cfg)
+    rx, rng, dop, coef, starts, k = _atoms(scene, weights, cfg)
     gram = ((rx.conj() @ rx.T) * (rng.conj() @ rng.T) * (dop.conj() @ dop.T)
             * (coef.conj() @ coef.T))
     gram = np.add.reduceat(np.add.reduceat(gram, starts, axis=0), starts, axis=1)
@@ -178,16 +181,13 @@ def _fim(scene: Scene, plan: BeamPlan, beams, cfg: SystemConfig,
 def fim_blocks(b: int, scene: Scene, plan: BeamPlan, cfg: SystemConfig,
                sigma2: float | None = None) -> FimBlocks:
     """Assemble the three information blocks for scan b."""
-    return _fim(scene, plan, [b], cfg, sigma2)
+    return _fim(scene, plan.weights[b:b + 1], cfg, sigma2)
 
 
 def total_fim(scene: Scene, plan: BeamPlan, cfg: SystemConfig,
-              sigma2: float | None = None, beams=None) -> FimBlocks:
-    """Information blocks summed over the listed beams (default: the whole plan)."""
-    beams = list(range(plan.n_beams) if beams is None else beams)
-    if not beams:
-        raise ValueError("no beams given")
-    return _fim(scene, plan, beams, cfg, sigma2)
+              sigma2: float | None = None) -> FimBlocks:
+    """Information blocks summed over every scan of the plan."""
+    return _fim(scene, plan.weights, cfg, sigma2)
 
 
 F3_RCOND = 1e-10

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamPlan, beam_for_angle, g_tilde, steering_rx
-from .echo import (EchoTensor, noisy_copies, steering_doppler, steering_range,
-                   synthesize_echo)
+from .beams import BeamPlan, beam_for_angle, g_tilde, steering
+from .echo import EchoTensor, noisy_copies, synthesize_echo
 from .scene import (Scene, SystemConfig, blocks, frequencies_target, spatial_frequency,
                     thread_map)
 
@@ -47,13 +46,12 @@ def sample_grid(b: int, plan: BeamPlan, cfg: SystemConfig) -> float:
 
 
 def clutter_basis(b: int, plan: BeamPlan, cfg: SystemConfig) -> np.ndarray:
-    """M_r x 1 basis of scan b's hypothetical clutter response g_tilde * a_rx(psi_s).
+    """(M_r,) column spanning scan b's hypothetical clutter response g_tilde * a_rx(psi_s).
 
     Range and symbol index never enter: they scale the column by a unit phase
     (clutter has no Doppler), which leaves the span unchanged.
     """
-    psi = sample_grid(b, plan, cfg)
-    return g_tilde(plan, b, cfg) * steering_rx(np.array([psi]), cfg.m_rx).T
+    return g_tilde(plan, b, cfg) * steering(sample_grid(b, plan, cfg), cfg.m_rx)
 
 
 def perp_projector(a_tilde: np.ndarray) -> np.ndarray:
@@ -92,12 +90,12 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
     matmul calls BLAS once per slice, and a sum over each slice's contiguous
     entries keeps their pairwise order, so each cube gets the bits of its own
     call."""
-    psi_d, psi_r, psi_s = candidate
-    if not all(np.isfinite([psi_d, psi_r, psi_s])):
+    psi_s, psi_r, psi_d = candidate
+    if not all(np.isfinite([psi_s, psi_r, psi_d])):
         raise ValueError("candidate frequencies must be finite")
-    c = clutter_basis(b, plan, cfg)[:, 0]
+    c = clutter_basis(b, plan, cfg)
     u = c / np.linalg.norm(c)
-    a_sp = steering_rx(psi_s, cfg.m_rx)
+    a_sp = steering(psi_s, cfg.m_rx)
     w = a_sp - u * (u.conj() @ a_sp)                        # Pperp a
     denom = float(np.real(a_sp.conj() @ w))                 # a^H Pperp a / |g|^2
     rows = np.stack([u, w]).conj()
@@ -117,7 +115,7 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
         if denom < UNDETECTABLE_REL * m_rx:
             return [GlrOutcome(0.0, s0, s0, 0j, undetectable=True) for s0 in h0]
         g = g_tilde(plan, b, cfg)
-        steer = g * np.outer(steering_range(psi_r, n_sub), steering_doppler(psi_d, n_sym))
+        steer = g * np.outer(steering(-psi_r, n_sub), steering(psi_d, n_sym))
         matched = np.sum(np.conj(steer).ravel() * inner, axis=-1)
         scale = abs(g) ** 2 * denom * n_sub * n_sym
         num = np.sum(np.abs(inner) ** 2, axis=-1)
@@ -146,7 +144,7 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
 
 def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
                   plan: BeamPlan, cfg: SystemConfig) -> GlrOutcome:
-    """Evaluate the GLRT statistic for candidate frequencies (psi_d, psi_r, psi_s).
+    """Evaluate the GLRT statistic for candidate frequencies (psi_s, psi_r, psi_d).
 
     Operates on the raw (unfiltered, unnormalized) scan tensor. One projector
     serves all subcarriers and symbols at once: a clutter basis column at
@@ -166,15 +164,9 @@ def detect(outcome: GlrOutcome, gamma: float) -> bool:
     return outcome.statistic > gamma
 
 
-def candidate_from_target(target, cfg: SystemConfig) -> tuple[float, float, float]:
-    psi_r, psi_d, psi_s = frequencies_target(target, cfg)
-    return (psi_d, psi_r, psi_s)
-
-
 def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
                     candidate: tuple[float, float, float], cfg: SystemConfig,
-                    p_fa: float, n_trials: int = 500, seed=0,
-                    sigma2: float | None = None) -> float:
+                    p_fa: float, n_trials: int = 500, seed=0) -> float:
     """Empirical (1 - p_fa) quantile of the statistic under H0 Monte Carlo.
 
     The noiseless H0 cube is synthesized once; trial i adds the noise that
@@ -184,10 +176,9 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
     """
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
-    sigma2 = cfg.noise_var if sigma2 is None else sigma2
     clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
     ts = _statistics(_glr_evaluator(candidate, plan, cfg, b), cfg, [
-        (clean, sigma2, [(seed, i) for i in trials]) for trials in blocks(n_trials)])
+        (clean, cfg.noise_var, [(seed, i) for i in trials]) for trials in blocks(n_trials)])
     return float(np.quantile(ts, 1.0 - p_fa))
 
 
@@ -221,7 +212,7 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     if not scene_h1.targets:
         raise ValueError("scene_h1 needs at least one target")
     target = scene_h1.targets[0]
-    candidate = candidate_from_target(target, cfg)
+    candidate = frequencies_target(target, cfg)
     b = beam_for_angle(plan, target.theta)
     clean = [synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
              for scene in (scene_h0, scene_h1)]

@@ -10,9 +10,10 @@ Every scene element contributes to every scan; the transmit pattern g_b does
 the attenuation of out-of-beam elements. Scatterers carry no Doppler factor,
 which is exactly what the clutter filter exploits.
 
-Only the transmit gains g_b depend on the scan. Each scene's other steering
-factors are built once per SystemConfig, on its first synthesis, and every
-later scan of that scene and cfg shares them as read-only arrays.
+Every steering factor is ``beams.steering`` and every transmit gain comes from
+``tx_gains``; ``crb`` builds its atoms from the same two. Only the gains depend
+on the scan. Each scene's steering factors are built once per SystemConfig, on
+its first synthesis, and later scans of that scene and cfg share them read-only.
 """
 from __future__ import annotations
 
@@ -22,36 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamPlan, steering_rx, steering_tx
-from .scene import (
-    Scene,
-    SystemConfig,
-    Target,
-    complex_normal,
-    doppler_frequency,
-    range_frequency,
-)
-
-
-def steering_range(psi_r, n_sub: int) -> np.ndarray:
-    """Range steering vector, entry l = exp(-j 2 pi l psi_r). Note the minus sign.
-
-    Like the spatial steering vectors, an array of frequencies gives one row each.
-    """
-    return np.exp(np.multiply.outer(-2j * np.pi * psi_r, np.arange(n_sub)))
-
-
-def steering_doppler(psi_d, n_sym: int) -> np.ndarray:
-    """Doppler steering vector, entry p = exp(+j 2 pi p psi_d)."""
-    return np.exp(np.multiply.outer(2j * np.pi * psi_d, np.arange(n_sym)))
+from .beams import BeamPlan, steering
+from .scene import (Scene, SystemConfig, Target, complex_normal, doppler_frequency,
+                    range_frequency, spatial_frequency)
 
 
 @dataclass(frozen=True)
 class ElementFactors:
     """Scan-independent factors of the separable responses of N scene elements.
 
-    Element n contributes alpha[n] * g_b[n] * a_rx[n, m] * a_r[n, l] * a_d[n, p]
-    to scan b, with transmit gains g_b = tx_gains(a_tx, plan.weights[b]).
+    Element n contributes alpha[n] * g[n, b] * a_rx[n, m] * a_r[n, l] * a_d[n, p]
+    to scan b, with transmit gains g = tx_gains(a_tx, plan.weights).
 
     theta (N,) rad, alpha (N,), a_tx (N, M_t), a_rx (N, M_r), a_r (N, L),
     a_d (N, P); a_d rows are all ones for scatterers, which have no Doppler.
@@ -66,15 +48,16 @@ class ElementFactors:
 
 
 def tx_gains(a_tx: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Transmit gains a_tx[n] . weights of each row of an (N, M_t) steering
-    stack, or of a single (M_t,) steering vector.
+    """(N, B) transmit gains a_tx[n] . weights[b] of an (N, M_t) steering stack
+    under a (B, M_t) stack of probing weights; column b equals the call with
+    weights[b:b + 1] bit for bit.
 
     Computed by einsum rather than ``@``: OpenBLAS splits this complex
-    matrix-vector product over its threads and, with two of them, took
-    milliseconds for a 400 x 64 stack on a 2-core host where einsum takes
-    tens of microseconds.
+    product over its threads and, with two of them, took milliseconds for a
+    400 x 64 stack and one beam on a 2-core host where einsum takes tens of
+    microseconds.
     """
-    return np.einsum("...m,m->...", a_tx, weights)
+    return np.einsum("nm,bm->nb", a_tx, weights)
 
 
 def element_factors(elements, cfg: SystemConfig) -> ElementFactors:
@@ -84,7 +67,7 @@ def element_factors(elements, cfg: SystemConfig) -> ElementFactors:
     scatterer is a target with zero Doppler.
     """
     theta = np.array([el.theta for el in elements], dtype=float)
-    psi_s = cfg.spacing * np.sin(theta) / cfg.wavelength
+    psi_s = spatial_frequency(theta, cfg)
     psi_r = range_frequency(np.array([el.range for el in elements], dtype=float), cfg)
     psi_d = doppler_frequency(
         np.array([el.speed if isinstance(el, Target) else 0.0 for el in elements],
@@ -92,10 +75,10 @@ def element_factors(elements, cfg: SystemConfig) -> ElementFactors:
     return ElementFactors(
         theta=theta,
         alpha=np.array([el.alpha for el in elements], dtype=complex),
-        a_tx=steering_tx(psi_s, cfg.m_tx),
-        a_rx=steering_rx(psi_s, cfg.m_rx),
-        a_r=steering_range(psi_r, cfg.n_sub),
-        a_d=steering_doppler(psi_d, cfg.n_sym),
+        a_tx=steering(psi_s, cfg.m_tx),
+        a_rx=steering(psi_s, cfg.m_rx),
+        a_r=steering(-psi_r, cfg.n_sub),
+        a_d=steering(psi_d, cfg.n_sym),
     )
 
 
@@ -168,20 +151,23 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
     m_rx, n_sub, n_sym = cfg.m_rx, cfg.n_sub, cfg.n_sym
     sigma2 = cfg.noise_var if noise_var is None else noise_var
     y = np.zeros((m_rx, n_sub, n_sym), dtype=complex)
+    weights = plan.weights[b:b + 1]
     if scene.targets:
         f = _scene_factors(scene, "targets", cfg)
         range_doppler = (f.a_r[:, :, None] * f.a_d[:, None, :]).reshape(len(f.theta), -1)
-        y += (_weighted_rx(f, plan, b).T @ range_doppler).reshape(m_rx, n_sub, n_sym)
+        rx = _weighted_rx(f, tx_gains(f.a_tx, weights)[:, 0])
+        y += (rx.T @ range_doppler).reshape(m_rx, n_sub, n_sym)
     if scene.scatterers:
         f = _scene_factors(scene, "scatterers", cfg)
-        y += (_weighted_rx(f, plan, b).T @ f.a_r)[:, :, None]
+        y += (_weighted_rx(f, tx_gains(f.a_tx, weights)[:, 0]).T @ f.a_r)[:, :, None]
     _add_noise_to(y, sigma2, seed, b)
     return EchoTensor(data=y, scan_index=b, cfg=cfg)
 
 
-def _weighted_rx(f: ElementFactors, plan: BeamPlan, b: int) -> np.ndarray:
-    """(N, M_r): each element's receive steering times its alpha and scan b's transmit gain."""
-    return f.a_rx * (f.alpha * tx_gains(f.a_tx, plan.weights[b]))[:, None]
+def _weighted_rx(f: ElementFactors, gains: np.ndarray) -> np.ndarray:
+    """(N, M_r): each element's receive steering times its alpha and its
+    transmit gain in one scan, gains (N,)."""
+    return f.a_rx * (f.alpha * gains)[:, None]
 
 
 def clean_factors(scene: Scene, plan: BeamPlan,
@@ -190,6 +176,8 @@ def clean_factors(scene: Scene, plan: BeamPlan,
     building it: coef (n_beams, M_r, L, R) and rows (R, P), where coef[b] @ rows
     is ``synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data`` up to
     rounding. rows: all ones for the scatterers (if any), then each target's a_d.
+    Gains come from one ``tx_gains`` call per element kind; the products stay
+    per scan, as one broadcast over all scans ran no faster.
     """
     n_t = len(scene.targets)
     rows = np.ones((bool(scene.scatterers) + n_t, cfg.n_sym), dtype=complex)
@@ -197,12 +185,14 @@ def clean_factors(scene: Scene, plan: BeamPlan,
     if scene.targets:
         t = _scene_factors(scene, "targets", cfg)
         rows[len(rows) - n_t:] = t.a_d
+        gains = tx_gains(t.a_tx, plan.weights)
         for b in range(plan.n_beams):
-            coef[b, ..., len(rows) - n_t:] = _weighted_rx(t, plan, b).T[:, None, :] * t.a_r.T
+            coef[b, ..., len(rows) - n_t:] = _weighted_rx(t, gains[:, b]).T[:, None, :] * t.a_r.T
     if scene.scatterers:
         s = _scene_factors(scene, "scatterers", cfg)
+        gains = tx_gains(s.a_tx, plan.weights)
         for b in range(plan.n_beams):
-            coef[b, ..., 0] = _weighted_rx(s, plan, b).T @ s.a_r
+            coef[b, ..., 0] = _weighted_rx(s, gains[:, b]).T @ s.a_r
     return coef, rows
 
 

@@ -368,7 +368,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                 if not beams.angle_in_coverage(plan, b, res.theta_hat):
                     continue
                 try:
-                    cand = (res.psi_d_hat, res.psi_r_hat, res.psi_s_hat)
+                    cand = (res.psi_s_hat, res.psi_r_hat, res.psi_d_hat)
                     gamma = detector.calibrate_gamma(
                         h0_scene, plan, b, cand, cfg, dspec.p_fa,
                         n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, b))

@@ -177,17 +177,17 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# normalized frequencies and their inverses
+# normalized frequencies (the forward maps also take arrays) and their inverses
 
-def spatial_frequency(theta: float, cfg: SystemConfig) -> float:
-    return cfg.spacing * math.sin(theta) / cfg.wavelength
+def spatial_frequency(theta, cfg: SystemConfig):
+    return cfg.spacing * np.sin(theta) / cfg.wavelength
 
 
-def range_frequency(rng_m: float, cfg: SystemConfig) -> float:
+def range_frequency(rng_m, cfg: SystemConfig):
     return 2.0 * rng_m * cfg.delta_f / C0
 
 
-def doppler_frequency(speed: float, cfg: SystemConfig) -> float:
+def doppler_frequency(speed, cfg: SystemConfig):
     return 2.0 * speed * cfg.t_total / cfg.wavelength
 
 
@@ -208,11 +208,12 @@ def speed_from_psi_d(psi_d: float, cfg: SystemConfig) -> float:
 
 
 def frequencies_target(t: Target, cfg: SystemConfig) -> tuple[float, float, float]:
-    """(psi_r, psi_d, psi_s) for a moving target. No wrapping is applied."""
+    """(psi_s, psi_r, psi_d) for a moving target, the order of the echo cube's
+    axes, of EstimationResult and of a GLRT candidate. No wrapping is applied."""
     return (
+        spatial_frequency(t.theta, cfg),
         range_frequency(t.range, cfg),
         doppler_frequency(t.speed, cfg),
-        spatial_frequency(t.theta, cfg),
     )
 
 

@@ -15,7 +15,7 @@ import pytest
 from mtsense import (beams, clutter, crb, detector, experiments, music)
 from mtsense.echo import EchoTensor, synthesize_echo
 from mtsense.scene import (REFERENCE_TARGETS, Scatterer, Scene, SystemConfig,
-                           Target, reference_scene)
+                           Target, frequencies_target, reference_scene)
 
 from test_music import companion_roots
 
@@ -252,7 +252,7 @@ def test_criterion_7_glrt_invariants():
     scene = reference_scene(cfg, n_scatterers=400, seed=7)
     target = scene.targets[0]
     b = beams.beam_for_angle(plan, target.theta)
-    cand = detector.candidate_from_target(target, cfg)
+    cand = frequencies_target(target, cfg)
 
     # scale invariance
     y = synthesize_echo(scene, plan, b, cfg, seed=42)

@@ -10,12 +10,28 @@ from mtsense.scene import SystemConfig, spatial_frequency
 
 def test_steering_vectors_phase_law(cfg):
     psi = 0.21
-    a = bm.steering_tx(psi, cfg.m_tx)
+    a = bm.steering(psi, cfg.m_tx)
     assert a[0] == 1.0 + 0j
     # constant phase increment of exactly 2 pi psi between elements
     ratios = a[1:] / a[:-1]
     assert np.allclose(ratios, np.exp(2j * math.pi * psi), atol=1e-12)
     assert np.allclose(np.abs(a), 1.0, atol=1e-12)
+
+
+def test_steering_of_minus_psi_keeps_the_range_formula_bits():
+    # the range factor is steering(-psi_r, L); it keeps the bits of the
+    # formula exp(-j 2 pi l psi_r) for l >= 1. Entry 0 is exactly 1 in both;
+    # only the sign of its zero imaginary part may differ, which leaves every
+    # nonzero part of a product with it unchanged.
+    rng = np.random.default_rng(5)
+    for psi in (rng.uniform(-1.0, 1.0, 1000), rng.uniform(0.0, 0.5, (7, 3)),
+                float(rng.uniform()), np.array([0.0, -0.0, 0.5, -0.25])):
+        for n in (1, 16, 64):
+            want = np.exp(np.multiply.outer(-2j * np.pi * psi, np.arange(n)))
+            got = bm.steering(-psi, n)
+            assert got.shape == want.shape
+            assert got[..., 1:].tobytes() == want[..., 1:].tobytes()
+            assert np.all(got[..., 0] == 1.0) and np.all(want[..., 0] == 1.0)
 
 
 def test_conjugate_beamformer_gain_is_sqrt_mtx(cfg, plan):
@@ -69,7 +85,7 @@ def test_single_beam_plan(cfg):
 def test_beamformer_weight_matches_conjugate_steering(cfg):
     theta = 0.4
     w = bm.beamformer_weight(theta, cfg)
-    a = bm.steering_tx(spatial_frequency(theta, cfg), cfg.m_tx)
+    a = bm.steering(spatial_frequency(theta, cfg), cfg.m_tx)
     assert np.allclose(w, np.conj(a) / math.sqrt(cfg.m_tx), atol=1e-14)
     with pytest.raises(ValueError):
         bm.beamformer_weight(math.pi / 2, cfg)

@@ -3,14 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mtsense import detector as dt
 from mtsense import echo as ec
-from mtsense.beams import beam_for_angle, default_plan, g_tilde, steering_rx
-from mtsense.scene import (Scatterer, Scene, SystemConfig, Target,
+from mtsense.beams import beam_for_angle, default_plan, g_tilde, steering
+from mtsense.scene import (Scatterer, Scene, SystemConfig, Target, frequencies_target,
                            range_frequency, spatial_frequency)
 
 
@@ -34,9 +35,9 @@ def test_single_point_grid_sits_at_centers(cfg, plan):
 
 def test_clutter_basis_hand_loop(cfg, plan):
     a = dt.clutter_basis(10, plan, cfg)
-    assert a.shape == (cfg.m_rx, 1)
+    assert a.shape == (cfg.m_rx,)
     ps = spatial_frequency(float(plan.directions[10]), cfg)
-    assert np.array_equal(a[:, 0], g_tilde(plan, 10, cfg) * steering_rx(ps, cfg.m_rx))
+    assert np.array_equal(a, g_tilde(plan, 10, cfg) * steering(ps, cfg.m_rx))
 
 
 def test_perp_projector_algebra(rng):
@@ -76,7 +77,7 @@ def test_pure_on_grid_clutter_scores_zero(cfg, plan):
     scene = Scene((), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
     target = _target_in_beam(plan, b)
-    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), plan, cfg)
+    out = dt.glr_statistic(y, frequencies_target(target, cfg), plan, cfg)
     assert out.statistic == 0.0
     assert not out.undetectable
 
@@ -86,7 +87,7 @@ def test_target_plus_clutter_noiseless_scores_one(cfg, plan):
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), plan, cfg)
+    out = dt.glr_statistic(y, frequencies_target(target, cfg), plan, cfg)
     assert out.statistic == pytest.approx(1.0, abs=1e-9)
     assert out.sigma2_hat_h1 == pytest.approx(0.0, abs=1e-12)
 
@@ -95,7 +96,7 @@ def test_all_zero_echo_scores_zero(cfg, plan):
     b = 25
     y = ec.synthesize_echo(Scene((), ()), plan, b, cfg, noise_var=0.0)
     target = _target_in_beam(plan, b)
-    out = dt.glr_statistic(y, dt.candidate_from_target(target, cfg), plan, cfg)
+    out = dt.glr_statistic(y, frequencies_target(target, cfg), plan, cfg)
     assert out.statistic == 0.0
 
 
@@ -106,7 +107,7 @@ def test_candidate_on_grid_angle_is_undetectable(cfg, plan):
     # candidate at the beam-center spatial frequency: the steering vector is
     # inside the clutter span for every subcarrier
     psi_s = spatial_frequency(float(plan.directions[b]), cfg)
-    out = dt.glr_statistic(y, (0.1, 0.2, psi_s), plan, cfg)
+    out = dt.glr_statistic(y, (psi_s, 0.2, 0.1), plan, cfg)
     assert out.undetectable
     assert out.statistic == 0.0
 
@@ -119,7 +120,7 @@ def test_alpha_hat_exact_for_pure_target(cfg, plan):
     b = 25
     off = _target_in_beam(plan, b, alpha=0.37 - 0.81j)
     y = ec.synthesize_echo(Scene((off,), ()), plan, b, cfg, noise_var=0.0)
-    out = dt.glr_statistic(y, dt.candidate_from_target(off, cfg), plan, cfg)
+    out = dt.glr_statistic(y, frequencies_target(off, cfg), plan, cfg)
     want = off.alpha * tx_gain(off.theta, plan, b, cfg) / g_tilde(plan, b, cfg)
     assert out.alpha_hat == pytest.approx(want, abs=1e-10)
     assert out.statistic == pytest.approx(1.0, abs=1e-9)
@@ -127,7 +128,7 @@ def test_alpha_hat_exact_for_pure_target(cfg, plan):
     centered = Target(theta=float(plan.directions[b]) + 1e-6, range=3.2,
                       speed=2.5, alpha=0.37 - 0.81j)
     y2 = ec.synthesize_echo(Scene((centered,), ()), plan, b, cfg, noise_var=0.0)
-    out2 = dt.glr_statistic(y2, dt.candidate_from_target(centered, cfg), plan, cfg)
+    out2 = dt.glr_statistic(y2, frequencies_target(centered, cfg), plan, cfg)
     assert out2.alpha_hat == pytest.approx(centered.alpha, abs=1e-3)
 
 
@@ -136,7 +137,7 @@ def test_statistic_scale_invariant(cfg, plan):
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, seed=5)
-    cand = dt.candidate_from_target(target, cfg)
+    cand = frequencies_target(target, cfg)
     t1 = dt.glr_statistic(y, cand, plan, cfg).statistic
     scaled = ec.EchoTensor(data=737.3 * y.data, scan_index=b, cfg=cfg)
     t2 = dt.glr_statistic(scaled, cand, plan, cfg).statistic
@@ -147,7 +148,7 @@ def test_statistic_bounded_and_ordered(cfg, plan):
     b = 25
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
-    cand = dt.candidate_from_target(target, cfg)
+    cand = frequencies_target(target, cfg)
     for seed in range(8):
         y = ec.synthesize_echo(scene, plan, b, cfg, seed=seed)
         out = dt.glr_statistic(y, cand, plan, cfg)
@@ -173,18 +174,18 @@ def test_grid_of_another_scan_is_rejected():
 # tested on its own above.
 
 def per_subcarrier_glr(y, candidate, plan, cfg):
-    psi_d, psi_r, psi_s = candidate
+    psi_s, psi_r, psi_d = candidate
     b = y.scan_index
     m_rx, n_sub, n_sym = y.data.shape
     n_tot = m_rx * n_sub * n_sym
     g = g_tilde(plan, b, cfg)
-    a_sp = steering_rx(psi_s, cfg.m_rx)
+    a_sp = steering(psi_s, cfg.m_rx)
     dopp_phase = np.exp(2j * math.pi * psi_d * np.arange(n_sym))
     range_grid = np.linspace(0.0, range_frequency(7.0, cfg), 8)
     ps = spatial_frequency(float(plan.directions[b]), cfg)
     energy_h0, num_total, alpha_acc = 0.0, 0.0, 0j
     for l in range(n_sub):
-        basis = np.stack([g * np.exp(-2j * math.pi * l * pr) * steering_rx(ps, cfg.m_rx)
+        basis = np.stack([g * np.exp(-2j * math.pi * l * pr) * steering(ps, cfg.m_rx)
                           for pr in range_grid], axis=1)
         p_perp = dt.perp_projector(basis)
         denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
@@ -207,13 +208,13 @@ def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
                               range=float(rng.uniform(1.0, 7.0)),
                               alpha=complex(rng.normal(), rng.normal()))
                     for _ in range(30))
-    p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg))
+    p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg)[:, None])
     eps = np.finfo(float).eps
     for offset in (0.8, 3.0, 6.0):      # candidate angle, in coverage half widths
         target = _target_in_beam(
             plan, b, theta=float(plan.directions[b]) + offset * plan.coverage_halfwidth)
-        cand = dt.candidate_from_target(target, cfg)
-        a_sp = steering_rx(cand[2], cfg.m_rx)
+        cand = frequencies_target(target, cfg)
+        a_sp = steering(cand[0], cfg.m_rx)
         denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
         # Both versions carry projector roundoff of order eps, which t, s1 and
         # alpha amplify by M_r / (a^H Pperp a). Inside the coverage the
@@ -246,12 +247,12 @@ def test_two_rows_match_dense_projector_in_dense_clutter(cfg, plan, ref_scene):
         b = beam_for_angle(plan, target.theta)
         cubes = [ec.synthesize_echo(h0, plan, b, cfg, seed=s) for s in range(3)]
         cubes.append(ec.synthesize_echo(h0, plan, b, cfg, noise_var=0.0))
-        p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg))
+        p_perp = dt.perp_projector(dt.clutter_basis(b, plan, cfg)[:, None])
         off_axis = [_target_in_beam(plan, b, theta=float(plan.directions[b])
                                     + offset * plan.coverage_halfwidth)
                     for offset in (0.8, 3.0, 6.0)]
-        for cand in (dt.candidate_from_target(t, cfg) for t in [target, *off_axis]):
-            a_sp = steering_rx(cand[2], cfg.m_rx)
+        for cand in (frequencies_target(t, cfg) for t in [target, *off_axis]):
+            a_sp = steering(cand[0], cfg.m_rx)
             denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
             outs = dt._glr_evaluator(cand, plan, cfg, b)(np.stack([y.data for y in cubes]))
             for y, out in zip(cubes, outs):
@@ -271,11 +272,11 @@ import time
 import numpy as np
 from mtsense import detector as dt
 from mtsense.beams import beam_for_angle, default_plan
-from mtsense.scene import SystemConfig, reference_scene
+from mtsense.scene import SystemConfig, frequencies_target, reference_scene
 cfg = SystemConfig()
 plan = default_plan(cfg)
 target = reference_scene(cfg).targets[0]
-evaluate = dt._glr_evaluator(dt.candidate_from_target(target, cfg), plan, cfg,
+evaluate = dt._glr_evaluator(frequencies_target(target, cfg), plan, cfg,
                              beam_for_angle(plan, target.theta))
 shape = (4, cfg.m_rx, cfg.n_sub, cfg.n_sym, 2)
 cubes = np.random.default_rng(0).standard_normal(shape).view(complex)[..., 0]
@@ -327,7 +328,7 @@ def _small_setup():
 
 def test_calibrate_gamma_deterministic_and_monotone():
     cfg, plan, target, b, clut = _small_setup()
-    cand = dt.candidate_from_target(target, cfg)
+    cand = frequencies_target(target, cfg)
     g1 = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
                             n_trials=80, seed=21)
     g2 = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
@@ -344,14 +345,14 @@ def test_calibrate_gamma_deterministic_and_monotone():
 
 def test_calibrate_gamma_matches_full_synthesis_loop():
     cfg, plan, target, b, clut = _small_setup()
-    cand = dt.candidate_from_target(target, cfg)
+    cand = frequencies_target(target, cfg)
     ts = [dt.glr_statistic(ec.synthesize_echo(clut, plan, b, cfg, seed=(21, i),
                                               noise_var=0.3),
                            cand, plan, cfg).statistic
           for i in range(50)]
     want = float(np.quantile(ts, 0.9))
-    got = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
-                             n_trials=50, seed=21, sigma2=0.3)
+    got = dt.calibrate_gamma(clut, plan, b, cand, replace(cfg, noise_var=0.3), p_fa=0.1,
+                             n_trials=50, seed=21)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -408,13 +409,13 @@ def _add_noise(clean, sigma2, seed):
 
 
 def _glr_statistic_per_item(y, candidate, plan, cfg):
-    psi_d, psi_r, psi_s = candidate
+    psi_s, psi_r, psi_d = candidate
     b = y.scan_index
     m_rx, n_sub, n_sym = y.data.shape
     n_tot = m_rx * n_sub * n_sym
-    c = dt.clutter_basis(b, plan, cfg)[:, 0]
+    c = dt.clutter_basis(b, plan, cfg)
     u = c / np.linalg.norm(c)
-    a_sp = steering_rx(psi_s, cfg.m_rx)
+    a_sp = steering(psi_s, cfg.m_rx)
     a_perp = a_sp - u * (u.conj() @ a_sp)
     denom = float(np.real(a_sp.conj() @ a_perp))
     data = y.data.reshape(m_rx, n_sub * n_sym)
@@ -430,7 +431,7 @@ def _glr_statistic_per_item(y, candidate, plan, cfg):
         t = 0.0 if num_total <= input_floor * n_tot else math.inf
         return dt.GlrOutcome(t, sigma2_h0, sigma2_h0, 0j)
     g = g_tilde(plan, b, cfg)
-    steer = g * np.outer(ec.steering_range(psi_r, n_sub), ec.steering_doppler(psi_d, n_sym))
+    steer = g * np.outer(steering(-psi_r, n_sub), steering(psi_d, n_sym))
     alpha_hat = complex(np.sum(np.conj(steer).ravel() * inner)
                         / (abs(g) ** 2 * denom * n_sub * n_sym))
     return dt.GlrOutcome(num_total / (n_tot * sigma2_h0), sigma2_h0,
@@ -448,8 +449,8 @@ def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
               ec.synthesize_echo(Scene((), ()), plan, b, cfg, noise_var=0.0),
               ec.synthesize_echo(Scene((target,), (clutter,)), plan, b, cfg, noise_var=0.0)]
     outcomes = {}
-    for name, cand in (("target", dt.candidate_from_target(target, cfg)),
-                       ("on grid", (0.1, 0.2, center))):
+    for name, cand in (("target", frequencies_target(target, cfg)),
+                       ("on grid", (center, 0.2, 0.1))):
         want = [_glr_statistic_per_item(y, cand, plan, cfg) for y in cubes]
         assert [dt.glr_statistic(y, cand, plan, cfg) for y in cubes] == want
         evaluate = dt._glr_evaluator(cand, plan, cfg, b)
@@ -466,13 +467,13 @@ def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
 
 def test_calibrate_gamma_matches_per_trial_oracle():
     cfg, plan, target, b, clut = _small_setup()
-    cand = dt.candidate_from_target(target, cfg)
+    cand = frequencies_target(target, cfg)
     clean = ec.synthesize_echo(clut, plan, b, cfg, noise_var=0.0)
     for n_trials in (1, 8, 21):             # one block, a full block, unequal blocks
         ts = [_glr_statistic_per_item(_add_noise(clean, 0.3, (21, i)), cand,
                                       plan, cfg).statistic for i in range(n_trials)]
-        got = dt.calibrate_gamma(clut, plan, b, cand, cfg, p_fa=0.1,
-                                 n_trials=n_trials, seed=21, sigma2=0.3)
+        got = dt.calibrate_gamma(clut, plan, b, cand, replace(cfg, noise_var=0.3),
+                                 p_fa=0.1, n_trials=n_trials, seed=21)
         assert got == float(np.quantile(ts, 0.9))
 
 
@@ -499,6 +500,6 @@ def test_roc_curve_matches_per_trial_oracle(threads):
     cfg, plan, target, b, clut = _small_setup()
     scene_h1 = Scene((target,), clut.scatterers)
     want = _roc_curve_per_trial(clut, scene_h1, cfg, plan, [0.0, 5.0], 19, 31, 5, b,
-                                dt.candidate_from_target(target, cfg))
+                                frequencies_target(target, cfg))
     assert dt.roc_curve(clut, scene_h1, cfg, plan, [0.0, 5.0], n_trials=19,
                         n_thresholds=31, seed=5, threads=threads) == want

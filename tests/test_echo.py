@@ -28,7 +28,7 @@ def brute_force_echo(scene, plan, b, cfg):
             for p in range(cfg.n_sym):
                 acc = 0j
                 for t in scene.targets:
-                    psi_r, psi_d, psi_s = frequencies_target(t, cfg)
+                    psi_s, psi_r, psi_d = frequencies_target(t, cfg)
                     g = bm.tx_gain(t.theta, plan, b, cfg)
                     acc += (t.alpha * g
                             * cmath.exp(2j * cmath.pi * p * psi_d)
@@ -87,26 +87,51 @@ def test_element_factors_match_scalar_helpers(small_cfg, small_plan):
     scene = _two_element_scene()
     elements = (*scene.targets, *scene.scatterers)
     f = ec.element_factors(elements, small_cfg)
-    assert np.allclose(ec.tx_gains(f.a_tx, small_plan.weights[2]),
+    assert np.allclose(ec.tx_gains(f.a_tx, small_plan.weights[2:3])[:, 0],
                        [bm.tx_gain(el.theta, small_plan, 2, small_cfg) for el in elements],
                        rtol=0, atol=1e-13)
-    psi_r, psi_d, psi_s = frequencies_target(scene.targets[0], small_cfg)
-    assert np.allclose(f.a_rx[0], bm.steering_rx(psi_s, small_cfg.m_rx), rtol=0, atol=1e-15)
-    assert np.allclose(f.a_r[0], ec.steering_range(psi_r, small_cfg.n_sub), rtol=0, atol=1e-15)
-    assert np.allclose(f.a_d[0], ec.steering_doppler(psi_d, small_cfg.n_sym), rtol=0,
-                       atol=1e-15)
+    psi_s, psi_r, psi_d = frequencies_target(scene.targets[0], small_cfg)
+    assert np.allclose(f.a_rx[0], bm.steering(psi_s, small_cfg.m_rx), rtol=0, atol=1e-15)
+    assert np.allclose(f.a_r[0], bm.steering(-psi_r, small_cfg.n_sub), rtol=0, atol=1e-15)
+    assert np.allclose(f.a_d[0], bm.steering(psi_d, small_cfg.n_sym), rtol=0, atol=1e-15)
     assert np.array_equal(f.a_d[2], np.ones(small_cfg.n_sym))   # scatterer: no Doppler
+
+
+def _clean_factors_per_beam(scene, plan, cfg):
+    """clean_factors with each scan's gains formed on their own, by a one-beam
+    einsum over the element stack: the oracle of the stacked gain table."""
+    n_t = len(scene.targets)
+    rows = np.ones((bool(scene.scatterers) + n_t, cfg.n_sym), dtype=complex)
+    coef = np.empty((plan.n_beams, cfg.m_rx, cfg.n_sub, len(rows)), dtype=complex)
+
+    def weighted_rx(f, b):
+        g = np.einsum("...m,m->...", f.a_tx, plan.weights[b])
+        return f.a_rx * (f.alpha * g)[:, None]
+
+    if scene.targets:
+        t = ec.element_factors(scene.targets, cfg)
+        rows[len(rows) - n_t:] = t.a_d
+        for b in range(plan.n_beams):
+            coef[b, ..., len(rows) - n_t:] = weighted_rx(t, b).T[:, None, :] * t.a_r.T
+    if scene.scatterers:
+        s = ec.element_factors(scene.scatterers, cfg)
+        for b in range(plan.n_beams):
+            coef[b, ..., 0] = weighted_rx(s, b).T @ s.a_r
+    return coef, rows
 
 
 @pytest.mark.parametrize("with_scatterers", [True, False], ids=["reference", "targets only"])
 def test_clean_factors_expand_to_the_synthesized_cubes(with_scatterers):
-    # coef @ rows, at the sweep's 64-symbol frame, is every beam's noiseless cube
+    # coef @ rows, at the sweep's 64-symbol frame, is every beam's noiseless
+    # cube, and the stacked gain table leaves coef with the per-beam loop's bits
     cfg = SystemConfig(n_sym=64)
     plan = bm.default_plan(cfg, n_beams=61, span_deg=60.0)
     scene = reference_scene(cfg)
     if not with_scatterers:
         scene = Scene(scene.targets, ())
     coef, rows = ec.clean_factors(scene, plan, cfg)
+    want_coef, want_rows = _clean_factors_per_beam(scene, plan, cfg)
+    assert coef.tobytes() == want_coef.tobytes() and rows.tobytes() == want_rows.tobytes()
     n_rows = len(scene.targets) + with_scatterers
     assert coef.shape == (plan.n_beams, cfg.m_rx, cfg.n_sub, n_rows)
     assert rows.shape == (n_rows, cfg.n_sym)
@@ -114,6 +139,17 @@ def test_clean_factors_expand_to_the_synthesized_cubes(with_scatterers):
         want = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data
         np.testing.assert_allclose(coef[b] @ rows, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_tx_gains_of_a_weight_stack_equal_one_beam_calls_bit_for_bit(cfg, plan, ref_scene):
+    for kind in ("targets", "scatterers"):
+        f = ec.element_factors(getattr(ref_scene, kind), cfg)
+        table = ec.tx_gains(f.a_tx, plan.weights)
+        assert table.shape == (len(f.theta), plan.n_beams)
+        for b in range(plan.n_beams):
+            one = ec.tx_gains(f.a_tx, plan.weights[b:b + 1])
+            assert one.shape == (len(f.theta), 1)
+            assert table[:, b].tobytes() == one[:, 0].tobytes()
 
 
 def test_clean_cube_plus_noise_is_bit_identical(small_cfg, small_plan):

@@ -432,7 +432,7 @@ def test_estimate_candidate_exact_on_clean_echo(cfg, plan):
     b = beam_for_angle(plan, target.theta)
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
     res = mu.estimate_candidate(cl.normalize_by_gain(y, plan), b, cfg)
-    psi_r, psi_d, psi_s = frequencies_target(target, cfg)
+    psi_s, psi_r, psi_d = frequencies_target(target, cfg)
     assert res.psi_s_hat == pytest.approx(psi_s, abs=1e-8)
     assert res.psi_r_hat == pytest.approx(psi_r, abs=1e-8)
     assert res.psi_d_hat == pytest.approx(psi_d, abs=1e-8)

@@ -21,7 +21,7 @@ C0 = 299_792_458.0
 # the published reference values for this geometry (5-6 significant decimals).
 
 REFERENCE_FREQS = [
-    # (theta_deg, range_m, speed_mps) -> (psi_r, psi_d, psi_s)
+    # (theta_deg, range_m, speed_mps) -> (psi_r, psi_d, psi_s), the published table's order
     ((-48.295, 4.281, 3.911), (0.285597, 0.313253, -0.37332)),
     ((15.883, 2.670, 1.473), (0.178123, 0.117981, 0.136836)),
 ]
@@ -36,10 +36,10 @@ TABLE_ATOL = 5e-5
 def test_reference_frequency_triples(cfg):
     for (theta_deg, r, v), (psi_r, psi_d, psi_s) in REFERENCE_FREQS:
         t = Target(theta=math.radians(theta_deg), range=r, speed=v, alpha=1 + 0j)
-        got = frequencies_target(t, cfg)
-        assert got[0] == pytest.approx(psi_r, abs=TABLE_ATOL)
-        assert got[1] == pytest.approx(psi_d, abs=TABLE_ATOL)
-        assert got[2] == pytest.approx(psi_s, abs=TABLE_ATOL)
+        got = frequencies_target(t, cfg)                  # (psi_s, psi_r, psi_d)
+        assert got[0] == pytest.approx(psi_s, abs=TABLE_ATOL)
+        assert got[1] == pytest.approx(psi_r, abs=TABLE_ATOL)
+        assert got[2] == pytest.approx(psi_d, abs=TABLE_ATOL)
 
 
 def test_frequency_maps_against_hand_formulas(cfg):
