@@ -2,8 +2,8 @@
 
 The package simulates a monostatic OFDM sensing link with separate transmit
 and receive uniform linear arrays. A beam scan sweeps a sector; per scan the
-echo tensor (antennas x subcarriers x symbols) carries moving targets,
-stationary clutter and noise. A Doppler-domain IIR high-pass removes the
+echo cube, a plain (antennas x subcarriers x symbols) complex array, carries
+moving targets, stationary clutter and noise. A Doppler-domain IIR high-pass removes the
 clutter, the per-beam residual power localizes targets in angle, root-MUSIC
 recovers angle/range/speed from the filtered cube, a subspace GLRT confirms
 each candidate against the clutter hypothesis, and closed-form Cramer-Rao
@@ -19,7 +19,7 @@ from .scene import (
     generate_scene, reference_scene, REFERENCE_TARGETS,
 )
 from .beams import BeamPlan, default_plan, beamformer_weight, g_tilde
-from .echo import EchoTensor, synthesize_echo, write_tensor, read_tensor
+from .echo import synthesize_echo, write_tensor, read_tensor
 from .clutter import (
     IirFilter, design_butterworth_highpass, normalize_by_gain,
     filter_symbols, scan_spectrum, find_peaks,

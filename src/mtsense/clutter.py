@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamPlan, g_tilde
-from .echo import EchoTensor
+from .scene import SystemConfig
 
 DEFAULT_ORDER = 2
 DEFAULT_CUTOFF = 0.04
@@ -91,11 +91,11 @@ def default_warmup(filt) -> int:
     return 3 * filt.order
 
 
-def normalize_by_gain(y: EchoTensor, plan: BeamPlan,
+def normalize_by_gain(y: np.ndarray, plan: BeamPlan, b: int, cfg: SystemConfig,
                       out: np.ndarray | None = None) -> np.ndarray:
-    """The raw echo's cube divided by the scan's boresight gain g_tilde, into
-    ``out`` if given."""
-    return np.divide(y.data, g_tilde(plan, y.scan_index, y.cfg), out=out)
+    """Scan b's raw cube divided by its boresight gain g_tilde, into ``out``
+    if given."""
+    return np.divide(y, g_tilde(plan, b, cfg), out=out)
 
 
 def step_matched_highpass(data: np.ndarray, filt: IirFilter,

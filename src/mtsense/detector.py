@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamPlan, beam_for_angle, g_tilde, steering
-from .echo import EchoTensor, noisy_copies, synthesize_echo
+from .echo import noisy_copies, synthesize_echo
 from .scene import (Scene, SystemConfig, blocks, frequencies_target, spatial_frequency,
                     thread_map)
 
@@ -142,11 +142,11 @@ def _glr_evaluator(candidate: tuple[float, float, float], plan: BeamPlan,
     return evaluate
 
 
-def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
+def glr_statistic(y: np.ndarray, b: int, candidate: tuple[float, float, float],
                   plan: BeamPlan, cfg: SystemConfig) -> GlrOutcome:
     """Evaluate the GLRT statistic for candidate frequencies (psi_s, psi_r, psi_d).
 
-    Operates on the raw (unfiltered, unnormalized) scan tensor. One projector
+    Operates on scan b's raw (unfiltered, unnormalized) cube. One projector
     serves all subcarriers and symbols at once: a clutter basis column at
     subcarrier l is its l = 0 column times the unit phase
     exp(-j 2 pi l psi_r), so the span, and Pperp, do not depend on l.
@@ -154,7 +154,7 @@ def glr_statistic(y: EchoTensor, candidate: tuple[float, float, float],
     subspace the outcome is flagged undetectable (t = 0) instead of dividing
     by ~zero.
     """
-    return _glr_evaluator(candidate, plan, cfg, y.scan_index)(y.data[None])[0]
+    return _glr_evaluator(candidate, plan, cfg, b)(y[None])[0]
 
 
 def detect(outcome: GlrOutcome, gamma: float) -> bool:
@@ -177,14 +177,14 @@ def calibrate_gamma(scene_h0: Scene, plan: BeamPlan, b: int,
     if not 0.0 < p_fa < 1.0:
         raise ValueError("p_fa must lie in (0, 1)")
     clean = synthesize_echo(scene_h0, plan, b, cfg, noise_var=0.0)
-    ts = _statistics(_glr_evaluator(candidate, plan, cfg, b), cfg, [
+    ts = _statistics(_glr_evaluator(candidate, plan, cfg, b), b, cfg, [
         (clean, cfg.noise_var, [(seed, i) for i in trials]) for trials in blocks(n_trials)])
     return float(np.quantile(ts, 1.0 - p_fa))
 
 
-def _statistics(evaluate, cfg: SystemConfig, jobs) -> list[float]:
-    """The statistic of every trial of ``jobs``, (clean, sigma2, seeds) blocks,
-    in order. Every block goes through one noisy stack and one scratch:
+def _statistics(evaluate, b: int, cfg: SystemConfig, jobs) -> list[float]:
+    """The statistic of every trial of ``jobs``, (clean, sigma2, seeds) blocks
+    of scan b, in order. Every block goes through one noisy stack and one scratch:
     blocks that each allocated and freed about 1 MB would have the allocator
     hand the heap top back to the OS and fault it in again."""
     size = max(len(seeds) for *_, seeds in jobs)
@@ -192,7 +192,7 @@ def _statistics(evaluate, cfg: SystemConfig, jobs) -> list[float]:
     shape = (size, cfg.m_rx, cfg.n_sub * cfg.n_sym)
     work = np.empty(shape, dtype=complex), np.empty(shape)
     return [out.statistic for clean, sigma2, seeds in jobs
-            for out in evaluate(noisy_copies(clean, sigma2, seeds, out=stack), work)]
+            for out in evaluate(noisy_copies(clean, b, sigma2, seeds, out=stack), work)]
 
 
 def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPlan,
@@ -220,7 +220,7 @@ def roc_curve(scene_h0: Scene, scene_h1: Scene, cfg: SystemConfig, plan: BeamPla
     jobs = [(clean[h], 10.0 ** (-snr_db / 10.0), [(seed, k, h, i) for i in trials])
             for k, snr_db in enumerate(snr_list_db) for h in (0, 1)
             for trials in blocks(n_trials)]
-    parts = thread_map(lambda part: _statistics(evaluate, cfg, jobs[part.start:part.stop]),
+    parts = thread_map(lambda part: _statistics(evaluate, b, cfg, jobs[part.start:part.stop]),
                        blocks(len(jobs), threads, len(jobs)), threads)
     stats = [t for ts in parts for t in ts]
     curves: dict[float, list[tuple[float, float, float]]] = {}

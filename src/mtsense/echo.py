@@ -105,27 +105,6 @@ def _scene_factors(scene: Scene, kind: str, cfg: SystemConfig) -> ElementFactors
     return f
 
 
-@dataclass
-class EchoTensor:
-    """One scan's raw echo cube.
-
-    data            (M_r, L, P) complex
-    scan_index      b
-    cfg             the SystemConfig it was synthesized under
-    """
-
-    data: np.ndarray
-    scan_index: int
-    cfg: SystemConfig
-
-    def __post_init__(self):
-        expected = (self.cfg.m_rx, self.cfg.n_sub, self.cfg.n_sym)
-        if self.data.shape != expected:
-            raise ValueError(f"echo tensor shape {self.data.shape} != {expected}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("echo tensor contains non-finite entries")
-
-
 def _seed_tuple(seed) -> tuple:
     """Flatten a possibly nested seed spec into a flat tuple of ints."""
     if isinstance(seed, (tuple, list)):
@@ -137,8 +116,8 @@ def _seed_tuple(seed) -> tuple:
 
 
 def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, seed=0,
-                    noise_var: float | None = None) -> EchoTensor:
-    """Synthesize the raw echo tensor for scan b.
+                    noise_var: float | None = None) -> np.ndarray:
+    """Scan b's raw echo cube, (M_r, L, P) complex.
 
     The noiseless cube is built from ``element_factors``, computed once per
     scene and cfg and shared read-only by every scan: the scatterer sum is one
@@ -161,7 +140,7 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
         f = _scene_factors(scene, "scatterers", cfg)
         y += (_weighted_rx(f, tx_gains(f.a_tx, weights)[:, 0]).T @ f.a_r)[:, :, None]
     _add_noise_to(y, sigma2, seed, b)
-    return EchoTensor(data=y, scan_index=b, cfg=cfg)
+    return y
 
 
 def _weighted_rx(f: ElementFactors, gains: np.ndarray) -> np.ndarray:
@@ -174,7 +153,7 @@ def clean_factors(scene: Scene, plan: BeamPlan,
                   cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every scan's noiseless cube factored along the symbol axis, without
     building it: coef (n_beams, M_r, L, R) and rows (R, P), where coef[b] @ rows
-    is ``synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data`` up to
+    is ``synthesize_echo(scene, plan, b, cfg, noise_var=0.0)`` up to
     rounding. rows: all ones for the scatterers (if any), then each target's a_d.
     Gains come from one ``tx_gains`` call per element kind; the products stay
     per scan, as one broadcast over all scans ran no faster.
@@ -204,16 +183,16 @@ def _add_noise_to(data: np.ndarray, sigma2: float, seed, b: int) -> None:
         data += complex_normal(rng, sigma2, data.shape)
 
 
-def noisy_copies(clean: EchoTensor, sigma2: float, seeds, out=None) -> np.ndarray:
-    """An (n, M_r, L, P) stack: copy i of clean's cube plus the CN(0, sigma2)
-    noise ``synthesize_echo`` would add with seed seeds[i], bit for bit; in
-    the first n cubes of ``out`` if given."""
+def noisy_copies(clean: np.ndarray, b: int, sigma2: float, seeds, out=None) -> np.ndarray:
+    """An (n, M_r, L, P) stack: copy i of scan b's clean cube plus the
+    CN(0, sigma2) noise ``synthesize_echo`` would add with seed seeds[i], bit
+    for bit; in the first n cubes of ``out`` if given."""
     if out is None:
-        out = np.empty((len(seeds), *clean.data.shape), dtype=complex)
+        out = np.empty((len(seeds), *clean.shape), dtype=complex)
     cubes = out[:len(seeds)]
-    cubes[:] = clean.data
+    cubes[:] = clean
     for cube, seed in zip(cubes, seeds):
-        _add_noise_to(cube, sigma2, seed, clean.scan_index)
+        _add_noise_to(cube, sigma2, seed, b)
     return cubes
 
 
@@ -226,26 +205,30 @@ def noisy_copies(clean: EchoTensor, sigma2: float, seeds, out=None) -> np.ndarra
 _HEADER = struct.Struct("<4I")
 
 
-def write_tensor(tensor: EchoTensor, path) -> None:
-    m_rx, n_sub, n_sym = tensor.data.shape
-    arr = np.ascontiguousarray(tensor.data.transpose(2, 1, 0))
+def write_tensor(cube: np.ndarray, b: int, path) -> None:
+    arr = np.ascontiguousarray(cube.transpose(2, 1, 0))
     flat = np.empty(arr.size * 2, dtype="<f8")
     flat[0::2] = arr.real.ravel()
     flat[1::2] = arr.imag.ravel()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(m_rx, n_sub, n_sym, tensor.scan_index))
+        fh.write(_HEADER.pack(*cube.shape, b))
         fh.write(flat.tobytes())
 
 
-def read_tensor(path, cfg: SystemConfig) -> EchoTensor:
+def read_tensor(path, cfg: SystemConfig) -> tuple[np.ndarray, int]:
+    """(cube, b) of a ``write_tensor`` file; a truncated file, a cube of other
+    than cfg's shape or a non-finite sample raises ValueError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path} is shorter than the {_HEADER.size}-byte header")
-    m_rx, n_sub, n_sym, b = _HEADER.unpack_from(blob)
-    if len(blob) - _HEADER.size != 16 * m_rx * n_sub * n_sym:
-        raise ValueError(f"payload of {len(blob) - _HEADER.size} bytes does not match "
-                         f"the header of {path}")
+    *header, b = _HEADER.unpack_from(blob)
+    m_rx, n_sub, n_sym = shape = cfg.m_rx, cfg.n_sub, cfg.n_sym
+    if tuple(header) != shape or len(blob) != _HEADER.size + 16 * m_rx * n_sub * n_sym:
+        raise ValueError(f"{path}: header {tuple(header)} and {len(blob)} bytes do not "
+                         f"make the config's {shape} cube")
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    data = (flat[0::2] + 1j * flat[1::2]).reshape(n_sym, n_sub, m_rx).transpose(2, 1, 0)
-    return EchoTensor(data=data.copy(), scan_index=int(b), cfg=cfg)
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"{path} holds non-finite samples")
+    cube = (flat[0::2] + 1j * flat[1::2]).reshape(n_sym, n_sub, m_rx).transpose(2, 1, 0)
+    return cube.copy(), int(b)

@@ -265,6 +265,20 @@ def _start(config: ExperimentConfig, out_dir) -> _Run:
                 build_scene(config, config.system, config.seed))
 
 
+def _require_scanned(run: _Run, targets) -> None:
+    """Raise ValueError naming the first of ``targets`` that no beam covers:
+    the sweep and the ROC test a target in its covering beam."""
+    plan = run.plan
+    for i, target in enumerate(targets, 1):
+        try:
+            beams.beam_for_angle(plan, target.theta)
+        except ValueError:
+            lo, hi = plan.coverage_interval(0)[0], plan.coverage_interval(plan.n_beams - 1)[1]
+            raise ValueError(f"target {i} at {math.degrees(target.theta):.2f} deg lies outside "
+                             f"the sector [{math.degrees(lo):.2f}, {math.degrees(hi):.2f}] deg "
+                             f"that scan.span_deg = {run.config.scan.span_deg:g} scans") from None
+
+
 # ---------------------------------------------------------------------------
 # scan pipeline
 
@@ -310,7 +324,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                 tic = time.perf_counter()
                 y = synthesize_echo(scene, plan, part[i], cfg, seed=seed)
                 toc = time.perf_counter()
-                clutter.normalize_by_gain(y, plan, out=cube)
+                clutter.normalize_by_gain(y, plan, part[i], cfg, out=cube)
                 busy[:2] += toc - tic, time.perf_counter() - toc
             tic = time.perf_counter()
             block = clutter.filter_symbols(buf[:len(sub)], filt, out=buf[:len(sub)])
@@ -337,7 +351,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
         with run.stage("filter"):
             warmup = clutter.default_warmup(filt)
             checked = np.ascontiguousarray(clutter.filter_symbols(
-                np.stack([clutter.normalize_by_gain(y, plan) for y in raw.values()]),
+                np.stack([clutter.normalize_by_gain(y, plan, b, cfg) for b, y in raw.items()]),
                 filt)[..., warmup:]) if candidates else []
         with run.stage("estimate"):
             est_rows = []
@@ -372,7 +386,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                     gamma = detector.calibrate_gamma(
                         h0_scene, plan, b, cand, cfg, dspec.p_fa,
                         n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, b))
-                    outcome = detector.glr_statistic(raw[b], cand, plan, cfg)
+                    outcome = detector.glr_statistic(raw[b], b, cand, plan, cfg)
                     decision = detector.detect(outcome, gamma)
                 except Exception as exc:   # noqa: BLE001 - per-scan isolation
                     run.errors.append({"scan": b, "stage": "detect",
@@ -398,7 +412,7 @@ def simulate_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> 
     def _one(b: int) -> str:
         y = synthesize_echo(run.scene, run.plan, b, config.system, seed=config.seed)
         name = f"echo_b{b:03d}.bin"
-        write_tensor(y, run.path(name))
+        write_tensor(y, b, run.path(name))
         return name
 
     with run.stage("synthesize"):
@@ -494,6 +508,7 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     plan, scene, seed = run.plan, run.scene, config.seed
     if not scene.targets:
         raise ValueError("the sweep needs at least one target in the scene")
+    _require_scanned(run, scene.targets)
     filt = config.filter.build()
     n_t = len(scene.targets)
     truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
@@ -566,6 +581,7 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 def roc_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """ROC curves per SNR for the first reference target; writes roc.csv."""
     run = _start(config, out_dir)
+    _require_scanned(run, run.scene.targets[:1])
     dspec = config.detector
     with run.stage("roc"):
         curves = detector.roc_curve(

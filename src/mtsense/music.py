@@ -37,8 +37,10 @@ class EstimationResult:
 
 def noise_subspace(data: np.ndarray) -> np.ndarray:
     """Eigenvectors of the sample covariance for the M-1 smallest eigenvalues,
-    (n, M, M-1), of each matrix of an (n, M, I) snapshot stack."""
-    r_hat = (data @ data.conj().swapaxes(-1, -2)) / data.shape[-1]
+    (n, M, M-1), of each matrix of an (n, M, I) snapshot stack. Non-finite
+    data raises ValueError, and the product that carries it warns nothing."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        r_hat = (data @ data.conj().swapaxes(-1, -2)) / data.shape[-1]
     if not np.all(np.isfinite(r_hat)):
         raise ValueError("sample covariance has non-finite entries")
     _, vecs = np.linalg.eigh(r_hat)  # ascending eigenvalues

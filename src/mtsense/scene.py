@@ -12,6 +12,7 @@ and the helpers that split work into blocks and worker threads.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -124,6 +125,14 @@ class SystemConfig:
         return self.wavelength / 2.0 if self.d_spacing is None else self.d_spacing
 
 
+def _check_finite(element, kind: str) -> None:
+    """Raise ValueError naming the first non-finite field of a scene element."""
+    for f in fields(element):
+        value = getattr(element, f.name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{kind} {f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Target:
     """Moving point target: angle (rad), range (m), radial speed (m/s), reflection alpha."""
@@ -134,6 +143,7 @@ class Target:
     alpha: complex
 
     def __post_init__(self):
+        _check_finite(self, "target")
         if self.range <= 0:
             raise ValueError("target range must be positive")
         if abs(self.theta) >= math.pi / 2:
@@ -149,6 +159,7 @@ class Scatterer:
     alpha: complex
 
     def __post_init__(self):
+        _check_finite(self, "scatterer")
         if self.range <= 0:
             raise ValueError("scatterer range must be positive")
         if abs(self.theta) >= math.pi / 2:

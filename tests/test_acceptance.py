@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mtsense import (beams, clutter, crb, detector, experiments, music)
-from mtsense.echo import EchoTensor, synthesize_echo
+from mtsense.echo import synthesize_echo
 from mtsense.scene import (REFERENCE_TARGETS, Scatterer, Scene, SystemConfig,
                            Target, frequencies_target, reference_scene)
 
@@ -65,7 +65,7 @@ def test_criterion_2_clutter_suppression():
     worst_db = math.inf
     for b in range(plan.n_beams):
         y = synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-        tilde = clutter.normalize_by_gain(y, plan)
+        tilde = clutter.normalize_by_gain(y, plan, b, cfg)
         out = clutter.filter_symbols(tilde, filt)
         pre = clutter.scan_spectrum([tilde])[0]
         kept = out[:, :, clutter.default_warmup(filt):]
@@ -100,7 +100,7 @@ def test_criterion_3_search_at_low_snr():
             y = synthesize_echo(scene, plan, b, cfg, seed=(master, trial),
                                 noise_var=sigma2)
             checked.append(clutter.filter_symbols(
-                clutter.normalize_by_gain(y, plan), filt))
+                clutter.normalize_by_gain(y, plan, b, cfg), filt))
         spectrum = clutter.scan_spectrum(checked)
         peaks = sorted(clutter.top_local_maxima(spectrum, 2))
         if len(peaks) == 2 and all(abs(p - t) <= 1
@@ -177,7 +177,7 @@ def test_criterion_5_mse_near_crb(tmp_path):
 
 def _fd_jacobian(scene, plan, b, cfg, h=1e-6):
     def vec(s):
-        return synthesize_echo(s, plan, b, cfg, noise_var=0.0).data.ravel()
+        return synthesize_echo(s, plan, b, cfg, noise_var=0.0).ravel()
 
     def bump(kind, idx, fieldname, d):
         if kind == "t":
@@ -256,9 +256,8 @@ def test_criterion_7_glrt_invariants():
 
     # scale invariance
     y = synthesize_echo(scene, plan, b, cfg, seed=42)
-    t_ref = detector.glr_statistic(y, cand, plan, cfg).statistic
-    y_scaled = EchoTensor(data=737.3 * y.data, scan_index=b, cfg=cfg)
-    t_scaled = detector.glr_statistic(y_scaled, cand, plan, cfg).statistic
+    t_ref = detector.glr_statistic(y, b, cand, plan, cfg).statistic
+    t_scaled = detector.glr_statistic(737.3 * y, b, cand, plan, cfg).statistic
     scale_rel = abs(t_scaled - t_ref) / t_ref
     assert scale_rel < 1e-10
 
@@ -268,8 +267,8 @@ def test_criterion_7_glrt_invariants():
         Scatterer(theta=center, range=float(r), alpha=complex(1.0, 0.3 * r))
         for r in (1, 2, 3, 5, 7)))
     y0 = synthesize_echo(on_grid, plan, b, cfg, noise_var=0.0)
-    out0 = detector.glr_statistic(y0, cand, plan, cfg)
-    residual_rel = out0.sigma2_hat_h0 / float(np.mean(np.abs(y0.data) ** 2))
+    out0 = detector.glr_statistic(y0, b, cand, plan, cfg)
+    residual_rel = out0.sigma2_hat_h0 / float(np.mean(np.abs(y0) ** 2))
     assert residual_rel < 1e-8
     assert out0.statistic == 0.0
 
@@ -281,7 +280,7 @@ def test_criterion_7_glrt_invariants():
     n_eval = 2000
     for i in range(n_eval):
         yi = synthesize_echo(h0, plan, b, cfg, seed=(88, i))
-        ti = detector.glr_statistic(yi, cand, plan, cfg).statistic
+        ti = detector.glr_statistic(yi, b, cand, plan, cfg).statistic
         false_alarms += int(ti > gamma)
     p_fa_hat = false_alarms / n_eval
     assert abs(p_fa_hat - 0.01) <= 0.02

@@ -145,7 +145,8 @@ def test_power_sampler_matches_full_draw(with_target):
     target = Target(theta=float(plan.directions[b]), range=3.0, speed=2.0, alpha=1.0)
     scene = Scene((target,) if with_target else (),
                   reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
-    clean = cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0), plan)
+    clean = cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0),
+                                 plan, b, cfg)
     filt = cl.design_butterworth_highpass(2, 0.04)
     rng = np.random.default_rng(11)
     full = np.concatenate([
@@ -163,7 +164,8 @@ def _clean_cube(with_target, cfg, b=4):
     target = Target(theta=float(plan.directions[b]), range=3.0, speed=2.0, alpha=1.0)
     scene = Scene((target,) if with_target else (),
                   reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
-    return cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0), plan)
+    return cl.normalize_by_gain(ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0),
+                                plan, b, cfg)
 
 
 def test_windowed_sampler_is_the_gaussian_conditioning():
@@ -292,9 +294,9 @@ def test_stationary_input_annihilated(small_plan):
     # the initial condition is matched to a step of the first sample's height.
     cfg = SystemConfig(m_tx=4, m_rx=3, n_sub=4, n_sym=30, noise_var=0.0)
     y = ec.synthesize_echo(_static_scene(), small_plan, 2, cfg, noise_var=0.0)
-    tilde = cl.normalize_by_gain(y, small_plan)
+    tilde = cl.normalize_by_gain(y, small_plan, 2, cfg)
     g = 2.0  # the boresight gain g_tilde, sqrt(m_tx) for m_tx = 4
-    assert np.allclose(tilde * g, y.data, atol=1e-12)
+    assert np.allclose(tilde * g, y, atol=1e-12)
     filt = cl.design_butterworth_highpass(2, 0.04)
     out = cl.filter_symbols(tilde, filt)
     scale = float(np.max(np.abs(tilde)))
@@ -323,16 +325,15 @@ def test_filter_symbols_rejects_short_frames(small_plan):
     y = ec.synthesize_echo(_static_scene(), small_plan, 0, cfg, noise_var=0.0)
     filt = cl.design_butterworth_highpass(2, 0.04)  # default warmup 6 > n_sym 5
     with pytest.raises(ValueError):
-        cl.filter_symbols(cl.normalize_by_gain(y, small_plan), filt)
+        cl.filter_symbols(cl.normalize_by_gain(y, small_plan, 0, cfg), filt)
 
 
 # oracle: each normalized beam filtered alone, as the scan pipeline ran it
 # before it filtered blocks of beams. The block filter must return each
 # beam's bytes.
 
-def _filter_symbols_per_item(y, plan, filt):
-    g = g_tilde(plan, y.scan_index, y.cfg)
-    return cl.step_matched_highpass(y.data / g, filt)
+def _filter_symbols_per_item(y, b, plan, cfg, filt):
+    return cl.step_matched_highpass(y / g_tilde(plan, b, cfg), filt)
 
 
 @pytest.mark.parametrize("order,cutoff", [(1, 0.1), (2, 0.04), (4, 0.2)])
@@ -342,17 +343,17 @@ def test_filter_beams_match_per_beam_filter(order, cutoff):
     scene = reference_scene(cfg, n_scatterers=30, seed=4)
     filt = cl.design_butterworth_highpass(order, cutoff)
     raw = [ec.synthesize_echo(scene, plan, b, cfg, seed=9) for b in range(plan.n_beams)]
-    want = [_filter_symbols_per_item(y, plan, filt) for y in raw]
+    want = [_filter_symbols_per_item(y, b, plan, cfg, filt) for b, y in enumerate(raw)]
     for block in ([3], [0, 1, 2, 3, 4, 5, 6], list(range(11))):
-        got = cl.filter_symbols(np.stack([cl.normalize_by_gain(raw[b], plan) for b in block]),
-                                filt)
+        got = cl.filter_symbols(
+            np.stack([cl.normalize_by_gain(raw[b], plan, b, cfg) for b in block]), filt)
         assert [cube.tobytes() for cube in got] == [want[b].tobytes() for b in block]
-    tilde = cl.normalize_by_gain(raw[4], plan)
+    tilde = cl.normalize_by_gain(raw[4], plan, 4, cfg)
     assert cl.filter_symbols(tilde, filt).tobytes() == want[4].tobytes()
     # in place, in the first cubes of a reused buffer that holds stale values
     buf = np.full((8, cfg.m_rx, cfg.n_sub, cfg.n_sym), np.nan, dtype=complex)
     for b, cube in zip(range(5), buf):
-        cl.normalize_by_gain(raw[b], plan, out=cube)
+        cl.normalize_by_gain(raw[b], plan, b, cfg, out=cube)
     got = cl.filter_symbols(buf[:5], filt, out=buf[:5])
     assert np.shares_memory(got, buf)
     assert [cube.tobytes() for cube in got] == [want[b].tobytes() for b in range(5)]

@@ -15,7 +15,7 @@ from mtsense.scene import (C0, Scatterer, Scene, SystemConfig, Target,
 
 
 def _noiseless_vec(scene, plan, b, cfg):
-    return ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data.ravel()
+    return ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0).ravel()
 
 
 def _random_scene(rng, n_targets=1, n_scatterers=1):

@@ -77,7 +77,7 @@ def test_pure_on_grid_clutter_scores_zero(cfg, plan):
     scene = Scene((), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
     target = _target_in_beam(plan, b)
-    out = dt.glr_statistic(y, frequencies_target(target, cfg), plan, cfg)
+    out = dt.glr_statistic(y, b, frequencies_target(target, cfg), plan, cfg)
     assert out.statistic == 0.0
     assert not out.undetectable
 
@@ -87,7 +87,7 @@ def test_target_plus_clutter_noiseless_scores_one(cfg, plan):
     target = _target_in_beam(plan, b)
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    out = dt.glr_statistic(y, frequencies_target(target, cfg), plan, cfg)
+    out = dt.glr_statistic(y, b, frequencies_target(target, cfg), plan, cfg)
     assert out.statistic == pytest.approx(1.0, abs=1e-9)
     assert out.sigma2_hat_h1 == pytest.approx(0.0, abs=1e-12)
 
@@ -96,7 +96,7 @@ def test_all_zero_echo_scores_zero(cfg, plan):
     b = 25
     y = ec.synthesize_echo(Scene((), ()), plan, b, cfg, noise_var=0.0)
     target = _target_in_beam(plan, b)
-    out = dt.glr_statistic(y, frequencies_target(target, cfg), plan, cfg)
+    out = dt.glr_statistic(y, b, frequencies_target(target, cfg), plan, cfg)
     assert out.statistic == 0.0
 
 
@@ -107,7 +107,7 @@ def test_candidate_on_grid_angle_is_undetectable(cfg, plan):
     # candidate at the beam-center spatial frequency: the steering vector is
     # inside the clutter span for every subcarrier
     psi_s = spatial_frequency(float(plan.directions[b]), cfg)
-    out = dt.glr_statistic(y, (psi_s, 0.2, 0.1), plan, cfg)
+    out = dt.glr_statistic(y, b, (psi_s, 0.2, 0.1), plan, cfg)
     assert out.undetectable
     assert out.statistic == 0.0
 
@@ -120,7 +120,7 @@ def test_alpha_hat_exact_for_pure_target(cfg, plan):
     b = 25
     off = _target_in_beam(plan, b, alpha=0.37 - 0.81j)
     y = ec.synthesize_echo(Scene((off,), ()), plan, b, cfg, noise_var=0.0)
-    out = dt.glr_statistic(y, frequencies_target(off, cfg), plan, cfg)
+    out = dt.glr_statistic(y, b, frequencies_target(off, cfg), plan, cfg)
     want = off.alpha * tx_gain(off.theta, plan, b, cfg) / g_tilde(plan, b, cfg)
     assert out.alpha_hat == pytest.approx(want, abs=1e-10)
     assert out.statistic == pytest.approx(1.0, abs=1e-9)
@@ -128,7 +128,7 @@ def test_alpha_hat_exact_for_pure_target(cfg, plan):
     centered = Target(theta=float(plan.directions[b]) + 1e-6, range=3.2,
                       speed=2.5, alpha=0.37 - 0.81j)
     y2 = ec.synthesize_echo(Scene((centered,), ()), plan, b, cfg, noise_var=0.0)
-    out2 = dt.glr_statistic(y2, frequencies_target(centered, cfg), plan, cfg)
+    out2 = dt.glr_statistic(y2, b, frequencies_target(centered, cfg), plan, cfg)
     assert out2.alpha_hat == pytest.approx(centered.alpha, abs=1e-3)
 
 
@@ -138,9 +138,8 @@ def test_statistic_scale_invariant(cfg, plan):
     scene = Scene((target,), (_on_grid_scatterer(plan, b, cfg),))
     y = ec.synthesize_echo(scene, plan, b, cfg, seed=5)
     cand = frequencies_target(target, cfg)
-    t1 = dt.glr_statistic(y, cand, plan, cfg).statistic
-    scaled = ec.EchoTensor(data=737.3 * y.data, scan_index=b, cfg=cfg)
-    t2 = dt.glr_statistic(scaled, cand, plan, cfg).statistic
+    t1 = dt.glr_statistic(y, b, cand, plan, cfg).statistic
+    t2 = dt.glr_statistic(737.3 * y, b, cand, plan, cfg).statistic
     assert t2 == pytest.approx(t1, rel=1e-10)
 
 
@@ -151,7 +150,7 @@ def test_statistic_bounded_and_ordered(cfg, plan):
     cand = frequencies_target(target, cfg)
     for seed in range(8):
         y = ec.synthesize_echo(scene, plan, b, cfg, seed=seed)
-        out = dt.glr_statistic(y, cand, plan, cfg)
+        out = dt.glr_statistic(y, b, cand, plan, cfg)
         assert 0.0 <= out.statistic <= 1.0 + 1e-12
         assert out.sigma2_hat_h1 <= out.sigma2_hat_h0 + 1e-15
         assert out.statistic == pytest.approx(
@@ -164,7 +163,7 @@ def test_grid_of_another_scan_is_rejected():
     cfg, plan, target, b, clut = _small_setup()
     y = ec.synthesize_echo(clut, plan, b, cfg, seed=1)
     with pytest.raises(ValueError, match="finite"):
-        dt.glr_statistic(y, (np.nan, 0.1, 0.1), plan, cfg)
+        dt.glr_statistic(y, b, (np.nan, 0.1, 0.1), plan, cfg)
 
 
 # oracle: the statistic with one projector per subcarrier, looping over l
@@ -173,10 +172,9 @@ def test_grid_of_another_scan_is_rejected():
 # Its basis is built here column by column; it shares only perp_projector,
 # tested on its own above.
 
-def per_subcarrier_glr(y, candidate, plan, cfg):
+def per_subcarrier_glr(y, b, candidate, plan, cfg):
     psi_s, psi_r, psi_d = candidate
-    b = y.scan_index
-    m_rx, n_sub, n_sym = y.data.shape
+    m_rx, n_sub, n_sym = y.shape
     n_tot = m_rx * n_sub * n_sym
     g = g_tilde(plan, b, cfg)
     a_sp = steering(psi_s, cfg.m_rx)
@@ -189,7 +187,7 @@ def per_subcarrier_glr(y, candidate, plan, cfg):
                           for pr in range_grid], axis=1)
         p_perp = dt.perp_projector(basis)
         denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
-        py = p_perp @ y.data[:, l, :]
+        py = p_perp @ y[:, l, :]
         energy_h0 += float(np.sum(np.abs(py) ** 2))
         inner = a_sp.conj() @ py
         num_total += float(np.sum(np.abs(inner) ** 2)) / denom
@@ -223,8 +221,8 @@ def test_statistic_matches_per_subcarrier_oracle(cfg, plan):
         rel = 1e-12 if offset >= 3.0 else 64 * eps * cfg.m_rx / denom
         for seed, scene in enumerate((Scene((target,), clutter), Scene((), clutter))):
             y = ec.synthesize_echo(scene, plan, b, cfg, seed=seed)
-            out = dt.glr_statistic(y, cand, plan, cfg)
-            t, s0, s1, alpha = per_subcarrier_glr(y, cand, plan, cfg)
+            out = dt.glr_statistic(y, b, cand, plan, cfg)
+            t, s0, s1, alpha = per_subcarrier_glr(y, b, cand, plan, cfg)
             assert not out.undetectable
             assert out.statistic == pytest.approx(t, rel=rel)
             assert out.sigma2_hat_h0 == pytest.approx(s0, rel=1e-12)
@@ -254,10 +252,10 @@ def test_two_rows_match_dense_projector_in_dense_clutter(cfg, plan, ref_scene):
         for cand in (frequencies_target(t, cfg) for t in [target, *off_axis]):
             a_sp = steering(cand[0], cfg.m_rx)
             denom = float(np.real(a_sp.conj() @ p_perp @ a_sp))
-            outs = dt._glr_evaluator(cand, plan, cfg, b)(np.stack([y.data for y in cubes]))
+            outs = dt._glr_evaluator(cand, plan, cfg, b)(np.stack(cubes))
             for y, out in zip(cubes, outs):
-                t, s0, s1, alpha = per_subcarrier_glr(y, cand, plan, cfg)
-                ratio = float(np.mean(np.abs(y.data) ** 2)) / s0
+                t, s0, s1, alpha = per_subcarrier_glr(y, b, cand, plan, cfg)
+                ratio = float(np.mean(np.abs(y) ** 2)) / s0
                 rel_s0 = 2 * cfg.m_rx * eps * ratio
                 rel = 2 * cfg.m_rx * eps * (ratio + cfg.m_rx / denom)
                 assert ratio > 1.0 and not out.undetectable
@@ -348,7 +346,7 @@ def test_calibrate_gamma_matches_full_synthesis_loop():
     cand = frequencies_target(target, cfg)
     ts = [dt.glr_statistic(ec.synthesize_echo(clut, plan, b, cfg, seed=(21, i),
                                               noise_var=0.3),
-                           cand, plan, cfg).statistic
+                           b, cand, plan, cfg).statistic
           for i in range(50)]
     want = float(np.quantile(ts, 0.9))
     got = dt.calibrate_gamma(clut, plan, b, cand, replace(cfg, noise_var=0.3), p_fa=0.1,
@@ -402,23 +400,22 @@ def test_roc_needs_target_or_explicit_candidate():
 # stacked evaluation must return each cube's outcome to the bit, in every
 # branch. The dense-projector oracles above check the arithmetic itself.
 
-def _add_noise(clean, sigma2, seed):
-    data = clean.data.copy()
-    ec._add_noise_to(data, sigma2, seed, clean.scan_index)
-    return ec.EchoTensor(data=data, scan_index=clean.scan_index, cfg=clean.cfg)
+def _add_noise(clean, b, sigma2, seed):
+    data = clean.copy()
+    ec._add_noise_to(data, sigma2, seed, b)
+    return data
 
 
-def _glr_statistic_per_item(y, candidate, plan, cfg):
+def _glr_statistic_per_item(y, b, candidate, plan, cfg):
     psi_s, psi_r, psi_d = candidate
-    b = y.scan_index
-    m_rx, n_sub, n_sym = y.data.shape
+    m_rx, n_sub, n_sym = y.shape
     n_tot = m_rx * n_sub * n_sym
     c = dt.clutter_basis(b, plan, cfg)
     u = c / np.linalg.norm(c)
     a_sp = steering(psi_s, cfg.m_rx)
     a_perp = a_sp - u * (u.conj() @ a_sp)
     denom = float(np.real(a_sp.conj() @ a_perp))
-    data = y.data.reshape(m_rx, n_sub * n_sym)
+    data = y.reshape(m_rx, n_sub * n_sym)
     z = np.stack([u, a_perp]).conj() @ data
     py = data - u[:, None] * z[:1]
     sigma2_h0 = float(np.sum(np.abs(py) ** 2)) / n_tot
@@ -426,7 +423,7 @@ def _glr_statistic_per_item(y, candidate, plan, cfg):
         return dt.GlrOutcome(0.0, sigma2_h0, sigma2_h0, 0j, undetectable=True)
     inner = z[1]
     num_total = float(np.sum(np.abs(inner) ** 2)) / denom
-    input_floor = dt.ZERO_RESIDUAL_REL * float(np.mean(np.abs(y.data) ** 2))
+    input_floor = dt.ZERO_RESIDUAL_REL * float(np.mean(np.abs(y) ** 2))
     if sigma2_h0 <= input_floor:
         t = 0.0 if num_total <= input_floor * n_tot else math.inf
         return dt.GlrOutcome(t, sigma2_h0, sigma2_h0, 0j)
@@ -451,11 +448,11 @@ def test_stacked_statistic_matches_per_item_in_every_branch(cfg, plan):
     outcomes = {}
     for name, cand in (("target", frequencies_target(target, cfg)),
                        ("on grid", (center, 0.2, 0.1))):
-        want = [_glr_statistic_per_item(y, cand, plan, cfg) for y in cubes]
-        assert [dt.glr_statistic(y, cand, plan, cfg) for y in cubes] == want
+        want = [_glr_statistic_per_item(y, b, cand, plan, cfg) for y in cubes]
+        assert [dt.glr_statistic(y, b, cand, plan, cfg) for y in cubes] == want
         evaluate = dt._glr_evaluator(cand, plan, cfg, b)
-        assert evaluate(np.stack([y.data for y in cubes])) == want
-        assert evaluate(np.stack([y.data for y in cubes[3:6]])) == want[3:6]
+        assert evaluate(np.stack(cubes)) == want
+        assert evaluate(np.stack(cubes[3:6])) == want[3:6]
         outcomes[name] = want
     # every branch ran: a statistic with its amplitude, the zero residual of
     # noiseless clutter and of an all-zero cube, and an undetectable candidate
@@ -470,7 +467,7 @@ def test_calibrate_gamma_matches_per_trial_oracle():
     cand = frequencies_target(target, cfg)
     clean = ec.synthesize_echo(clut, plan, b, cfg, noise_var=0.0)
     for n_trials in (1, 8, 21):             # one block, a full block, unequal blocks
-        ts = [_glr_statistic_per_item(_add_noise(clean, 0.3, (21, i)), cand,
+        ts = [_glr_statistic_per_item(_add_noise(clean, b, 0.3, (21, i)), b, cand,
                                       plan, cfg).statistic for i in range(n_trials)]
         got = dt.calibrate_gamma(clut, plan, b, cand, replace(cfg, noise_var=0.3),
                                  p_fa=0.1, n_trials=n_trials, seed=21)
@@ -484,8 +481,8 @@ def _roc_curve_per_trial(scene_h0, scene_h1, cfg, plan, snr_list_db, n_trials,
     for k, snr_db in enumerate(snr_list_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
         pooled = np.array([
-            _glr_statistic_per_item(_add_noise(clean[h], sigma2, (seed, k, h, i)),
-                                    cand, plan, cfg).statistic
+            _glr_statistic_per_item(_add_noise(clean[h], b, sigma2, (seed, k, h, i)),
+                                    b, cand, plan, cfg).statistic
             for h in (0, 1) for i in range(n_trials)])
         t0, t1 = pooled[:n_trials], pooled[n_trials:]
         qs = np.quantile(pooled, np.linspace(0.0, 1.0, n_thresholds))

@@ -61,8 +61,8 @@ def test_synthesize_matches_brute_force(small_cfg, small_plan):
         for cfg in (small_cfg, other):
             got = ec.synthesize_echo(scene, small_plan, b, cfg, noise_var=0.0)
             want = brute_force_echo(scene, small_plan, b, cfg)
-            assert np.allclose(got.data, want, atol=1e-10)
-            assert got.scan_index == b
+            assert np.allclose(got, want, atol=1e-10)
+            assert type(got) is np.ndarray
 
 
 def test_synthesize_matches_brute_force_dense_scene(small_cfg, small_plan):
@@ -80,7 +80,7 @@ def test_synthesize_matches_brute_force_dense_scene(small_cfg, small_plan):
     for b in (1, 5):
         got = ec.synthesize_echo(scene, small_plan, b, small_cfg, noise_var=0.0)
         want = brute_force_echo(scene, small_plan, b, small_cfg)
-        assert np.max(np.abs(got.data - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_element_factors_match_scalar_helpers(small_cfg, small_plan):
@@ -136,7 +136,7 @@ def test_clean_factors_expand_to_the_synthesized_cubes(with_scatterers):
     assert coef.shape == (plan.n_beams, cfg.m_rx, cfg.n_sub, n_rows)
     assert rows.shape == (n_rows, cfg.n_sym)
     for b in range(plan.n_beams):
-        want = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0).data
+        want = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
         np.testing.assert_allclose(coef[b] @ rows, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 
@@ -156,25 +156,25 @@ def test_clean_cube_plus_noise_is_bit_identical(small_cfg, small_plan):
     scene = _two_element_scene()
     clean = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
     seeds = (0, (9, 4), ((1, 2), 3))
-    noisy = ec.noisy_copies(clean, 0.7, seeds)
-    assert noisy.shape == (len(seeds), *clean.data.shape)
+    noisy = ec.noisy_copies(clean, 3, 0.7, seeds)
+    assert noisy.shape == (len(seeds), *clean.shape)
     for cube, seed in zip(noisy, seeds):
         direct = ec.synthesize_echo(scene, small_plan, 3, small_cfg, seed=seed,
                                     noise_var=0.7)
-        assert np.array_equal(cube, direct.data)
+        assert np.array_equal(cube, direct)
     fresh = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
-    assert np.array_equal(clean.data, fresh.data)      # noisy_copies copies
-    assert np.array_equal(ec.noisy_copies(clean, 0.0, [1])[0], clean.data)
+    assert np.array_equal(clean, fresh)      # noisy_copies copies
+    assert np.array_equal(ec.noisy_copies(clean, 3, 0.0, [1])[0], clean)
     # into the first cubes of a larger buffer that holds stale values
-    buf = np.full((len(seeds) + 2, *clean.data.shape), np.nan, dtype=complex)
-    into = ec.noisy_copies(clean, 0.7, seeds, out=buf)
+    buf = np.full((len(seeds) + 2, *clean.shape), np.nan, dtype=complex)
+    into = ec.noisy_copies(clean, 3, 0.7, seeds, out=buf)
     assert np.shares_memory(into, buf) and into.tobytes() == noisy.tobytes()
 
 
 def test_threads_that_miss_at_once_build_the_factors_once(small_cfg, small_plan,
                                                           monkeypatch):
     scene = _two_element_scene()
-    want = [ec.synthesize_echo(scene, small_plan, b, small_cfg, seed=1).data
+    want = [ec.synthesize_echo(scene, small_plan, b, small_cfg, seed=1)
             for b in range(small_plan.n_beams)]
     built, element_factors = [], ec.element_factors
 
@@ -184,7 +184,7 @@ def test_threads_that_miss_at_once_build_the_factors_once(small_cfg, small_plan,
         return element_factors(elements, cfg)
     monkeypatch.setattr(ec, "element_factors", slow)
     scene = _two_element_scene()
-    got = thread_map(lambda b: ec.synthesize_echo(scene, small_plan, b, small_cfg, seed=1).data,
+    got = thread_map(lambda b: ec.synthesize_echo(scene, small_plan, b, small_cfg, seed=1),
                      range(small_plan.n_beams), 4)
     assert sorted(built) == [1, 2]       # the scatterer and the targets, once each
     assert [y.tobytes() for y in got] == [y.tobytes() for y in want]
@@ -195,22 +195,22 @@ def test_noise_variance_and_determinism(small_cfg, small_plan):
     big = SystemConfig(m_tx=4, m_rx=40, n_sub=50, n_sym=60, noise_var=3.0)
     plan = bm.default_plan(big, n_beams=3, span_deg=30.0)
     y = ec.synthesize_echo(empty, plan, 1, big, seed=2)
-    var = float(np.mean(np.abs(y.data) ** 2))
+    var = float(np.mean(np.abs(y) ** 2))
     assert var == pytest.approx(3.0, rel=0.05)
 
     again = ec.synthesize_echo(empty, plan, 1, big, seed=2)
-    assert np.array_equal(y.data, again.data)
+    assert np.array_equal(y, again)
     other_scan = ec.synthesize_echo(empty, plan, 2, big, seed=2)
-    assert not np.array_equal(y.data, other_scan.data)
+    assert not np.array_equal(y, other_scan)
     other_seed = ec.synthesize_echo(empty, plan, 1, big, seed=3)
-    assert not np.array_equal(y.data, other_seed.data)
+    assert not np.array_equal(y, other_seed)
 
 
 def test_seed_tuples_flatten(small_cfg, small_plan):
     empty = Scene(targets=(), scatterers=())
     y1 = ec.synthesize_echo(empty, small_plan, 0, small_cfg, seed=(4, 5))
     y2 = ec.synthesize_echo(empty, small_plan, 0, small_cfg, seed=((4,), 5))
-    assert np.array_equal(y1.data, y2.data)
+    assert np.array_equal(y1, y2)
 
 
 def test_linearity_in_alpha(small_cfg, small_plan):
@@ -218,25 +218,25 @@ def test_linearity_in_alpha(small_cfg, small_plan):
     t2 = Target(theta=0.2, range=4.0, speed=1.5, alpha=2 * (0.7 + 0.2j))
     y1 = ec.synthesize_echo(Scene((t,), ()), small_plan, 2, small_cfg, noise_var=0.0)
     y2 = ec.synthesize_echo(Scene((t2,), ()), small_plan, 2, small_cfg, noise_var=0.0)
-    assert np.allclose(y2.data, 2 * y1.data, atol=1e-12)
+    assert np.allclose(y2, 2 * y1, atol=1e-12)
 
 
 def test_superposition(small_cfg, small_plan):
     scene = _two_element_scene()
     whole = ec.synthesize_echo(scene, small_plan, 1, small_cfg, noise_var=0.0)
     parts = sum(
-        ec.synthesize_echo(Scene((t,), ()), small_plan, 1, small_cfg, noise_var=0.0).data
+        ec.synthesize_echo(Scene((t,), ()), small_plan, 1, small_cfg, noise_var=0.0)
         for t in scene.targets
     ) + ec.synthesize_echo(Scene((), scene.scatterers), small_plan, 1, small_cfg,
-                           noise_var=0.0).data
-    assert np.allclose(whole.data, parts, atol=1e-12)
+                           noise_var=0.0)
+    assert np.allclose(whole, parts, atol=1e-12)
 
 
 def test_scatterers_have_no_doppler(small_cfg, small_plan):
     scene = Scene((), (Scatterer(theta=0.3, range=4.4, alpha=1.1 - 0.4j),))
     y = ec.synthesize_echo(scene, small_plan, 3, small_cfg, noise_var=0.0)
     # every symbol slice identical
-    assert np.allclose(y.data, y.data[:, :, :1], atol=1e-14)
+    assert np.allclose(y, y[:, :, :1], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +262,21 @@ def test_binary_round_trip_and_layout(tmp_path, small_cfg, small_plan):
     scene = _two_element_scene()
     y = ec.synthesize_echo(scene, small_plan, 4, small_cfg, seed=8)
     path = tmp_path / "echo.bin"
-    ec.write_tensor(y, path)
+    ec.write_tensor(y, 4, path)
 
     data, b = hand_parse(path)
     assert b == 4
-    assert np.array_equal(data, y.data)
+    assert np.array_equal(data, y)
 
-    back = ec.read_tensor(path, small_cfg)
-    assert np.array_equal(back.data, y.data)
-    assert back.scan_index == 4
+    back, b = ec.read_tensor(path, small_cfg)
+    assert np.array_equal(back, y) and back.flags.c_contiguous
+    assert b == 4
 
 
 def test_read_tensor_rejects_truncated(tmp_path, small_cfg, small_plan):
     y = ec.synthesize_echo(_two_element_scene(), small_plan, 0, small_cfg, seed=1)
     path = tmp_path / "echo.bin"
-    ec.write_tensor(y, path)
+    ec.write_tensor(y, 0, path)
     blob = open(path, "rb").read()
     # a sample short, half a float64 short, and shorter than the 16-byte header
     for cut in (blob[:-16], blob[:-4], blob[:10]):
@@ -285,10 +285,25 @@ def test_read_tensor_rejects_truncated(tmp_path, small_cfg, small_plan):
             ec.read_tensor(path, small_cfg)
 
 
-def test_tensor_shape_validation(small_cfg):
-    with pytest.raises(ValueError):
-        ec.EchoTensor(data=np.zeros((2, 2, 2), dtype=complex), scan_index=0,
-                      cfg=small_cfg)
-    bad = np.full((small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym), np.nan + 0j)
-    with pytest.raises(ValueError):
-        ec.EchoTensor(data=bad, scan_index=0, cfg=small_cfg)
+def test_read_tensor_rejects_a_shape_other_than_the_configs(tmp_path, small_cfg, small_plan):
+    path = tmp_path / "echo.bin"
+    # a whole file of another shape, and a file of cfg's shape read under another cfg
+    ec.write_tensor(np.zeros((2, 2, 2), dtype=complex), 0, path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        ec.read_tensor(path, small_cfg)
+    ec.write_tensor(ec.synthesize_echo(_two_element_scene(), small_plan, 0, small_cfg, seed=1),
+                    0, path)
+    for other in (replace(small_cfg, n_sym=small_cfg.n_sym + 1), replace(small_cfg, m_rx=small_cfg.m_rx + 1)):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            ec.read_tensor(path, other)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, 1.0)])
+def test_read_tensor_rejects_non_finite_samples(tmp_path, small_cfg, small_plan, bad):
+    y = ec.synthesize_echo(_two_element_scene(), small_plan, 2, small_cfg, seed=1)
+    y[1, 2, 3] = bad
+    path = tmp_path / "echo.bin"
+    ec.write_tensor(y, 2, path)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*non-finite"):
+        ec.read_tensor(path, small_cfg)

@@ -344,6 +344,11 @@ def test_readme_example_config_loads():
      ["scene.n_targets", "scene.min_separation_deg"]),
     ("sweep-snr", [], {"scene": {"kind": "empty"}}, ["at least one target"]),
     ("crb", [], {"scene": {"kind": "empty"}}, ["at least one target"]),
+    # the reference scene's first target lies at -48.30 deg
+    ("sweep-snr", [], {"scan": {"span_deg": 30.0}},
+     ["target 1 at -48.30 deg", "[-30.50, 30.50] deg", "scan.span_deg = 30 "]),
+    ("roc", [], {"scan": {"span_deg": 30.0}},
+     ["target 1 at -48.30 deg", "[-30.50, 30.50] deg", "scan.span_deg = 30 "]),
 ])
 def test_cli_writes_nothing_when_the_run_cannot_start(tmp_path, capsys, command, argv,
                                                       raw, names):
@@ -355,6 +360,12 @@ def test_cli_writes_nothing_when_the_run_cannot_start(tmp_path, capsys, command,
     message = json.loads(capsys.readouterr().err)["message"]
     assert all(name in message for name in names), message
     assert not (tmp_path / "out").exists()
+
+
+def test_detect_and_crb_accept_a_target_outside_the_scanned_sector(tmp_path):
+    config = small_config(scene={"kind": "reference"}, scan={"span_deg": 30.0})
+    assert ex.run_pipeline(config, tmp_path / "detect")["errors"] == []
+    assert ex.crb_experiment(config, tmp_path / "crb")["outputs"] == ["crb.json"]
 
 
 @pytest.mark.parametrize("command", ["scan", "sweep-snr"])
@@ -461,7 +472,7 @@ def test_pipeline_estimates_on_the_symbols_past_the_transient(tmp_path, monkeypa
     scene = ex.build_scene(config, cfg, config.seed)
     for cube, b in zip(cubes, scans):
         y = synthesize_echo(scene, plan, b, cfg, seed=config.seed)
-        want = clutter.step_matched_highpass(y.data / g_tilde(plan, b, cfg), filt)
+        want = clutter.step_matched_highpass(y / g_tilde(plan, b, cfg), filt)
         assert cube.tobytes() == want[..., 9:].tobytes()
 
 
@@ -602,10 +613,10 @@ def test_simulate_writes_readable_tensors(tmp_path):
     plan = default_plan(cfg, n_beams=config.scan.n_beams,
                         span_deg=config.scan.span_deg)
     scene = ex.build_scene(config, cfg, config.seed)
-    back = read_tensor(tmp_path / "echo_b004.bin", cfg)
+    back, b = read_tensor(tmp_path / "echo_b004.bin", cfg)
     fresh = synthesize_echo(scene, plan, 4, cfg, seed=config.seed)
-    assert np.array_equal(back.data, fresh.data)
-    assert back.scan_index == 4
+    assert np.array_equal(back, fresh)
+    assert b == 4
 
 
 def test_simulate_threads_write_identical_tensors(tmp_path):
@@ -869,6 +880,29 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "detect" / "detections.csv").is_file()
     assert (tmp_path / "sweep-snr" / "sweep.csv").is_file()
+
+
+_IMPORTED = """
+import json, sys
+from mtsense import cli
+for command in ("detect", "sweep-snr", "crb"):
+    out = sys.argv[2] + "/" + command
+    assert cli.main([command, "--config", sys.argv[1], "--out-dir", out]) == 0, command
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_cli_imports_only_numpy_at_run_time(tmp_path):
+    # the README's promise: scipy and hypothesis serve the tests, never a command
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_RAW, snr_list_db=[10.0], n_trials=2,
+                                        sweep={"n_sym_synth": 24})))
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED, str(cfg_path), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert "numpy" in modules and "mtsense.crb" in modules
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "hypothesis")] == []
 
 
 def test_roc_experiment_csv(tmp_path):

@@ -45,11 +45,13 @@ def test_noise_subspace_hand_oracle():
     assert np.allclose(proj, np.eye(3) - j3 / 3.0, atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")      # the ValueError, and no RuntimeWarning before it
 def test_noise_subspace_rejects_nonfinite():
-    data = np.ones((3, 4), dtype=complex)
-    data[1, 2] = np.inf
-    with pytest.raises(ValueError):
-        mu.noise_subspace(data[None])
+    for bad in (np.inf, np.nan, 1e200):     # 1e200 overflows in the covariance
+        data = np.ones((3, 4), dtype=complex)
+        data[1, 2] = bad
+        with pytest.raises(ValueError):
+            mu.noise_subspace(data[None])
 
 
 def test_snapshot_matrix_validation():
@@ -268,6 +270,7 @@ def _outcome(fn, *args):
         return exc
 
 
+@pytest.mark.filterwarnings("error")      # a poisoned row warns nothing
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_snapshot_stacks(), st.sampled_from((-1, 1)), st.integers(-1, 4))
 def test_stacked_root_music_matches_per_item(stack, sign, poisoned):
@@ -322,7 +325,7 @@ def test_estimate_candidates_isolate_a_failing_tensor(cfg, plan):
         target = Target(theta=float(plan.directions[b]), range=3.0 + 0.1 * b, speed=2.0,
                         alpha=1.0)
         y = ec.synthesize_echo(Scene((target,), ()), plan, b, cfg, seed=int(rng.integers(99)))
-        cubes.append(cl.filter_symbols(cl.normalize_by_gain(y, plan), filt)
+        cubes.append(cl.filter_symbols(cl.normalize_by_gain(y, plan, b, cfg), filt)
                      [..., cl.default_warmup(filt):])
     cubes = np.stack(cubes)
     alone = [mu.estimate_candidate(c, b, cfg) for c, b in zip(cubes, (20, 21, 22))]
@@ -431,7 +434,7 @@ def test_estimate_candidate_exact_on_clean_echo(cfg, plan):
     from mtsense.beams import beam_for_angle
     b = beam_for_angle(plan, target.theta)
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
-    res = mu.estimate_candidate(cl.normalize_by_gain(y, plan), b, cfg)
+    res = mu.estimate_candidate(cl.normalize_by_gain(y, plan, b, cfg), b, cfg)
     psi_s, psi_r, psi_d = frequencies_target(target, cfg)
     assert res.psi_s_hat == pytest.approx(psi_s, abs=1e-8)
     assert res.psi_r_hat == pytest.approx(psi_r, abs=1e-8)
@@ -451,7 +454,7 @@ def test_estimate_candidate_after_filtering(cfg, plan):
     b = beam_for_angle(plan, target.theta)
     y = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
     filt = cl.design_butterworth_highpass(2, 0.04)
-    out = cl.filter_symbols(cl.normalize_by_gain(y, plan), filt)
+    out = cl.filter_symbols(cl.normalize_by_gain(y, plan, b, cfg), filt)
     res = mu.estimate_candidate(out[..., cl.default_warmup(filt):], b, cfg)
     assert res.theta_hat == pytest.approx(target.theta, abs=2e-3)
     assert res.range_hat == pytest.approx(target.range, abs=2e-2)

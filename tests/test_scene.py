@@ -76,6 +76,23 @@ def test_element_validation():
         Scatterer(theta=0.0, range=-1.0, alpha=1j)
 
 
+_VALID_ELEMENTS = {"target": (Target, dict(theta=0.1, range=2.0, speed=1.0, alpha=1j)),
+                   "scatterer": (Scatterer, dict(theta=0.1, range=2.0, alpha=1j))}
+_NON_FINITE = [("theta", math.nan), ("range", math.nan), ("range", math.inf),
+               ("speed", math.nan), ("speed", -math.inf), ("alpha", complex(math.nan, 0.0)),
+               ("alpha", complex(1.0, math.inf))]
+
+
+@pytest.mark.parametrize("kind,name,value", [
+    (kind, name, value) for kind, (_, valid) in _VALID_ELEMENTS.items()
+    for name, value in _NON_FINITE if name in valid])
+def test_element_rejects_non_finite_fields(kind, name, value):
+    # nan fails every comparison, so range <= 0 and |theta| >= pi/2 let it through
+    make, valid = _VALID_ELEMENTS[kind]
+    with pytest.raises(ValueError, match=f"^{kind} {name} must be finite, got "):
+        make(**{**valid, name: value})
+
+
 def test_inverse_maps_round_trip(cfg, rng):
     for _ in range(25):
         theta = rng.uniform(-1.0, 1.0)
