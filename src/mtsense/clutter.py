@@ -191,21 +191,36 @@ class FilteredPowerSampler:
         self.energy = None if window else np.sum(
             np.abs(np.linalg.qr(series, mode="r") @ mean_rows) ** 2, axis=1)
 
-    def draw(self, rng: np.random.Generator, var, noise=None) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rng: np.random.Generator, var, noise=None,
+             work=None) -> tuple[np.ndarray, np.ndarray]:
         """(window, power) of every cube: its filtered window, shape
         (*coef.shape[:-1], window), and its filtered power over all symbols.
 
-        var[i] is cube i's noise variance; noise[i], shaped like cube i's
-        window, is its z, CN(0, var[i]) white (omit it when window is 0).
+        var, shape (cubes,), is each cube's noise variance and noise, shape
+        ``self.shape``, each cube's z, CN(0, var[i]) white (omitted at window 0);
+        other shapes raise ValueError. The window (returned as a view) and the
+        rest's mean go in the first rows of ``work`` if given, complex arrays of
+        (cubes, n_series, window) and (cubes, n_series, n_sym - window) or more.
         """
-        var = np.asarray(var, dtype=float)[:, None]
-        window, energy, power = self.clean_window, self.energy, 0.0
+        n = len(self.clean_window)
+        var = np.asarray(var, dtype=float)
+        if var.shape != (n,):
+            raise ValueError(f"var must have shape ({n},), one per cube, got {var.shape}")
+        got = None if noise is None else np.shape(noise)
+        if got != (self.shape if self.window else None):
+            want = f"have shape {self.shape}" if self.window else "be omitted at window 0"
+            raise ValueError(f"noise must {want}, got {got and f'shape {got}'}")
+        window, energy, power, var = self.clean_window, self.energy, 0.0, var[:, None]
         if self.window:
             z = noise.reshape(self.clean_window.shape)
-            window = window + z @ self.factor
-            mean = z @ self.mean_map
+            window, mean = (np.empty_like(a, complex) if work is None else work[i][:n]
+                            for i, a in enumerate((self.clean_window, self.clean_mean)))
+            np.matmul(z, self.factor, out=window)
+            window += self.clean_window
+            np.matmul(z, self.mean_map, out=mean)
             mean += self.clean_mean
-            energy = np.sum(mean.real ** 2 + mean.imag ** 2, axis=1)
+            re, im = mean.real, mean.imag      # |mean|^2 in place, into the real parts
+            energy = np.sum(np.add(np.square(re, out=re), np.square(im, out=im), out=re), axis=1)
             power = np.sum(window.real ** 2 + window.imag ** 2, axis=(1, 2))
         weights = self.weights[self.random]
         chi2 = rng.noncentral_chisquare(self.dof, 2.0 * energy[:, self.random] / (var * weights))

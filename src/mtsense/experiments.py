@@ -47,10 +47,10 @@ from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, S
 
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
-# Sweep (SNR, trial) pairs per worker call. The default sweep (600 pairs) at
-# --threads 2 on a 2-vCPU host took 3.6-4.1 s in blocks of 16 and 4.9-5.9 s in
-# blocks of 8; blocks of 32 took 3.3-4.1 s but raised peak RSS from 92 to
-# 112 MB. One thread took 6.6-7.1 s.
+# Sweep (SNR, trial) pairs per stacked root-MUSIC call. The default sweep (600
+# pairs) at --threads 2 on a 2-vCPU host took 2.3-2.4 s in blocks of 16 and
+# 2.5-2.7 s in blocks of 8; blocks of 32 took 1.7-2.2 s but raised peak RSS
+# from 70-73 to 83 MB. One thread took 3.3-3.8 s in blocks of 16.
 _TRIAL_BLOCK = 16
 
 
@@ -424,12 +424,13 @@ def simulate_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> 
 # SNR sweep (estimation MSE vs CRB)
 
 def _sweep_filtered_stack(noise: np.ndarray, sigma2: float, gains: np.ndarray,
-                          near: clutter.FilteredPowerSampler,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered window stack (B, M_r, L, n_sym) and filtered power (B,) of the
-    near beams, from their window noise `noise`, CN(0, sigma2) before the
-    gain normalization."""
-    return near.draw(rng, sigma2 / np.abs(gains) ** 2, noise / gains[:, None, None, None])
+                          near: clutter.FilteredPowerSampler, rng: np.random.Generator,
+                          work=None) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered window stack (B, M_r, L, n_sym), in `work` if given, and filtered
+    power (B,) of the near beams, from their window noise `noise`, CN(0, sigma2)
+    before the gain normalization divides it in place (FilteredPowerSampler.draw)."""
+    np.divide(noise, gains[:, None, None, None], out=noise)
+    return near.draw(rng, sigma2 / np.abs(gains) ** 2, noise, work)
 
 
 _MATCH_STEPS = 2      # farthest a target's peak may lie from its covering beam
@@ -485,11 +486,11 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         frame is drawn from its law given that window;
       - every other beam feeds the search its filtered power alone, drawn
         from its law.
-    The (SNR, trial) pairs of all SNRs are cut into blocks for one pool of
-    worker threads. Each trial keeps its own random stream, (seed, SNR index,
-    trial), and a block's windows are estimated in one stacked root-MUSIC
-    call per axis, so the bytes depend neither on the thread count nor on
-    the SNRs listed after a trial's own.
+    The (SNR, trial) pairs of all SNRs are cut into blocks, and the blocks
+    into one part per worker thread, which draws all its trials into one set
+    of buffers. Each trial keeps its own random stream, (seed, SNR index,
+    trial), and a block's windows are estimated in one stacked root-MUSIC call
+    per axis: the bytes depend on neither the thread count nor later SNRs.
 
     The bound for each target is its own single-target FIM at the beam
     covering it: that is the data the per-beam estimator actually sees.
@@ -528,22 +529,24 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
         sigma2s = [10.0 ** (-snr_db / 10.0) for snr_db in config.snr_list_db]
 
-        def _trials(block) -> np.ndarray:
-            windows, scans = [], []
-            for k, trial in block:
+        def _trials(block, noise, work, stack) -> np.ndarray:
+            scans = []
+            for j, (k, trial) in enumerate(block):
                 sigma2 = sigma2s[k]
                 rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
-                noise = complex_normal(rng, sigma2, near_power.shape)
-                window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power, rng)
+                complex_normal(rng, sigma2, noise.shape, out=noise)
+                window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power,
+                                                           rng, work)
                 power = np.empty(plan.n_beams)
                 power[near] = power_near
                 power[far] = far_power.draw(rng, sigma2 / far_gain2)[1]
                 peaks = clutter.top_local_maxima(power, n_t)
                 matched = _match_peaks_to_targets(peaks, scene, plan)
-                windows.append(window[[slot[b] for b in matched]])
+                np.take(window, [slot[b] for b in matched], axis=0, mode="clip",
+                        out=stack[j * n_t:(j + 1) * n_t])
                 scans += matched
             est = np.empty((len(block) * n_t, 3))
-            for row, res in enumerate(music.estimate_candidates(np.concatenate(windows),
+            for row, res in enumerate(music.estimate_candidates(stack[:len(block) * n_t],
                                                                 scans, cfg)):
                 if isinstance(res, Exception):
                     k, trial = block[row // n_t]
@@ -553,6 +556,14 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 est[row] = res.theta_hat, res.range_hat, res.speed_hat
             return (est.reshape(len(block), n_t, 3) - truth) ** 2
 
+        def _part(part: range) -> list[np.ndarray]:
+            """_trials of jobs[part] in one noise window, draw scratch and window stack."""
+            own = jobs[part.start:part.stop]
+            noise, *work, stack = (np.empty(shape, dtype=complex) for shape in (
+                near_power.shape, near_power.clean_window.shape, near_power.clean_mean.shape,
+                (max(map(len, own)) * n_t, *near_power.shape[1:])))
+            return [_trials(block, noise, work, stack) for block in own]
+
         unit_bounds = [
             crb.crb_eta_t(crb.fim_blocks(beams.beam_for_angle(plan, t.theta),
                                          Scene(targets=(t,), scatterers=()),
@@ -561,7 +572,8 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         ]
         pairs = [(k, trial) for k in range(len(sigma2s)) for trial in range(config.n_trials)]
         jobs = [pairs[r.start:r.stop] for r in blocks(len(pairs), threads, _TRIAL_BLOCK)]
-        sq = np.concatenate(thread_map(_trials, jobs, threads)).reshape(len(sigma2s), -1, n_t, 3)
+        parts = thread_map(_part, blocks(len(jobs), threads, len(jobs)), threads)
+        sq = np.concatenate([x for xs in parts for x in xs]).reshape(len(sigma2s), -1, n_t, 3)
         for k, snr_db in enumerate(config.snr_list_db):
             mse = np.mean(sq[k], axis=0)
             for i, unit in enumerate(unit_bounds):

@@ -231,14 +231,16 @@ def frequencies_target(t: Target, cfg: SystemConfig) -> tuple[float, float, floa
 # ---------------------------------------------------------------------------
 # random generation
 
-def complex_normal(rng: np.random.Generator, var: float, size=None) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, var: float, size=None, out=None) -> np.ndarray:
     """CN(0, var): independent real/imag parts, each N(0, var/2), the real parts
-    drawn first and filled in place, with the bytes of scale * (re + 1j * im)."""
+    drawn first and filled in place, with the bytes of scale * (re + 1j * im);
+    into ``out`` if given, a complex array of shape ``size``."""
     scale = math.sqrt(var / 2.0)
     if size is None:                              # one draw: plain Python arithmetic
         return scale * (rng.standard_normal() + 1j * rng.standard_normal())
     part = rng.standard_normal(size)
-    out = np.empty(part.shape, dtype=complex)
+    if out is None:
+        out = np.empty(part.shape, dtype=complex)
     np.multiply(part, scale, out=out.real)
     np.multiply(rng.standard_normal(out=part), scale, out=out.imag)
     return out

@@ -260,6 +260,66 @@ def _assert_same_law(full_power, full_entry, power, entry):
     assert stats.ks_2samp(full_entry.imag, entry.imag).pvalue > 0.01
 
 
+def _two_cube_sampler(window):
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=24, noise_var=0.0)
+    clean = _clean_cube(True, cfg)
+    filt = cl.design_butterworth_highpass(2, 0.04)
+    return cl.FilteredPowerSampler(np.stack([clean, 0.5j * clean]), np.eye(cfg.n_sym), filt,
+                                   window=window)
+
+
+def test_draw_into_work_keeps_the_bits():
+    # the scratch is the first rows of larger NaN-filled buffers: every entry
+    # of the window and the conditional mean must be written before it is read
+    sampler = _two_cube_sampler(window=8)
+    var = np.array([0.5, 2.0])
+    noise = complex_normal(np.random.default_rng(3), 1.0, sampler.shape)
+    kept = noise.copy()
+    want = sampler.draw(np.random.default_rng(5), var, noise)
+    work = [np.full((5, *a.shape[1:]), complex(np.nan, np.nan))
+            for a in (sampler.clean_window, sampler.clean_mean)]
+    for _ in range(2):      # a second draw finds the first one's values in the scratch
+        window, power = sampler.draw(np.random.default_rng(5), var, noise, work)
+        assert window.shape == want[0].shape == sampler.shape
+        assert window.tobytes() == want[0].tobytes()
+        assert power.tobytes() == want[1].tobytes()
+        assert np.shares_memory(window, work[0])
+    assert noise.tobytes() == kept.tobytes()
+    assert np.all(np.isnan(work[0][2:])) and np.all(np.isnan(work[1][2:]))
+
+
+def test_draw_without_noise_at_a_window_names_the_shape():
+    sampler = _two_cube_sampler(window=8)
+    with pytest.raises(ValueError, match=r"noise must have shape \(2, 4, 8, 8\), got None"):
+        sampler.draw(np.random.default_rng(5), [0.5, 2.0])
+
+
+def test_draw_rejects_noise_of_another_shape():
+    sampler = _two_cube_sampler(window=8)
+    noise = np.zeros((2, 4, 8, 7), dtype=complex)      # the size of no window
+    with pytest.raises(ValueError, match=r"noise must have shape \(2, 4, 8, 8\), "
+                                         r"got shape \(2, 4, 8, 7\)"):
+        sampler.draw(np.random.default_rng(5), [0.5, 2.0], noise)
+    with pytest.raises(ValueError, match=r"got shape \(2, 256\)"):   # the right size
+        sampler.draw(np.random.default_rng(5), [0.5, 2.0], np.zeros((2, 256), dtype=complex))
+
+
+def test_draw_rejects_noise_at_window_zero():
+    sampler = _two_cube_sampler(window=0)
+    with pytest.raises(ValueError, match=r"noise must be omitted at window 0, "
+                                         r"got shape \(2, 4, 8, 0\)"):
+        sampler.draw(np.random.default_rng(5), [0.5, 2.0], np.zeros(sampler.shape, complex))
+
+
+@pytest.mark.parametrize("var", [[0.5], [0.5, 2.0, 1.0], 0.5, [[0.5, 2.0]]])
+def test_draw_needs_one_variance_per_cube(var):
+    for window in (0, 8):
+        sampler = _two_cube_sampler(window)
+        noise = complex_normal(np.random.default_rng(3), 1.0, sampler.shape) if window else None
+        with pytest.raises(ValueError, match=r"var must have shape \(2,\), one per cube"):
+            sampler.draw(np.random.default_rng(5), var, noise)
+
+
 @pytest.mark.parametrize("snr_db", [-30.0, 20.0])
 @pytest.mark.parametrize("with_target", [True, False], ids=["clutter+target", "clutter"])
 def test_windowed_sampler_matches_full_draw(with_target, snr_db):

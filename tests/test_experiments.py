@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -773,6 +774,54 @@ def test_sweep_blocks_match_the_per_trial_loop(tmp_path):
         assert len(rows) == len(want) == 2 * 2 * 3
 
 
+def test_sweep_workers_reuse_their_buffers_across_blocks(tmp_path):
+    # 240 (SNR, trial) pairs: 15 blocks on one worker, 8 + 8 on two and 5 + 5
+    # + 5 on three, each worker reusing one set of buffers for all its blocks
+    config = small_config(snr_list_db=[-30.0, -20.0, -10.0, 0.0, 10.0, 20.0], n_trials=40,
+                          sweep={"n_sym_synth": 24})
+    n_blocks = [len(scene_blocks(240, t, ex._TRIAL_BLOCK)) for t in (1, 2, 3)]
+    assert n_blocks == [15, 16, 15]
+    for threads in (1, 2, 3):
+        ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
+    csv1 = (tmp_path / "1" / "sweep.csv").read_bytes()
+    assert (tmp_path / "2" / "sweep.csv").read_bytes() == csv1
+    assert (tmp_path / "3" / "sweep.csv").read_bytes() == csv1
+    rows = read_rows(tmp_path / "1" / "sweep.csv")[1:]
+    assert {(float(r[0]), r[1]): float(r[2]) for r in rows} == _sweep_mse_per_trial(config)
+
+
+_FAULTS = """
+import gc, resource, sys
+from mtsense import experiments as ex
+
+def faults(n_trials, threads):
+    gc.collect()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ex.sweep_snr(ex.config_from_dict({"n_trials": n_trials}), sys.argv[1], threads=threads)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+for threads in (1, 2):
+    faults(6, threads)                    # warm: imports, caches, the allocator's pools
+    print((faults(30, threads) - faults(6, threads)) / (6 * 24))
+"""
+
+
+def test_sweep_trials_fault_in_few_pages(tmp_path):
+    # Minor page faults per extra (SNR, trial) pair of the default sweep, at
+    # one and two worker threads. Temporaries of 1-2 MB per trial, freed and
+    # allocated again, had the allocator return pages to the OS and fault them
+    # in again: 680-780 faults per pair at one thread and 290-440 at two. The
+    # buffers each worker reuses leave about 290 (root-MUSIC's own copies of
+    # each block) and 5-15.
+    pytest.importorskip("resource")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _FAULTS, str(tmp_path)], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    one, two = map(float, proc.stdout.split())
+    assert one < 450 and two < 100, (one, two)
+
+
 def _rows_at(path, snr_db):
     lines = path.read_bytes().splitlines(keepends=True)
     return [line for line in lines[1:] if float(line.split(b",")[0]) == snr_db]
@@ -801,7 +850,7 @@ def test_roc_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads
 
 def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
     # one job list per command: every (SNR, trial) block goes to one thread_map,
-    # the sweep's as blocks, the roc's as one contiguous part per worker thread
+    # cut into one contiguous part of blocks per worker thread
     calls = []
 
     def counted(fn, items, threads):
@@ -812,7 +861,8 @@ def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
     config = small_config(snr_list_db=[0.0, 10.0, 20.0], n_trials=5,
                           sweep={"n_sym_synth": 24})
     ex.sweep_snr(config, tmp_path / "sweep", threads=2)
-    assert calls == [len(scene_blocks(3 * 5, 2, ex._TRIAL_BLOCK))]
+    n_jobs = len(scene_blocks(3 * 5, 2, ex._TRIAL_BLOCK))
+    assert calls == [len(scene_blocks(n_jobs, 2, n_jobs))] == [2]
     calls.clear()
     ex.roc_experiment(config, tmp_path / "roc", threads=2)
     n_jobs = 3 * 2 * len(scene_blocks(5))
@@ -848,9 +898,9 @@ def test_sweep_with_every_beam_reachable_samples_none(tmp_path, monkeypatch):
     # without one.
     sizes = []
 
-    def recorded(rng, var, size=None):
+    def recorded(rng, var, size=None, out=None):
         sizes.append(size)
-        return complex_normal(rng, var, size)
+        return complex_normal(rng, var, size, out)
     monkeypatch.setattr(ex, "complex_normal", recorded)
     config = small_config(scan={"n_beams": 3}, snr_list_db=[10.0], n_trials=2,
                           sweep={"n_sym_synth": 24})

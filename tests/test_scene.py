@@ -189,6 +189,15 @@ def test_complex_normal_has_the_bytes_of_its_textbook_form(var, size):
     assert scalar == math.sqrt(var / 2.0) * complex(first, second)
 
 
+@pytest.mark.parametrize("size", [(7,), (10, 4, 16, 20)])
+def test_complex_normal_into_out_has_the_bytes_of_the_allocating_call(size):
+    want = sc.complex_normal(np.random.default_rng(11), 0.7, size)
+    out = np.full(size, np.nan, dtype=complex)
+    got = sc.complex_normal(np.random.default_rng(11), 0.7, size, out=out)
+    assert got is out and got.shape == size
+    assert got.tobytes() == want.tobytes()
+
+
 def test_without_targets(cfg):
     scn = reference_scene(cfg, n_scatterers=5, seed=1)
     h0 = scn.without_targets()
