@@ -11,6 +11,7 @@ bits. FilteredPowerSampler filters the rows of clean cubes given as coef @ rows
 once and then draws what their noisy copies give after the filter: the last
 symbols of the filtered cube from a window of noise, and the filtered power of
 the rest from its law given that window, without drawing the rest of the noise.
+One window of unit noise serves every noise level.
 """
 from __future__ import annotations
 
@@ -140,30 +141,45 @@ def step_matched_highpass(data: np.ndarray, filt: IirFilter,
     return y.reshape(data.shape)
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over axis 1 of Re(conj(a) b), per cube and column, from float views."""
+    dots = np.einsum("isk,isk->ik", a.view(float), b.view(float))
+    return dots.reshape(len(a), -1, 2).sum(axis=2)
+
+
 class FilteredPowerSampler:
     """Filters the rows of a stack of clean cubes c = coef[i] @ rows once,
-    then draws what each noisy cube c + n, n ~ CN(0, v) white, gives after
-    step_matched_highpass: the last ``window`` filtered symbols in full, and
-    the total filtered power. Only the window's share of n is drawn, by the
-    caller; with window 0 nothing is. coef is (cubes, ..., R) and rows (R, P),
-    so no cube of P symbols is built; whole cubes pass as (cubes, eye(P)).
+    then draws what each noisy cube c + q z, z ~ CN(0, 1) white and q > 0 its
+    cube's noise deviation, gives after step_matched_highpass: the last
+    ``window`` filtered symbols in full, and the total filtered power. Only the
+    window's share of z is drawn, by the caller; with window 0 nothing is.
+    coef is (cubes, ..., R) and rows (R, P), so no cube of P symbols is built;
+    whole cubes pass as (cubes, eye(P)).
 
     The filter is linear along the symbol axis: y = x M with M =
     step_matched_highpass(eye(n_sym)), real. Put the window's columns first,
-    [M_W, M_R] = Q T with Q orthogonal and T upper triangular. Then nQ =
+    [M_W, M_R] = Q T with Q orthogonal and T upper triangular. Then zQ =
     [z, w] is white again, and
 
-        window = c M_W + z F,              F = T_WW
-        rest   = c M_R + z G + w H,        G = T_WR,  H = T_RR = U diag(s) V^T
+        window = c M_W + q z F,              F = T_WW
+        rest   = c M_R + q (z G + w H),      G = T_WR,  H = T_RR = U diag(s) V^T
 
-    so the window rows are CN(c M_W, v F^T F = v M_W^T M_W), and given them the
-    rest is CN(c M_R + z G, v V diag(s^2) V^T): the Gaussian conditioning, with
-    no inverse of M_W^T M_W. In the directions V the rest's power is
-    (v/2) sum_k s_k^2 X_k, X_k noncentral chi-square with 2 * n_series degrees
-    of freedom and noncentrality 2 ||mean_k||^2 / (v s_k^2). A direction with
-    s_k^2 below _NEGLIGIBLE of the filter's energy (the step-matched null)
-    adds ||mean_k||^2 as it is. The caller draws z: one window of noise per
-    series in place of the full noise and the filter.
+    so the window rows are CN(c M_W, q^2 F^T F = q^2 M_W^T M_W), and given them
+    the rest is CN(c M_R + q z G, q^2 V diag(s^2) V^T): the Gaussian
+    conditioning, with no inverse of M_W^T M_W. In the directions V the rest's
+    power is (q^2/2) sum_k s_k^2 X_k, X_k noncentral chi-square with 2 * n_series
+    degrees of freedom and noncentrality 2 E_k / (q^2 s_k^2), E_k the energy of
+    the rest's mean in direction k. A direction with s_k^2 below _NEGLIGIBLE
+    of the filter's energy (the step-matched null) adds E_k as it is.
+
+    The noise enters linearly, so one unit window z serves every q.
+    ``filter_noise`` forms u = z F and u_m = z G V once and, per column j (the
+    window's symbols, then the rest's directions) summed over each cube's
+    series, B_j = sum Re(conj(c_j) u_j) and C_j = sum |u_j|^2. Then the
+    window's power at q is the sum over its columns of A_j + 2 q B_j + q^2 C_j,
+    A_j = sum |c_j|^2 from the clean cubes alone, and E_k is the same
+    quadratic in the rest's directions; only the windows read are formed,
+    c M_W + q u (``windows``). At window 0, E_k = A_k.
     """
 
     def __init__(self, coef: np.ndarray, rows: np.ndarray, filt: IirFilter, window: int = 0):
@@ -178,54 +194,71 @@ class FilteredPowerSampler:
         series = coef.reshape(len(coef), n_series, n_rows)
         self.window = window
         self.shape = (*coef.shape[:-1], window)
-        self.factor = t[:window, :window]                 # F
-        self.directions = vt.T                            # V
-        self.mean_map = t[:window, window:] @ self.directions      # G V
+        self.directions = vt.T                                         # V
+        self.factor = t[:window, :window]                              # F
+        self.mean_map = t[:window, window:] @ self.directions          # G V
         self.weights = s ** 2
         self.random = self.weights > _NEGLIGIBLE * np.sum(m ** 2)
         self.dof = 2 * n_series
-        self.clean_window = series @ (rows @ m_w)         # (cubes, n_series, window)
         mean_rows = rows @ m_r @ self.directions
-        self.clean_mean = series @ mean_rows if window else None   # (cubes, n_series, rest)
-        # what draw reads at window 0, from series = Q R: ||series @ x|| = ||R x||, so >= 0
-        self.energy = None if window else np.sum(
-            np.abs(np.linalg.qr(series, mode="r") @ mean_rows) ** 2, axis=1)
+        if window:    # c [M_W, M_R V], (cubes, n_series, window + rest)
+            clean = series @ np.concatenate((rows @ m_w, mean_rows), axis=1)
+            self.clean_window, self.clean_mean = clean[..., :window], clean[..., window:]
+        else:         # the rest alone, from series = Q R: ||series @ x|| = ||R x||
+            clean = np.linalg.qr(series, mode="r") @ mean_rows
+        self.energy = np.sum(np.abs(clean) ** 2, axis=1)              # A
 
-    def draw(self, rng: np.random.Generator, var, noise=None,
-             work=None) -> tuple[np.ndarray, np.ndarray]:
-        """(window, power) of every cube: its filtered window, shape
-        (*coef.shape[:-1], window), and its filtered power over all symbols.
+    def filter_noise(self, noise: np.ndarray, out: np.ndarray | None = None):
+        """(u, sums) of a unit noise window ``noise``, CN(0, 1) white of shape
+        ``self.shape``: u = z F, in ``out`` if given (a complex array of that
+        shape), and the sums (B, C) of each column, what draw and windows read
+        at any noise level. The rest's share z G V is formed for its sums alone."""
+        if not self.window:
+            raise ValueError("a sampler without a window takes no noise")
+        if np.shape(noise) != self.shape:
+            raise ValueError(f"noise must have shape {self.shape}, got shape {np.shape(noise)}")
+        z = noise.reshape(self.clean_window.shape)
+        unit = np.matmul(z, self.factor, out=None if out is None else out.reshape(z.shape))
+        mean = z @ self.mean_map
+        sums = [np.concatenate((_column_dots(a, unit), _column_dots(b, mean)), axis=1)
+                for a, b in ((self.clean_window, self.clean_mean), (unit, mean))]
+        return unit.reshape(self.shape), sums
 
-        var, shape (cubes,), is each cube's noise variance and noise, shape
-        ``self.shape``, each cube's z, CN(0, var[i]) white (omitted at window 0);
-        other shapes raise ValueError. The window (returned as a view) and the
-        rest's mean go in the first rows of ``work`` if given, complex arrays of
-        (cubes, n_series, window) and (cubes, n_series, n_sym - window) or more.
-        """
-        n = len(self.clean_window)
+    def column_energies(self, var, sums=None) -> np.ndarray:
+        """A + 2 q B + q^2 C per cube and column, q = sqrt(var): the window
+        columns' filtered power and the rest's mean energy in each direction,
+        (cubes, window + rest), never negative; A alone without sums."""
+        if sums is None:
+            return self.energy
+        q = np.sqrt(np.asarray(var, dtype=float))[:, None]
+        return np.maximum(self.energy + q * (2.0 * sums[0] + q * sums[1]), 0.0)
+
+    def draw(self, rng: np.random.Generator, var, sums=None) -> np.ndarray:
+        """Filtered power over all symbols of every cube, shape (cubes,), at
+        noise variance var, shape (cubes,). At a window, sums are filter_noise's
+        of the unit window z that the noise scales; at window 0 they are
+        omitted. Other shapes raise ValueError."""
+        n = len(self.energy)
         var = np.asarray(var, dtype=float)
         if var.shape != (n,):
             raise ValueError(f"var must have shape ({n},), one per cube, got {var.shape}")
-        got = None if noise is None else np.shape(noise)
-        if got != (self.shape if self.window else None):
-            want = f"have shape {self.shape}" if self.window else "be omitted at window 0"
-            raise ValueError(f"noise must {want}, got {got and f'shape {got}'}")
-        window, energy, power, var = self.clean_window, self.energy, 0.0, var[:, None]
-        if self.window:
-            z = noise.reshape(self.clean_window.shape)
-            window, mean = (np.empty_like(a, complex) if work is None else work[i][:n]
-                            for i, a in enumerate((self.clean_window, self.clean_mean)))
-            np.matmul(z, self.factor, out=window)
-            window += self.clean_window
-            np.matmul(z, self.mean_map, out=mean)
-            mean += self.clean_mean
-            re, im = mean.real, mean.imag      # |mean|^2 in place, into the real parts
-            energy = np.sum(np.add(np.square(re, out=re), np.square(im, out=im), out=re), axis=1)
-            power = np.sum(window.real ** 2 + window.imag ** 2, axis=(1, 2))
+        if (sums is None) != (not self.window):
+            raise ValueError(f"draw at window {self.window} takes the sums of filter_noise"
+                             if self.window else "draw at window 0 takes no sums")
+        energy = self.column_energies(var, sums)
+        power, energy = energy[:, :self.window].sum(axis=1), energy[:, self.window:]
         weights = self.weights[self.random]
-        chi2 = rng.noncentral_chisquare(self.dof, 2.0 * energy[:, self.random] / (var * weights))
-        power += 0.5 * var[:, 0] * (chi2 @ weights) + energy[:, ~self.random].sum(axis=1)
-        return window.reshape(self.shape), power
+        chi2 = rng.noncentral_chisquare(self.dof,
+                                        2.0 * energy[:, self.random] / (var[:, None] * weights))
+        return power + 0.5 * var * (chi2 @ weights) + energy[:, ~self.random].sum(axis=1)
+
+    def windows(self, unit: np.ndarray, var, cubes, out: np.ndarray) -> np.ndarray:
+        """The filtered windows c M_W + sqrt(var[i]) u[i] of cubes i in ``cubes``,
+        from filter_noise's u, into the rows of out."""
+        for row, i in zip(out, cubes):
+            np.multiply(unit[i], math.sqrt(var[i]), out=row)
+            row += self.clean_window[i].reshape(row.shape)
+        return out
 
 
 def filter_symbols(cubes: np.ndarray, filt: IirFilter,

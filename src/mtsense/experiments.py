@@ -47,11 +47,14 @@ from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, S
 
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
-# Sweep (SNR, trial) pairs per stacked root-MUSIC call. The default sweep (600
-# pairs) at --threads 2 on a 2-vCPU host took 2.3-2.4 s in blocks of 16 and
-# 2.5-2.7 s in blocks of 8; blocks of 32 took 1.7-2.2 s but raised peak RSS
-# from 70-73 to 83 MB. One thread took 3.3-3.8 s in blocks of 16.
-_TRIAL_BLOCK = 16
+_SWEEP_NOISE_TAG = 90003
+# Sweep trials per block: a block's windows, every SNR of its trials, go to one
+# stacked root-MUSIC call. On a 2-vCPU host the default sweep (100 trials of 6
+# SNRs) took 1.34 s at --threads 1 and 1.06-1.22 s at --threads 2 in blocks of
+# one trial, and 1.11-1.23 s and 0.81-0.91 s in blocks of two. But two-trial
+# blocks raised the peak RSS of the 6-trial benchmark sweep from 68.4-68.8 to
+# 72.9-74.1 MB (24 windows per call in place of 12).
+_TRIAL_BLOCK = 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +426,13 @@ def simulate_experiment(config: ExperimentConfig, out_dir, threads: int = 1) -> 
 # ---------------------------------------------------------------------------
 # SNR sweep (estimation MSE vs CRB)
 
-def _sweep_filtered_stack(noise: np.ndarray, sigma2: float, gains: np.ndarray,
-                          near: clutter.FilteredPowerSampler, rng: np.random.Generator,
-                          work=None) -> tuple[np.ndarray, np.ndarray]:
-    """Filtered window stack (B, M_r, L, n_sym), in `work` if given, and filtered
-    power (B,) of the near beams, from their window noise `noise`, CN(0, sigma2)
-    before the gain normalization divides it in place (FilteredPowerSampler.draw)."""
-    np.divide(noise, gains[:, None, None, None], out=noise)
-    return near.draw(rng, sigma2 / np.abs(gains) ** 2, noise, work)
+def _sweep_filtered_stack(noise: np.ndarray, near: clutter.FilteredPowerSampler,
+                          out: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """One trial's unit window noise `noise`, CN(0, 1), through the filter of the
+    near beams: the window stack (B, M_r, L, n_sym) it adds at unit deviation and
+    the sums every SNR's near powers follow from (FilteredPowerSampler.filter_noise),
+    in `out` if given."""
+    return near.filter_noise(noise, out)
 
 
 _MATCH_STEPS = 2      # farthest a target's peak may lie from its covering beam
@@ -486,11 +488,17 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         frame is drawn from its law given that window;
       - every other beam feeds the search its filtered power alone, drawn
         from its law.
-    The (SNR, trial) pairs of all SNRs are cut into blocks, and the blocks
-    into one part per worker thread, which draws all its trials into one set
-    of buffers. Each trial keeps its own random stream, (seed, SNR index,
-    trial), and a block's windows are estimated in one stacked root-MUSIC call
-    per axis: the bytes depend on neither the thread count nor later SNRs.
+    Each trial draws one window of unit noise, from its stream (seed, trial),
+    and filters it once for every SNR: the noise enters linearly, so each
+    SNR's near powers are quadratics in its noise deviation, and only the
+    windows the estimator reads are formed at it. What each SNR draws apart,
+    the rest's power given the window and the far beams' powers, comes from
+    the stream (seed, trial, SNR value). So each row keeps its exact law and
+    depends on no other SNR listed, while the rows of one trial share its
+    noise. The trials are cut into blocks, each with every SNR of its trials,
+    and the blocks into one part per worker thread, which draws all its trials
+    into one set of buffers. A block's windows are estimated in one stacked
+    root-MUSIC call per axis: the bytes do not depend on the thread count.
 
     The bound for each target is its own single-target FIM at the beam
     covering it: that is the data the per-beam estimator actually sees.
@@ -523,46 +531,49 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         far = np.setdiff1d(np.arange(plan.n_beams), near)
         near_power = clutter.FilteredPowerSampler(coef[near], symbol_rows, filt, window=cfg.n_sym)
         far_power = clutter.FilteredPowerSampler(coef[far], symbol_rows, filt)
-        far_gain2 = np.abs(gains[far]) ** 2
-        gains = gains[near]
+        near_gain2, far_gain2 = np.abs(gains[near]) ** 2, np.abs(gains[far]) ** 2
         slot = {b: i for i, b in enumerate(near)}
 
         sigma2s = [10.0 ** (-snr_db / 10.0) for snr_db in config.snr_list_db]
+        # each SNR's stream is keyed by its value's bits (+ 0.0 folds -0.0 into 0.0)
+        snr_keys = [int(np.float64(snr_db + 0.0).view(np.uint64)) for snr_db in config.snr_list_db]
+        n_snr = len(sigma2s)
 
-        def _trials(block, noise, work, stack) -> np.ndarray:
+        def _trials(block, noise, filtered, stack) -> np.ndarray:
             scans = []
-            for j, (k, trial) in enumerate(block):
-                sigma2 = sigma2s[k]
-                rng = np.random.default_rng((seed, _SWEEP_TAG, k, trial))
-                complex_normal(rng, sigma2, noise.shape, out=noise)
-                window, power_near = _sweep_filtered_stack(noise, sigma2, gains, near_power,
-                                                           rng, work)
-                power = np.empty(plan.n_beams)
-                power[near] = power_near
-                power[far] = far_power.draw(rng, sigma2 / far_gain2)[1]
-                peaks = clutter.top_local_maxima(power, n_t)
-                matched = _match_peaks_to_targets(peaks, scene, plan)
-                np.take(window, [slot[b] for b in matched], axis=0, mode="clip",
-                        out=stack[j * n_t:(j + 1) * n_t])
-                scans += matched
-            est = np.empty((len(block) * n_t, 3))
-            for row, res in enumerate(music.estimate_candidates(stack[:len(block) * n_t],
-                                                                scans, cfg)):
+            for trial in block:
+                complex_normal(np.random.default_rng((seed, _SWEEP_NOISE_TAG, trial)), 1.0,
+                               noise.shape, out=noise)
+                unit, sums = _sweep_filtered_stack(noise, near_power, filtered)
+                for k, sigma2 in enumerate(sigma2s):
+                    rng = np.random.default_rng((seed, _SWEEP_TAG, trial, snr_keys[k]))
+                    var = sigma2 / near_gain2
+                    power = np.empty(plan.n_beams)
+                    power[near] = near_power.draw(rng, var, sums)
+                    power[far] = far_power.draw(rng, sigma2 / far_gain2)
+                    matched = _match_peaks_to_targets(clutter.top_local_maxima(power, n_t),
+                                                      scene, plan)
+                    row = len(scans)
+                    near_power.windows(unit, var, [slot[b] for b in matched],
+                                       stack[row:row + n_t])
+                    scans += matched
+            est = np.empty((len(scans), 3))
+            for row, res in enumerate(music.estimate_candidates(stack[:len(scans)], scans, cfg)):
                 if isinstance(res, Exception):
-                    k, trial = block[row // n_t]
+                    trial, k = divmod(row // n_t, n_snr)
                     raise RuntimeError(f"sweep estimate of target {row % n_t + 1} failed at "
-                                       f"{config.snr_list_db[k]:g} dB, trial {trial}: "
+                                       f"{config.snr_list_db[k]:g} dB, trial {block[trial]}: "
                                        f"{res}") from res
                 est[row] = res.theta_hat, res.range_hat, res.speed_hat
-            return (est.reshape(len(block), n_t, 3) - truth) ** 2
+            return (est.reshape(len(block), n_snr, n_t, 3) - truth) ** 2
 
         def _part(part: range) -> list[np.ndarray]:
-            """_trials of jobs[part] in one noise window, draw scratch and window stack."""
+            """_trials of jobs[part] in one noise window, its filtered copy and one stack."""
             own = jobs[part.start:part.stop]
-            noise, *work, stack = (np.empty(shape, dtype=complex) for shape in (
-                near_power.shape, near_power.clean_window.shape, near_power.clean_mean.shape,
-                (max(map(len, own)) * n_t, *near_power.shape[1:])))
-            return [_trials(block, noise, work, stack) for block in own]
+            noise, filtered, stack = (np.empty(shape, dtype=complex) for shape in (
+                near_power.shape, near_power.shape,
+                (max(map(len, own)) * n_snr * n_t, *near_power.shape[1:])))
+            return [_trials(block, noise, filtered, stack) for block in own]
 
         unit_bounds = [
             crb.crb_eta_t(crb.fim_blocks(beams.beam_for_angle(plan, t.theta),
@@ -570,16 +581,14 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                                          plan, cfg, sigma2=1.0))
             for t in scene.targets
         ]
-        pairs = [(k, trial) for k in range(len(sigma2s)) for trial in range(config.n_trials)]
-        jobs = [pairs[r.start:r.stop] for r in blocks(len(pairs), threads, _TRIAL_BLOCK)]
+        jobs = blocks(config.n_trials, threads, _TRIAL_BLOCK)
         parts = thread_map(_part, blocks(len(jobs), threads, len(jobs)), threads)
-        sq = np.concatenate([x for xs in parts for x in xs]).reshape(len(sigma2s), -1, n_t, 3)
+        mse = np.concatenate([x for xs in parts for x in xs]).mean(axis=0)
         for k, snr_db in enumerate(config.snr_list_db):
-            mse = np.mean(sq[k], axis=0)
             for i, unit in enumerate(unit_bounds):
                 bound = _bound_at(unit, sigma2s[k])
                 for j, name in enumerate(("theta", "range", "speed")):
-                    rows.append((float(snr_db), f"{name}_{i + 1}", float(mse[i, j]),
+                    rows.append((float(snr_db), f"{name}_{i + 1}", float(mse[k, i, j]),
                                  float(bound.crb_matrix[j, j])))
 
     run.write_csv("sweep.csv", ("snr_db", "param", "mse", "crb"), rows)

@@ -155,7 +155,7 @@ def test_power_sampler_matches_full_draw(with_target):
             axis=(1, 2, 3))
         for _ in range(n_draws // chunk)])
     sampler = cl.FilteredPowerSampler(clean[None], np.eye(cfg.n_sym), filt)
-    sampled = np.concatenate([sampler.draw(rng, [var])[1] for _ in range(n_draws)])
+    sampled = np.concatenate([sampler.draw(rng, [var]) for _ in range(n_draws)])
     assert stats.ks_2samp(full, sampled).pvalue > 0.01
 
 
@@ -233,7 +233,8 @@ def test_factored_sampler_matches_whole_cubes(with_target):
 
 def _full_and_sampled(clean, filt, window, var, n_draws=10_000, chunk=1000, seed=11):
     """Total filtered power and window entry [0, 0, -1] of clean + CN(0, var)
-    noise: drawn in full and filtered, then from the sampler."""
+    noise: drawn in full and filtered, then from the sampler, a unit noise
+    window scaled to var."""
     rng = np.random.default_rng(seed)
     full_power, full_entry = [], []
     for _ in range(n_draws // chunk):
@@ -244,11 +245,12 @@ def _full_and_sampled(clean, filt, window, var, n_draws=10_000, chunk=1000, seed
     sampler = cl.FilteredPowerSampler(np.broadcast_to(clean, (chunk, *clean.shape)),
                                       np.eye(clean.shape[-1]), filt, window=window)
     power, entry = [], []
+    variances = np.full(chunk, var)
     for _ in range(n_draws // chunk):
-        noise = complex_normal(rng, var, sampler.shape)
-        win, p = sampler.draw(rng, np.full(chunk, var), noise)
+        unit, sums = sampler.filter_noise(complex_normal(rng, 1.0, sampler.shape))
+        power.append(sampler.draw(rng, variances, sums))
+        win = sampler.windows(unit, variances, range(chunk), np.empty(sampler.shape, complex))
         assert win.shape == (chunk, *clean.shape[:-1], window)
-        power.append(p)
         entry.append(win[:, 0, 0, -1])
     return [np.concatenate(x) for x in (full_power, full_entry, power, entry)]
 
@@ -268,56 +270,91 @@ def _two_cube_sampler(window):
                                    window=window)
 
 
-def test_draw_into_work_keeps_the_bits():
-    # the scratch is the first rows of larger NaN-filled buffers: every entry
-    # of the window and the conditional mean must be written before it is read
+def test_filter_noise_into_out_keeps_the_bits():
+    # out starts NaN-filled: every entry of z F must be written before it is read
     sampler = _two_cube_sampler(window=8)
-    var = np.array([0.5, 2.0])
     noise = complex_normal(np.random.default_rng(3), 1.0, sampler.shape)
     kept = noise.copy()
-    want = sampler.draw(np.random.default_rng(5), var, noise)
-    work = [np.full((5, *a.shape[1:]), complex(np.nan, np.nan))
-            for a in (sampler.clean_window, sampler.clean_mean)]
-    for _ in range(2):      # a second draw finds the first one's values in the scratch
-        window, power = sampler.draw(np.random.default_rng(5), var, noise, work)
-        assert window.shape == want[0].shape == sampler.shape
-        assert window.tobytes() == want[0].tobytes()
-        assert power.tobytes() == want[1].tobytes()
-        assert np.shares_memory(window, work[0])
+    unit, sums = sampler.filter_noise(noise)
+    out = np.full(sampler.shape, complex(np.nan, np.nan))
+    for _ in range(2):      # a second call finds the first one's values in out
+        got_unit, got_sums = sampler.filter_noise(noise, out)
+        assert got_unit.shape == unit.shape == sampler.shape
+        assert np.shares_memory(got_unit, out)
+        assert got_unit.tobytes() == unit.tobytes()
+        assert [a.tobytes() for a in got_sums] == [a.tobytes() for a in sums]
     assert noise.tobytes() == kept.tobytes()
-    assert np.all(np.isnan(work[0][2:])) and np.all(np.isnan(work[1][2:]))
 
 
-def test_draw_without_noise_at_a_window_names_the_shape():
+def test_draw_at_a_window_needs_the_noise_sums():
     sampler = _two_cube_sampler(window=8)
-    with pytest.raises(ValueError, match=r"noise must have shape \(2, 4, 8, 8\), got None"):
+    with pytest.raises(ValueError, match="draw at window 8 takes the sums of filter_noise"):
         sampler.draw(np.random.default_rng(5), [0.5, 2.0])
 
 
-def test_draw_rejects_noise_of_another_shape():
+def test_filter_noise_rejects_noise_of_another_shape():
     sampler = _two_cube_sampler(window=8)
     noise = np.zeros((2, 4, 8, 7), dtype=complex)      # the size of no window
     with pytest.raises(ValueError, match=r"noise must have shape \(2, 4, 8, 8\), "
                                          r"got shape \(2, 4, 8, 7\)"):
-        sampler.draw(np.random.default_rng(5), [0.5, 2.0], noise)
+        sampler.filter_noise(noise)
     with pytest.raises(ValueError, match=r"got shape \(2, 256\)"):   # the right size
-        sampler.draw(np.random.default_rng(5), [0.5, 2.0], np.zeros((2, 256), dtype=complex))
+        sampler.filter_noise(np.zeros((2, 256), dtype=complex))
 
 
-def test_draw_rejects_noise_at_window_zero():
+def test_window_zero_takes_neither_noise_nor_sums():
     sampler = _two_cube_sampler(window=0)
-    with pytest.raises(ValueError, match=r"noise must be omitted at window 0, "
-                                         r"got shape \(2, 4, 8, 0\)"):
-        sampler.draw(np.random.default_rng(5), [0.5, 2.0], np.zeros(sampler.shape, complex))
+    with pytest.raises(ValueError, match="a sampler without a window takes no noise"):
+        sampler.filter_noise(np.zeros(sampler.shape, complex))
+    windowed = _two_cube_sampler(window=8)
+    _, sums = windowed.filter_noise(np.zeros(windowed.shape, complex))
+    with pytest.raises(ValueError, match="draw at window 0 takes no sums"):
+        sampler.draw(np.random.default_rng(5), [0.5, 2.0], sums)
 
 
 @pytest.mark.parametrize("var", [[0.5], [0.5, 2.0, 1.0], 0.5, [[0.5, 2.0]]])
 def test_draw_needs_one_variance_per_cube(var):
     for window in (0, 8):
         sampler = _two_cube_sampler(window)
-        noise = complex_normal(np.random.default_rng(3), 1.0, sampler.shape) if window else None
+        sums = (sampler.filter_noise(complex_normal(np.random.default_rng(3), 1.0,
+                                                    sampler.shape))[1] if window else None)
         with pytest.raises(ValueError, match=r"var must have shape \(2,\), one per cube"):
-            sampler.draw(np.random.default_rng(5), var, noise)
+            sampler.draw(np.random.default_rng(5), var, sums)
+
+
+@pytest.mark.parametrize("with_target", [True, False], ids=["clutter+target", "clutter"])
+def test_column_energies_are_the_direct_sums(with_target):
+    # A + 2 q B + q^2 C against the sum over the series of |c + q z [F, G V]|^2,
+    # column by column (the window's symbols, then the rest's directions), and the
+    # windows against c M_W + q z F, over 60 decades of variance, for every beam's
+    # cube in the factored form the sweep uses; without a target the filter nulls
+    # the one stationary row, so the clean columns are its rounding residue
+    cfg = SystemConfig(m_tx=8, m_rx=4, n_sub=8, n_sym=40, noise_var=0.0)
+    plan = default_plan(cfg, n_beams=9, span_deg=40.0)
+    target = Target(theta=float(plan.directions[4]), range=3.0, speed=2.0, alpha=1.0)
+    scene = Scene((target,) if with_target else (),
+                  reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
+    coef, rows = ec.clean_factors(scene, plan, cfg)
+    sampler = cl.FilteredPowerSampler(coef, rows, cl.design_butterworth_highpass(2, 0.04),
+                                      window=12)
+    rng = np.random.default_rng(7)
+    z = complex_normal(rng, 1.0, sampler.shape)
+    unit, sums = sampler.filter_noise(z)
+    zs = z.reshape(plan.n_beams, -1, 12)
+    for sigma2 in 10.0 ** np.arange(-30.0, 31.0, 5.0):
+        var = sigma2 * np.linspace(1.0, 3.0, plan.n_beams)
+        q = np.sqrt(var)[:, None, None]
+        got = sampler.column_energies(var, sums)
+        window = sampler.clean_window + (q * zs) @ sampler.factor
+        mean = sampler.clean_mean + (q * zs) @ sampler.mean_map
+        want = np.sum(np.abs(np.concatenate((window, mean), axis=2)) ** 2, axis=1)
+        assert got.shape == want.shape == (plan.n_beams, cfg.n_sym)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all(got >= 0)
+        assert np.all(np.isfinite(sampler.draw(rng, var, sums)))    # no noncentrality < 0
+        win = sampler.windows(unit, var, [5, 0], np.empty((2, *sampler.shape[1:]), complex))
+        np.testing.assert_allclose(win, window[[5, 0]].reshape(win.shape), rtol=0,
+                                   atol=1e-12 * np.max(np.abs(window)))
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, 20.0])

@@ -716,78 +716,140 @@ def test_sweep_names_the_snr_and_trial_of_a_failed_estimate(tmp_path, monkeypatc
     assert isinstance(info.value.__cause__, music.RootNotFound)
 
 
-def _sweep_mse_per_trial(config):
-    """sweep_snr's mse, one trial and one root-MUSIC estimate at a time, as
-    the library ran it before it stacked the estimates of a block of trials."""
+def _sweep_setup(config):
+    """(cfg, plan, scene, near beams, far beams, near sampler, far sampler,
+    |gain|^2 of every beam) as sweep_snr builds them."""
     cfg = config.system
     plan = default_plan(cfg, n_beams=config.scan.n_beams, span_deg=config.scan.span_deg)
     scene = ex.build_scene(config, cfg, config.seed)
-    filt = config.filter.build()
-    n_t = len(scene.targets)
-    truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
     coef, rows = echo.clean_factors(scene, plan, replace(cfg, n_sym=config.sweep.n_sym_synth))
     gains = np.array([g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
     coef /= gains[:, None, None, None]
     near = ex._reachable_beams(scene, plan)
     far = np.setdiff1d(np.arange(plan.n_beams), near)
-    near_power = clutter.FilteredPowerSampler(coef[near], rows, filt, window=cfg.n_sym)
-    far_power = clutter.FilteredPowerSampler(coef[far], rows, filt)
-    mse = {}
-    for k, snr_db in enumerate(config.snr_list_db):
-        sigma2 = 10.0 ** (-snr_db / 10.0)
-        sqs = []
-        for trial in range(config.n_trials):
-            rng = np.random.default_rng((config.seed, ex._SWEEP_TAG, k, trial))
-            noise = complex_normal(rng, sigma2, near_power.shape)
-            window, power_near = ex._sweep_filtered_stack(noise, sigma2, gains[near],
-                                                          near_power, rng)
+    filt = config.filter.build()
+    return (cfg, plan, scene, near, far,
+            clutter.FilteredPowerSampler(coef[near], rows, filt, window=cfg.n_sym),
+            clutter.FilteredPowerSampler(coef[far], rows, filt), np.abs(gains) ** 2)
+
+
+def _unit_noise(config, trial, shape):
+    """A trial's unit noise window: CN(0, 1) from the stream (seed, trial)."""
+    return complex_normal(np.random.default_rng((config.seed, ex._SWEEP_NOISE_TAG, trial)),
+                          1.0, shape)
+
+
+def _snr_stream(config, trial, snr_db):
+    """The stream of what one SNR of a trial draws apart, keyed by the SNR's value."""
+    key = int(np.float64(snr_db).view(np.uint64))
+    return np.random.default_rng((config.seed, ex._SWEEP_TAG, trial, key))
+
+
+def _sweep_mse_per_trial(config):
+    """sweep_snr's mse, one (SNR, trial) pair and one root-MUSIC estimate at a
+    time: each pair scales its trial's unit noise window to the SNR and
+    filters it, then forms every near window and the rest's mean directly,
+    without the sampler's quadratics in the noise deviation."""
+    cfg, plan, scene, near, far, near_power, far_power, gain2 = _sweep_setup(config)
+    n_t = len(scene.targets)
+    truth = np.array([[t.theta, t.range, t.speed] for t in scene.targets])
+    weights = near_power.weights[near_power.random]
+    sq = np.empty((config.n_trials, len(config.snr_list_db), n_t, 3))
+    for trial in range(config.n_trials):
+        z = _unit_noise(config, trial, near_power.shape).reshape(near_power.clean_window.shape)
+        for k, snr_db in enumerate(config.snr_list_db):
+            sigma2 = 10.0 ** (-snr_db / 10.0)
+            rng = _snr_stream(config, trial, snr_db)
+            var = sigma2 / gain2[near]
+            noise = np.sqrt(var)[:, None, None] * z
+            window = near_power.clean_window + noise @ near_power.factor
+            energy = np.sum(np.abs(near_power.clean_mean + noise @ near_power.mean_map) ** 2,
+                            axis=1)
+            chi2 = rng.noncentral_chisquare(
+                near_power.dof, 2.0 * energy[:, near_power.random] / (var[:, None] * weights))
             power = np.empty(plan.n_beams)
-            power[near] = power_near
-            power[far] = far_power.draw(rng, sigma2 / np.abs(gains[far]) ** 2)[1]
+            power[near] = (np.sum(np.abs(window) ** 2, axis=(1, 2)) + 0.5 * var * (chi2 @ weights)
+                           + energy[:, ~near_power.random].sum(axis=1))
+            power[far] = far_power.draw(rng, sigma2 / gain2[far])
             peaks = clutter.top_local_maxima(power, n_t)
-            sq = np.empty((n_t, 3))
             for i, b in enumerate(ex._match_peaks_to_targets(peaks, scene, plan)):
-                res = music.estimate_candidate(window[near.index(b)], b, cfg)
-                sq[i] = [(res.theta_hat - truth[i, 0]) ** 2,
-                         (res.range_hat - truth[i, 1]) ** 2,
-                         (res.speed_hat - truth[i, 2]) ** 2]
-            sqs.append(sq)
-        m = np.mean(sqs, axis=0)
-        for i in range(n_t):
-            for j, name in enumerate(("theta", "range", "speed")):
-                mse[(float(snr_db), f"{name}_{i + 1}")] = float(m[i, j])
-    return mse
+                res = music.estimate_candidate(
+                    window[near.index(b)].reshape(near_power.shape[1:]), b, cfg)
+                sq[trial, k, i] = (np.array([res.theta_hat, res.range_hat, res.speed_hat])
+                                   - truth[i]) ** 2
+    mse = sq.mean(axis=0)
+    return {(float(snr_db), f"{name}_{i + 1}"): float(mse[k, i, j])
+            for k, snr_db in enumerate(config.snr_list_db) for i in range(n_t)
+            for j, name in enumerate(("theta", "range", "speed"))}
+
+
+def _assert_mse_close(rows, want):
+    got = {(float(r[0]), r[1]): float(r[2]) for r in rows}
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
 
 
 def test_sweep_blocks_match_the_per_trial_loop(tmp_path):
-    # 5 trials on 1, 2 and 3 threads: blocks of 5, 2 + 3 and 1 + 2 + 2
+    # 5 trials on 1, 2 and 3 threads: parts of 5, 2 + 3 and 1 + 2 + 2 trials
     config = small_config(scene={"n_targets": 2, "min_separation_deg": 15.0},
                           scan={"span_deg": 60.0}, snr_list_db=[0.0, 20.0], n_trials=5,
                           sweep={"n_sym_synth": 24})
     want = _sweep_mse_per_trial(config)
-    assert [[len(r) for r in scene_blocks(5, t, ex._TRIAL_BLOCK)]
-            for t in (1, 2, 3)] == [[5], [2, 3], [1, 2, 2]]
+    jobs = [scene_blocks(5, t, ex._TRIAL_BLOCK) for t in (1, 2, 3)]
+    assert [[sum(map(len, j[r.start:r.stop])) for r in scene_blocks(len(j), t, len(j))]
+            for j, t in zip(jobs, (1, 2, 3))] == [[5], [2, 3], [1, 2, 2]]
     for threads in (1, 2, 3):
         ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
         rows = read_rows(tmp_path / str(threads) / "sweep.csv")[1:]
-        assert {(float(r[0]), r[1]): float(r[2]) for r in rows} == want
+        _assert_mse_close(rows, want)
         assert len(rows) == len(want) == 2 * 2 * 3
 
 
 def test_sweep_workers_reuse_their_buffers_across_blocks(tmp_path):
-    # 240 (SNR, trial) pairs: 15 blocks on one worker, 8 + 8 on two and 5 + 5
-    # + 5 on three, each worker reusing one set of buffers for all its blocks
+    # 40 trials of 6 SNRs: 40 one-trial blocks on one worker, 20 + 20 on two
+    # and 13 + 13 + 14 on three, each worker reusing one set of buffers for all
+    # its blocks
     config = small_config(snr_list_db=[-30.0, -20.0, -10.0, 0.0, 10.0, 20.0], n_trials=40,
                           sweep={"n_sym_synth": 24})
-    n_blocks = [len(scene_blocks(240, t, ex._TRIAL_BLOCK)) for t in (1, 2, 3)]
-    assert n_blocks == [15, 16, 15]
+    jobs = scene_blocks(40, 1, ex._TRIAL_BLOCK)
+    assert [len(scene_blocks(len(jobs), t, len(jobs))) for t in (1, 2, 3)] == [1, 2, 3]
+    assert len(jobs) == 40
     for threads in (1, 2, 3):
         ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
     csv1 = (tmp_path / "1" / "sweep.csv").read_bytes()
     assert (tmp_path / "2" / "sweep.csv").read_bytes() == csv1
     assert (tmp_path / "3" / "sweep.csv").read_bytes() == csv1
-    rows = read_rows(tmp_path / "1" / "sweep.csv")[1:]
-    assert {(float(r[0]), r[1]): float(r[2]) for r in rows} == _sweep_mse_per_trial(config)
+    _assert_mse_close(read_rows(tmp_path / "1" / "sweep.csv")[1:], _sweep_mse_per_trial(config))
+
+
+def test_sweep_windows_are_the_clean_windows_plus_the_scaled_unit_noise(tmp_path, monkeypatch):
+    # every window the estimator reads, at each SNR, is its beam's clean window
+    # plus sigma / |g| times the trial's unit window z F
+    seen = []
+    estimate = music.estimate_candidates
+
+    def recording(cubes, scans, cfg):
+        seen.append((cubes.copy(), list(scans)))
+        return estimate(cubes, scans, cfg)
+    monkeypatch.setattr(music, "estimate_candidates", recording)
+    snrs = [0.0, 20.0, -10.0]
+    config = small_config(scene={"n_targets": 2, "min_separation_deg": 15.0},
+                          scan={"span_deg": 60.0}, snr_list_db=snrs, n_trials=3,
+                          sweep={"n_sym_synth": 24})
+    ex.sweep_snr(config, tmp_path)        # one worker: the trials in order
+    cfg, _, _, near, _, near_power, _, gain2 = _sweep_setup(config)
+    cubes = np.concatenate([c for c, _ in seen]).reshape(3, len(snrs), 2, *near_power.shape[1:])
+    scans = np.reshape([b for _, s in seen for b in s], (3, len(snrs), 2))
+    for trial in range(3):
+        z = _unit_noise(config, trial, near_power.shape).reshape(near_power.clean_window.shape)
+        unit = z @ near_power.factor
+        for k, snr_db in enumerate(snrs):
+            for i, b in enumerate(scans[trial, k]):
+                s, j = math.sqrt(10.0 ** (-snr_db / 10.0) / gain2[b]), near.index(b)
+                want = (near_power.clean_window[j] + s * unit[j]).reshape(near_power.shape[1:])
+                np.testing.assert_allclose(cubes[trial, k, i], want, rtol=0,
+                                           atol=1e-12 * np.max(np.abs(want)))
 
 
 _FAULTS = """
@@ -829,13 +891,16 @@ def _rows_at(path, snr_db):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads):
-    # 5 trials alone, or 10 (SNR, trial) pairs whose blocks mix the two SNRs
-    for name, snrs in (("one", [0.0]), ("two", [0.0, 20.0])):
+    # nor on any other SNR listed: 5 trials of 0 dB alone, before 20 dB and after it
+    for name, snrs in (("one", [0.0]), ("up", [0.0, 20.0]), ("down", [20.0, 0.0])):
         config = small_config(snr_list_db=snrs, n_trials=5, sweep={"n_sym_synth": 24})
         ex.sweep_snr(config, tmp_path / name, threads=threads)
     one = _rows_at(tmp_path / "one" / "sweep.csv", 0.0)
     assert len(one) == 3
-    assert _rows_at(tmp_path / "two" / "sweep.csv", 0.0) == one
+    assert _rows_at(tmp_path / "up" / "sweep.csv", 0.0) == one
+    assert _rows_at(tmp_path / "down" / "sweep.csv", 0.0) == one
+    assert (_rows_at(tmp_path / "up" / "sweep.csv", 20.0)
+            == _rows_at(tmp_path / "down" / "sweep.csv", 20.0))
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -849,7 +914,7 @@ def test_roc_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads
 
 
 def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
-    # one job list per command: every (SNR, trial) block goes to one thread_map,
+    # one job list per command: every block of trials goes to one thread_map,
     # cut into one contiguous part of blocks per worker thread
     calls = []
 
@@ -861,7 +926,7 @@ def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
     config = small_config(snr_list_db=[0.0, 10.0, 20.0], n_trials=5,
                           sweep={"n_sym_synth": 24})
     ex.sweep_snr(config, tmp_path / "sweep", threads=2)
-    n_jobs = len(scene_blocks(3 * 5, 2, ex._TRIAL_BLOCK))
+    n_jobs = len(scene_blocks(5, 2, ex._TRIAL_BLOCK))
     assert calls == [len(scene_blocks(n_jobs, 2, n_jobs))] == [2]
     calls.clear()
     ex.roc_experiment(config, tmp_path / "roc", threads=2)

@@ -489,8 +489,9 @@ def _paired_sweep(tmp_path, monkeypatch, snr_list_db, n_trials):
         monkeypatch.setattr(mu, "estimate_candidates", estimate)
         with open(out_dir / "sweep.csv", newline="") as fh:
             rows.append(list(csv.reader(fh))[1:])
-        errors.append((np.reshape(found, (len(snr_list_db), n_trials) + truth.shape)
-                       - truth).reshape(len(snr_list_db), n_trials, -1))
+        # the sweep estimates trial by trial, each trial at every SNR
+        errors.append((np.reshape(found, (n_trials, len(snr_list_db)) + truth.shape)
+                       - truth).swapaxes(0, 1).reshape(len(snr_list_db), n_trials, -1))
     # sweep.csv lists the parameters target by target, theta, range, speed
     crb = np.array([float(r[3]) for r in rows[0]]).reshape(len(snr_list_db), 1, -1)
     errors = np.array(errors)
