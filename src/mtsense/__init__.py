@@ -25,7 +25,7 @@ from .clutter import (
     filter_symbols, scan_spectrum, find_peaks,
 )
 from .music import (
-    EstimationResult, noise_subspace, root_music_frequency, estimate_candidate,
+    EstimationResult, root_music_frequency, estimate_candidate,
 )
 from .crb import FimBlocks, CrbResult, fim_blocks, total_fim, crb_eta_t
 from .detector import (

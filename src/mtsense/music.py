@@ -1,13 +1,13 @@
-"""Root-MUSIC frequency estimation and the three tensor rearrangements.
+"""Root-MUSIC frequency estimation on the three axes of a cube.
 
 After clutter filtering, the candidate scan's tensor is (to first order) a
 rank-1 outer product of a spatial, a range and a Doppler steering vector. Each
-axis is estimated independently: slice the tensor into snapshot columns along
-that axis, take the sample covariance, and root the MUSIC null polynomial of
-its noise subspace. One source per scan is assumed throughout, so the noise
-subspace always has dimension M-1 and one root is used: the one at the
-deepest null of the spectrum, found by Newton's method from a grid search,
-not picked from all 2(M-1) roots.
+axis is estimated independently: take the sample covariance of the cube's
+vectors along that axis, and root the MUSIC null polynomial of its noise
+subspace. One source per scan is assumed throughout, so the noise subspace is
+the complement of the principal eigenvector, and one root is used: the one
+at the deepest null of the spectrum, found by Newton's method from a grid
+search, not picked from all 2(M-1) roots.
 """
 from __future__ import annotations
 
@@ -35,18 +35,6 @@ class EstimationResult:
     scan_index: int
 
 
-def noise_subspace(data: np.ndarray) -> np.ndarray:
-    """Eigenvectors of the sample covariance for the M-1 smallest eigenvalues,
-    (n, M, M-1), of each matrix of an (n, M, I) snapshot stack. Non-finite
-    data raises ValueError, and the product that carries it warns nothing."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        r_hat = (data @ data.conj().swapaxes(-1, -2)) / data.shape[-1]
-    if not np.all(np.isfinite(r_hat)):
-        raise ValueError("sample covariance has non-finite entries")
-    _, vecs = np.linalg.eigh(r_hat)  # ascending eigenvalues
-    return vecs[..., : data.shape[-2] - 1]
-
-
 class RootNotFound(RuntimeError):
     """Newton's method did not settle on a root of a null polynomial within
     NEWTON_STEPS evaluations."""
@@ -54,33 +42,67 @@ class RootNotFound(RuntimeError):
 
 NEWTON_STEPS = 100      # cap on the polynomial evaluations per matrix
 _STEP_TOL = 1e-13       # a Newton step below this fraction of |z| ends the search
-_GRID = 8               # null-spectrum grid points per snapshot row
+_GRID = 8               # null-spectrum grid points per covariance row
+_SIGNS = (+1, -1, +1)   # spatial, range, doppler
 
 
-def _null_root(data: np.ndarray) -> np.ndarray:
+def covariances(cubes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spatial, range and Doppler sample covariances S S^H / I, each (n, M, M),
+    of an (n, M_r, L, P') stack of cubes of retained symbols, where S holds
+    the cube's I vectors along that axis; raises ValueError if any cube axis
+    has fewer than 2 entries. Each is a batched product of views of the stack
+    and of one conjugate copy of it (range summed over the antennas), so each
+    cube gets the bits it gets alone. Non-finite data warns nothing.
+    """
+    n, m_r, n_l, n_p = cubes.shape
+    if min(m_r, n_l, n_p) < 2:
+        raise ValueError(f"each cube axis needs >= 2 entries, got {m_r}x{n_l}x{n_p}")
+    conj = cubes.conj()
+    with np.errstate(invalid="ignore", over="ignore"):
+        spatial = cubes.reshape(n, m_r, -1) @ conj.reshape(n, m_r, -1).swapaxes(1, 2)
+        doppler = cubes.reshape(n, -1, n_p).swapaxes(1, 2) @ conj.reshape(n, -1, n_p)
+        ranges = cubes[:, 0] @ conj[:, 0].swapaxes(1, 2)
+        for m in range(1, m_r):
+            ranges += cubes[:, m] @ conj[:, m].swapaxes(1, 2)
+        return spatial / (n_l * n_p), ranges / (m_r * n_p), doppler / (m_r * n_l)
+
+
+def _null_polynomial(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (n, 2M-1) of the MUSIC null polynomial of each matrix of
+    an (n, M, M) covariance stack, and the point (n,) of an 8M-point grid on
+    the unit circle at the deepest null of its spectrum. Raises ValueError if
+    any covariance is non-finite.
+
+    The noise-subspace projector of one source is I - v v^H, v the principal
+    eigenvector, so c_k, the sum of its k-th diagonal (k = M-1 down to
+    -(M-1)), is M delta_k minus v's autocorrelation at lag -k, and the null
+    spectrum is M - |V|^2, V = FFT(v). One zero-padded FFT pair gives both.
+    """
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("sample covariance has non-finite entries")
+    v = np.linalg.eigh(cov)[1][..., -1]   # ascending eigenvalues
+    m = v.shape[-1]
+    spec = np.fft.fft(v, _GRID * m, axis=-1)
+    power = spec.real ** 2 + spec.imag ** 2
+    coeffs = -np.fft.ifft(power, axis=-1)[..., np.arange(1 - m, m)]
+    coeffs[..., m - 1] += m
+    return coeffs, np.exp(2j * math.pi * np.argmax(power, axis=-1) / (_GRID * m))
+
+
+def _null_root(cov: np.ndarray) -> np.ndarray:
     """(n,) root of the MUSIC null polynomial p(z) = sum_k c_k z^(M-1+k) of
-    each matrix of an (n, M, I) snapshot stack: the root Newton's method
-    reaches from the deepest null of the spectrum. Raises ValueError if any
-    covariance is non-finite and RootNotFound if any matrix does not converge.
+    each matrix of an (n, M, M) covariance stack: the root plain Newton steps
+    z <- z - p(z)/p'(z), by Horner's rule, reach from the grid seed of
+    ``_null_polynomial``. Raises ValueError if any covariance is non-finite
+    and RootNotFound if any matrix does not converge.
 
-    c_k is the sum of the k-th diagonal of the noise-subspace projector, k =
-    M-1 down to -(M-1). On the unit circle |p(e^{jw})| = D(w) = sum_k c_k
-    e^{jwk}, the null spectrum, so one zero-padded FFT of the coefficients
-    gives |D| on an 8M-point grid for the whole stack, and its minimum seeds
-    z. Plain Newton steps z <- z - p(z)/p'(z) follow, by Horner's rule. A
-    row leaves the stack once a step is at most 1e-13 |z|, or once |p(z)| is
-    within one rounding unit of sum |c_i| |z|^i: z is then a root to the
-    precision p can be evaluated in. That ends the search at the double root
-    of noiseless data, where the steps stop shrinking about 1e-8 from it.
+    A row leaves the stack once a step is at most 1e-13 |z|, or once |p(z)|
+    is within one rounding unit of sum |c_i| |z|^i: z is then a root to the
+    precision p can be evaluated in. Near the double root of noiseless data,
+    which rounding splits, that ends the search about 1e-10 to 1e-8 from it.
     Every step is elementwise, so each row gets the bits it gets alone.
     """
-    vn = noise_subspace(data)
-    proj = vn @ vn.conj().swapaxes(-1, -2)
-    m = proj.shape[-1]
-    coeffs = np.stack([np.diagonal(proj, k, -2, -1).copy().sum(axis=-1)
-                       for k in range(m - 1, -m, -1)], axis=-1)
-    spec = np.fft.fft(coeffs, _GRID * m, axis=-1)
-    z = np.exp(2j * math.pi * np.argmin(spec.real ** 2 + spec.imag ** 2, axis=-1) / (_GRID * m))
+    coeffs, z = _null_polynomial(cov)
     rows, scale = np.arange(len(z)), np.abs(coeffs)
     for _ in range(NEWTON_STEPS):
         zr, c, a = z[rows], coeffs[rows].T, scale[rows].T
@@ -99,12 +121,12 @@ def _null_root(data: np.ndarray) -> np.ndarray:
         if rows.size == 0:
             return z
     raise RootNotFound(f"Newton's method found no null-polynomial root of {rows.size} of "
-                       f"{len(z)} snapshot matrices within the step cap of {NEWTON_STEPS}")
+                       f"{len(z)} covariance matrices within the step cap of {NEWTON_STEPS}")
 
 
-def root_music_frequency(data: np.ndarray, sign: int) -> list[float]:
-    """Normalized frequency in (-0.5, 0.5] of each matrix of an (n, M, I)
-    snapshot stack, from the phase of its ``_null_root``.
+def root_music_frequency(cov: np.ndarray, sign: int) -> list[float]:
+    """Normalized frequency in (-0.5, 0.5] of each matrix of an (n, M, M)
+    covariance stack, from the phase of its ``_null_root``.
 
     The phase divided by 2 pi, times ``sign``, is the frequency estimate:
     sign is +1 where the steering phase goes as e^{+j2pi psi k} (spatial,
@@ -113,50 +135,22 @@ def root_music_frequency(data: np.ndarray, sign: int) -> list[float]:
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    psi = sign * np.angle(_null_root(data)) / (2.0 * math.pi)
+    psi = sign * np.angle(_null_root(cov)) / (2.0 * math.pi)
     return np.where(psi <= -0.5, psi + 1.0, psi).tolist()
-
-
-# ---------------------------------------------------------------------------
-# snapshot stacks
-#
-# Each cube of the stack is (M_r, L, P') and holds only the symbols the
-# estimator keeps: a filtered cube past its transient. The column order is
-# fixed so rearrangements are reproducible bit for bit.
-
-_SIGNS = (+1, -1, +1)          # spatial, range, doppler
-
-
-def snapshots(cubes: np.ndarray, axis: int) -> np.ndarray:
-    """(n, M, I) snapshot stack of an (n, M_r, L, P') stack of cubes, along
-    cube axis 0 (spatial), 1 (range) or 2 (doppler); raises if M or I is below 2.
-
-    Rows run over ``axis``; columns run over the other two axes, the lower
-    one fastest:
-
-        spatial  M_r x (L * P')    subcarrier fast, symbol slow
-        range    L x (M_r * P')    antenna fast, symbol slow
-        doppler  P' x (M_r * L)    antenna fast, subcarrier slow
-    """
-    others = sorted({1, 2, 3} - {axis + 1}, reverse=True)
-    data = cubes.transpose(0, axis + 1, *others).reshape(len(cubes), cubes.shape[axis + 1], -1)
-    m, i = data.shape[1:]
-    if m < 2 or i < 2:
-        raise ValueError(f"snapshot matrix needs M >= 2 and I >= 2, got {m}x{i}")
-    return data
 
 
 def estimate_candidates(cubes: np.ndarray, scans: list[int],
                         cfg: SystemConfig) -> list[EstimationResult | Exception]:
     """``estimate_candidate`` of each cube of an (n, M_r, L, P') stack (scan
-    scans[i]), one stacked root-MUSIC call per axis for all of them. An empty
-    stack gives []. If the stacked estimate or a unit conversion fails, each
-    cube is estimated alone, and the entry of one that fails is its exception.
+    scans[i]), from one ``covariances`` call and one stacked root-MUSIC call
+    per axis for all of them. An empty stack gives []. If the stacked
+    estimate or a unit conversion fails, each cube is estimated alone, and
+    the entry of one that fails is its exception.
     """
     if len(cubes) == 0:
         return []
     try:
-        psi = [root_music_frequency(snapshots(cubes, axis), _SIGNS[axis]) for axis in range(3)]
+        psi = [root_music_frequency(cov, sign) for cov, sign in zip(covariances(cubes), _SIGNS)]
         return [EstimationResult(theta_from_psi_s(psi_s, cfg), range_from_psi_r(psi_r, cfg),
                                  speed_from_psi_d(psi_d, cfg), psi_s, psi_r, psi_d, b)
                 for psi_s, psi_r, psi_d, b in zip(*psi, scans)]

@@ -17,7 +17,7 @@ from mtsense.echo import synthesize_echo
 from mtsense.scene import (REFERENCE_TARGETS, Scatterer, Scene, SystemConfig,
                            Target, frequencies_target, reference_scene)
 
-from test_music import companion_roots
+from test_music import companion_roots, noise_subspace, sample_cov
 
 
 def read_rows(path):
@@ -133,14 +133,15 @@ def test_criterion_4_root_music_oracle():
                         np.random.default_rng(3000 + i).random(n_snap))
         f = (np.exp(2j * np.pi * psi * k) * phases[None, :])[None]
 
-        vn = music.noise_subspace(f)[0]
+        vn = noise_subspace(f)[0]
         proj = vn @ vn.conj().T
         null = np.sum(np.conj(steer) * (proj @ steer), axis=0).real
         psi_grid = float(grid[np.argmin(null)])
-        (psi_root,) = music.root_music_frequency(f, +1)
+        cov = sample_cov(f)
+        (psi_root,) = music.root_music_frequency(cov, +1)
         worst_gap = max(worst_gap, abs(psi_root - psi_grid))
 
-        roots = companion_roots(f[0])
+        roots = companion_roots(cov[0])
         for z in roots:
             worst_pair = max(worst_pair,
                              float(np.min(np.abs(roots - 1.0 / np.conj(z)))))

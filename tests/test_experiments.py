@@ -872,9 +872,11 @@ def test_sweep_trials_fault_in_few_pages(tmp_path):
     # Minor page faults per extra (SNR, trial) pair of the default sweep, at
     # one and two worker threads. Temporaries of 1-2 MB per trial, freed and
     # allocated again, had the allocator return pages to the OS and fault them
-    # in again: 680-780 faults per pair at one thread and 290-440 at two. The
-    # buffers each worker reuses leave about 290 (root-MUSIC's own copies of
-    # each block) and 5-15.
+    # in again: 680-780 faults per pair at one thread and 290-440 at two. With
+    # the buffers each worker reuses and one-trial blocks this reads about 4
+    # and 2. Root-MUSIC's one conjugate copy of each 1 MB block faults about
+    # 41 times per pair if glibc's mmap threshold is pinned at 128 KB
+    # (MALLOC_MMAP_THRESHOLD_), and none once the dynamic threshold has risen.
     pytest.importorskip("resource")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _FAULTS, str(tmp_path)], capture_output=True,

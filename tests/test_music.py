@@ -3,6 +3,7 @@ companion-matrix path it replaced."""
 import csv
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,38 +30,47 @@ def tone_snapshots(psi, m, n_snap, sign=+1, noise=0.0, seed=0, amp=1.0):
     return data[None]
 
 
+def sample_cov(data):
+    """(n, M, M) sample covariances S S^H / I of an (n, M, I) snapshot stack;
+    non-finite data warns nothing."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return data @ data.conj().swapaxes(-1, -2) / data.shape[-1]
+
+
+def noise_subspace(data):
+    """(n, M, M-1) eigenvectors of the M-1 smallest eigenvalues of each sample
+    covariance of an (n, M, I) snapshot stack: the noise subspace of one
+    source, whose projector the library forms from the signal eigenvector."""
+    return np.linalg.eigh(sample_cov(data))[1][..., : data.shape[-2] - 1]
+
+
 # ---------------------------------------------------------------------------
 # oracle 1: hand eigendecomposition. C = I + ones(3,3) has eigenvalues
 # (1, 1, 4), top eigenvector (1,1,1)/sqrt(3), so the noise-subspace projector
-# is exactly I - ones/3. A data matrix with sample covariance C is
-# F = sqrt(I_count) * sqrtm(C), and sqrtm(C) = I + ones/3 since
-# (I + J/3)^2 = I + 2J/3 + J^2/9 = I + J for J = ones(3,3).
+# is exactly I - ones/3: its diagonals sum to -1/3, -2/3, 2, -2/3, -1/3.
 
 def test_noise_subspace_hand_oracle():
-    j3 = np.ones((3, 3))
-    f_data = np.sqrt(3.0) * (np.eye(3) + j3 / 3.0)
-    vn = mu.noise_subspace(f_data.astype(complex)[None])[0]
-    assert vn.shape == (3, 2)
-    proj = vn @ vn.conj().T
-    assert np.allclose(proj, np.eye(3) - j3 / 3.0, atol=1e-10)
+    cov = (np.eye(3) + np.ones((3, 3))).astype(complex)[None]
+    coeffs, _ = mu._null_polynomial(cov)
+    assert np.allclose(coeffs[0], [-1 / 3, -2 / 3, 2, -2 / 3, -1 / 3], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.filterwarnings("error")      # the ValueError, and no RuntimeWarning before it
 def test_noise_subspace_rejects_nonfinite():
     for bad in (np.inf, np.nan, 1e200):     # 1e200 overflows in the covariance
-        data = np.ones((3, 4), dtype=complex)
-        data[1, 2] = bad
-        with pytest.raises(ValueError):
-            mu.noise_subspace(data[None])
+        cubes = np.ones((1, 3, 4, 2), dtype=complex)
+        cubes[0, 1, 2, 1] = bad
+        for cov, sign in zip(mu.covariances(cubes), mu._SIGNS):
+            with pytest.raises(ValueError, match="non-finite"):
+                mu.root_music_frequency(cov, sign)
 
 
 def test_snapshot_matrix_validation():
-    # a cube stack whose snapshot matrices would be 1 x 5 or 5 x 1, and a sign
-    # that is neither +1 nor -1
-    with pytest.raises(ValueError):
-        mu.snapshots(np.ones((2, 1, 5, 1), dtype=complex), 0)
-    with pytest.raises(ValueError):
-        mu.snapshots(np.ones((2, 5, 1, 1), dtype=complex), 0)
+    # a cube stack with an axis of one entry, and a sign that is neither +1
+    # nor -1
+    for shape in ((2, 1, 5, 3), (2, 5, 1, 3), (2, 5, 3, 1)):
+        with pytest.raises(ValueError, match=">= 2 entries"):
+            mu.covariances(np.ones(shape, dtype=complex))
     with pytest.raises(ValueError):
         mu.root_music_frequency(np.ones((1, 3, 3), dtype=complex), 2)
 
@@ -70,7 +80,7 @@ def test_snapshot_matrix_validation():
 # polynomial rooting path; shares only the covariance/eigh step.
 
 def grid_music(f, step=1e-4):
-    vn = mu.noise_subspace(f)[0]
+    vn = noise_subspace(f)[0]
     proj = vn @ vn.conj().T
     m = proj.shape[0]
     grid = np.arange(-0.5 + step, 0.5 + step / 2, step)
@@ -85,7 +95,7 @@ def test_root_matches_grid_search():
         rng = np.random.default_rng(100 + trial)
         psi = float(rng.uniform(-0.45, 0.45))
         f = tone_snapshots(psi, m=8, n_snap=64, noise=0.01, seed=200 + trial)
-        (psi_root,) = mu.root_music_frequency(f, +1)
+        (psi_root,) = mu.root_music_frequency(sample_cov(f), +1)
         psi_grid = grid_music(f, step=1e-4)
         assert abs(psi_root - psi_grid) < 1e-3
         assert abs(psi_root - psi) < 1e-3
@@ -94,26 +104,26 @@ def test_root_matches_grid_search():
 def test_exact_tone_recovery_both_signs():
     psi = 0.2173
     f_pos = tone_snapshots(psi, m=6, n_snap=32, sign=+1, seed=5)
-    assert mu.root_music_frequency(f_pos, +1) == pytest.approx([psi], abs=1e-8)
+    assert mu.root_music_frequency(sample_cov(f_pos), +1) == pytest.approx([psi], abs=1e-8)
     # range-style data e^{-j2pi l psi} with sign=-1 must recover +psi
     f_neg = tone_snapshots(psi, m=6, n_snap=32, sign=-1, seed=6)
-    assert mu.root_music_frequency(f_neg, -1) == pytest.approx([psi], abs=1e-8)
+    assert mu.root_music_frequency(sample_cov(f_neg), -1) == pytest.approx([psi], abs=1e-8)
     f_negpsi = tone_snapshots(-0.31, m=6, n_snap=32, sign=+1, seed=7)
-    assert mu.root_music_frequency(f_negpsi, +1) == pytest.approx([-0.31], abs=1e-8)
+    assert mu.root_music_frequency(sample_cov(f_negpsi), +1) == pytest.approx([-0.31], abs=1e-8)
 
 
 def test_half_cycle_stays_in_range():
     # a tone at the Nyquist edge alternates sign; +0.5 and -0.5 are the same
     # frequency, so check closeness on the circle and the documented interval
     f = tone_snapshots(0.5, m=6, n_snap=32, seed=8)
-    (psi,) = mu.root_music_frequency(f, +1)
+    (psi,) = mu.root_music_frequency(sample_cov(f), +1)
     assert -0.5 < psi <= 0.5
     circ = min(abs(psi - 0.5), abs(psi + 0.5))
     assert circ < 1e-8
 
 
 # ---------------------------------------------------------------------------
-# oracle 3: the companion-matrix path, one snapshot matrix at a time, as the
+# oracle 3: the companion-matrix path, one covariance matrix at a time, as the
 # library ran it before it searched for the one root it uses: all 2(M-1)
 # roots by np.roots, their reciprocal pairs restored, and the root inside the
 # circle with the largest modulus selected.
@@ -155,10 +165,9 @@ def _reciprocal_symmetrize_loop(roots):
     return np.array(out)
 
 
-def companion_roots(data):
-    """All roots of the null polynomial of one (M, I) snapshot matrix."""
-    m, i = data.shape
-    r_hat = (data @ data.conj().T) / i
+def companion_roots(r_hat):
+    """All roots of the null polynomial of one (M, M) covariance matrix."""
+    m = len(r_hat)
     if not np.all(np.isfinite(r_hat)):
         raise ValueError("sample covariance has non-finite entries")
     vn = np.linalg.eigh(r_hat)[1][:, : m - 1]
@@ -167,8 +176,8 @@ def companion_roots(data):
     return _reciprocal_symmetrize_loop(np.roots(coeffs))
 
 
-def companion_frequency(data, sign):
-    roots = companion_roots(data)
+def companion_frequency(r_hat, sign):
+    roots = companion_roots(r_hat)
     inside = roots[np.abs(roots) < 1.0]
     if inside.size == 0:
         raise RuntimeError("no polynomial root strictly inside the unit circle")
@@ -178,22 +187,22 @@ def companion_frequency(data, sign):
     return psi + 1.0 if psi <= -0.5 else psi
 
 
-def companion_root_music_frequency(data, sign):
+def companion_root_music_frequency(cov, sign):
     """The oracle with the library's stacked signature."""
-    return [companion_frequency(row, sign) for row in data]
+    return [companion_frequency(row, sign) for row in cov]
 
 
 def test_roots_pair_conjugate_reciprocal():
     # the null polynomial is conjugate symmetric, so the oracle's roots off
     # the unit circle come in (z, 1/conj(z)) pairs; the library's root and
     # its image are both among them
-    f = tone_snapshots(0.11, m=6, n_snap=40, noise=0.05, seed=9)
-    roots = companion_roots(f[0])
+    cov = sample_cov(tone_snapshots(0.11, m=6, n_snap=40, noise=0.05, seed=9))
+    roots = companion_roots(cov[0])
     inside = roots[np.abs(roots) < 1.0 - 1e-9]
     for z in inside:
         partner = 1.0 / np.conj(z)
         assert np.min(np.abs(roots - partner)) < 1e-8
-    (z,) = mu._null_root(f)
+    (z,) = mu._null_root(cov)
     for w in (z, 1.0 / np.conj(z)):
         assert np.min(np.abs(roots - w)) < 1e-12
 
@@ -233,10 +242,10 @@ def test_coefficients_match_np_trace(rng):
     # whose coefficients np.trace sums
     for m in (2, 5, 9, 16, 21):
         data = rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40))
-        vn = mu.noise_subspace(data[None])[0]
+        vn = noise_subspace(data[None])[0]
         proj = vn @ vn.conj().T
         roots = np.roots(np.array([np.trace(proj, offset=k) for k in range(m - 1, -m, -1)]))
-        (z,) = mu._null_root(data[None])
+        (z,) = mu._null_root(sample_cov(data[None]))
         assert np.min(np.abs(roots - z)) <= 1e-12 * abs(z)
 
 
@@ -281,19 +290,20 @@ def test_stacked_root_music_matches_per_item(stack, sign, poisoned):
     if poisoned < len(data):
         data[poisoned, 0, -1] = (np.nan, np.inf)[poisoned % 2]
         strong[poisoned] = False
-    alone = [_outcome(mu.root_music_frequency, row[None], sign) for row in data]
+    cov = sample_cov(data)
+    alone = [_outcome(mu.root_music_frequency, row[None], sign) for row in cov]
     if any(isinstance(a, Exception) for a in alone):
         # the stack raises what its first failing row raises alone
         first = next(a for a in alone if isinstance(a, Exception))
         with pytest.raises(type(first), match=str(first)):
-            mu.root_music_frequency(data, sign)
+            mu.root_music_frequency(cov, sign)
         keep = [j for j, a in enumerate(alone) if not isinstance(a, Exception)]
-        data, alone, strong = data[keep], [alone[j] for j in keep], [strong[j] for j in keep]
+        cov, alone, strong = cov[keep], [alone[j] for j in keep], [strong[j] for j in keep]
         if not keep:
             return
-    got = mu.root_music_frequency(data, sign)
+    got = mu.root_music_frequency(cov, sign)
     assert np.array(got).tobytes() == np.array([a[0] for a in alone]).tobytes()
-    for psi, row, above in zip(got, data, strong):
+    for psi, row, above in zip(got, cov, strong):
         if above:
             want = companion_frequency(row, sign)
             assert abs((psi - want + 0.5) % 1.0 - 0.5) <= 1e-12
@@ -309,9 +319,10 @@ def test_root_music_matches_companion_oracle_for_every_m():
         tones = np.exp(2j * np.pi * rng.uniform(-0.5, 0.5, (20, 1, 1)) * np.arange(m)[:, None])
         data += 10.0 ** rng.uniform(0.0, 1.5, (20, 1, 1)) * tones * np.exp(
             2j * np.pi * rng.random((20, 1, i)))
+        cov = sample_cov(data)
         for sign in (-1, 1):
-            got = mu.root_music_frequency(data, sign)
-            want = [companion_frequency(row, sign) for row in data]
+            got = mu.root_music_frequency(cov, sign)
+            want = [companion_frequency(row, sign) for row in cov]
             assert np.all(np.abs((np.subtract(got, want) + 0.5) % 1.0 - 0.5) <= 1e-12)
 
 
@@ -339,24 +350,24 @@ def test_estimate_candidates_isolate_a_failing_tensor(cfg, plan):
 
 
 def test_estimate_candidates_isolate_an_unconverged_root(cfg, monkeypatch):
-    # a noiseless tone on the grid of the null-spectrum search has its root
-    # where Newton's method starts, a noise cube needs more than one step: with
-    # one evaluation allowed, the noise cube's entry is RootNotFound, never a
-    # NaN, and the tones keep the estimates they get in the full stack
+    # a noiseless tone has a double root, which rounding splits, and Newton's
+    # method crawls toward it for 20 to 30 evaluations; noise cubes need at
+    # most 11 here. With 15 allowed, the tone's entry is RootNotFound naming
+    # the cap, never a NaN, and the noise cubes keep their full-stack estimates
     shape = (cfg.m_rx, cfg.n_sub, cfg.n_sym - 6)
     tone = np.einsum("i,j,k->ijk", *(np.exp(2j * np.pi * sign * k / (8 * n) * np.arange(n))
                                      for sign, k, n in zip(mu._SIGNS, (3, 5, 2), shape)))
     rng = np.random.default_rng(3)
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cubes = np.stack([tone, noise, 2 * tone])
+    noise = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+    cubes = np.stack([noise[0], tone, noise[1]])
     full = mu.estimate_candidates(cubes, [1, 2, 3], cfg)
     assert all(isinstance(r, mu.EstimationResult) for r in full)
-    assert (full[0].psi_s_hat, full[0].psi_r_hat, full[0].psi_d_hat) == pytest.approx(
-        [3 / (8 * shape[0]), 5 / (8 * shape[1]), 2 / (8 * shape[2])], abs=1e-12)
-    monkeypatch.setattr(mu, "NEWTON_STEPS", 1)
+    assert (full[1].psi_s_hat, full[1].psi_r_hat, full[1].psi_d_hat) == pytest.approx(
+        [3 / (8 * shape[0]), 5 / (8 * shape[1]), 2 / (8 * shape[2])], abs=1e-8)
+    monkeypatch.setattr(mu, "NEWTON_STEPS", 15)
     got = mu.estimate_candidates(cubes, [1, 2, 3], cfg)
     assert got[0] == full[0] and got[2] == full[2]
-    assert isinstance(got[1], mu.RootNotFound) and "step cap of 1" in str(got[1])
+    assert isinstance(got[1], mu.RootNotFound) and "step cap of 15" in str(got[1])
     with pytest.raises(mu.RootNotFound):
         mu.estimate_candidate(cubes[1], 2, cfg)
 
@@ -367,8 +378,24 @@ def test_estimate_candidates_of_an_empty_stack(cfg):
     assert mu.estimate_candidates(empty, [], cfg) == []
 
 
+def test_estimate_candidates_allocate_little_beyond_the_stack(cfg):
+    # the sweep's block: 12 windows of 20 symbols. Root-MUSIC needs one
+    # conjugate copy of the stack and small products, about 1.36 times its bytes
+    rng = np.random.default_rng(4)
+    shape = (12, cfg.m_rx, cfg.n_sub, 20)
+    cubes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mu.estimate_candidates(cubes, list(range(12)), cfg)
+    tracemalloc.start()
+    try:
+        mu.estimate_candidates(cubes, list(range(12)), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * cubes.nbytes, peak / cubes.nbytes
+
+
 # ---------------------------------------------------------------------------
-# snapshot builders vs a naive loop re-indexer
+# covariances vs a naive loop re-indexer of each axis's snapshots
 
 def _loop_spatial(cube):
     m_rx, n_sub, n_p = cube.shape
@@ -388,24 +415,6 @@ def _loop_doppler(cube):
     return np.stack(cols, axis=1)
 
 
-def test_snapshot_builders_match_loops(small_cfg, rng):
-    shape = (2, small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym)
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    cubes = data[..., 2:]      # the stack past a 2-symbol transient
-
-    sp = mu.snapshots(cubes, 0)
-    assert mu._SIGNS[0] == +1 and sp.shape[:2] == (2, small_cfg.m_rx)
-    assert np.array_equal(sp, [_loop_spatial(c) for c in cubes])
-
-    ra = mu.snapshots(cubes, 1)
-    assert mu._SIGNS[1] == -1 and ra.shape[:2] == (2, small_cfg.n_sub)
-    assert np.array_equal(ra, [_loop_range(c) for c in cubes])
-
-    do = mu.snapshots(cubes, 2)
-    assert mu._SIGNS[2] == +1 and do.shape[:2] == (2, small_cfg.n_sym - 2)
-    assert np.array_equal(do, [_loop_doppler(c) for c in cubes])
-
-
 @st.composite
 def _cube_stacks(draw):
     """A random (n, M_r, L, P) stack, and a number of leading transient
@@ -417,12 +426,21 @@ def _cube_stacks(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(_cube_stacks(), st.integers(0, 2))
-def test_snapshots_match_loops_for_any_shape_and_mask(stack, axis):
+@given(_cube_stacks())
+def test_covariances_match_loops_for_any_shape_and_mask(stack):
+    # each axis's covariance is S S^H / I of the loop re-indexer's snapshots,
+    # and each cube of a stack gets the bytes it gets alone
     data, warmup = stack
-    loop = (_loop_spatial, _loop_range, _loop_doppler)[axis]
-    assert np.array_equal(mu.snapshots(data[..., warmup:], axis),
-                          [loop(c[:, :, warmup:]) for c in data])
+    cubes = np.ascontiguousarray(data[..., warmup:])
+    got = mu.covariances(cubes)
+    for axis, loop in enumerate((_loop_spatial, _loop_range, _loop_doppler)):
+        want = sample_cov(np.array([loop(c) for c in cubes]))
+        assert got[axis].shape == want.shape == (len(cubes),) + (cubes.shape[axis + 1],) * 2
+        assert np.all(np.abs(got[axis] - want).max(axis=(1, 2))
+                      <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+    for j in range(len(cubes)):
+        alone = mu.covariances(cubes[j:j + 1])
+        assert all(a.tobytes() == g[j:j + 1].tobytes() for a, g in zip(alone, got))
 
 
 # ---------------------------------------------------------------------------
