@@ -415,6 +415,29 @@ def _loop_doppler(cube):
     return np.stack(cols, axis=1)
 
 
+def _assert_cov_of_loop(got, cubes, axis):
+    """got is S S^H / I of the loop re-indexer's snapshots of each cube."""
+    loop = (_loop_spatial, _loop_range, _loop_doppler)[axis]
+    want = sample_cov(np.array([loop(c) for c in cubes]))
+    assert got.shape == want.shape == (len(cubes),) + (cubes.shape[axis + 1],) * 2
+    assert np.all(np.abs(got - want).max(axis=(1, 2))
+                  <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+
+
+def test_snapshot_builders_match_loops(small_cfg, rng):
+    shape = (2, small_cfg.m_rx, small_cfg.n_sub, small_cfg.n_sym)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    cubes = np.ascontiguousarray(data[..., 2:])   # the stack past a 2-symbol transient
+
+    sp, ra, do = mu.covariances(cubes)
+    assert mu._SIGNS[0] == +1 and sp.shape == (2, small_cfg.m_rx, small_cfg.m_rx)
+    _assert_cov_of_loop(sp, cubes, 0)
+    assert mu._SIGNS[1] == -1 and ra.shape == (2, small_cfg.n_sub, small_cfg.n_sub)
+    _assert_cov_of_loop(ra, cubes, 1)
+    assert mu._SIGNS[2] == +1 and do.shape == (2, small_cfg.n_sym - 2, small_cfg.n_sym - 2)
+    _assert_cov_of_loop(do, cubes, 2)
+
+
 @st.composite
 def _cube_stacks(draw):
     """A random (n, M_r, L, P) stack, and a number of leading transient
@@ -426,21 +449,16 @@ def _cube_stacks(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(_cube_stacks())
-def test_covariances_match_loops_for_any_shape_and_mask(stack):
-    # each axis's covariance is S S^H / I of the loop re-indexer's snapshots,
+@given(_cube_stacks(), st.integers(0, 2))
+def test_snapshots_match_loops_for_any_shape_and_mask(stack, axis):
+    # the axis's covariance is S S^H / I of the loop re-indexer's snapshots,
     # and each cube of a stack gets the bytes it gets alone
     data, warmup = stack
     cubes = np.ascontiguousarray(data[..., warmup:])
-    got = mu.covariances(cubes)
-    for axis, loop in enumerate((_loop_spatial, _loop_range, _loop_doppler)):
-        want = sample_cov(np.array([loop(c) for c in cubes]))
-        assert got[axis].shape == want.shape == (len(cubes),) + (cubes.shape[axis + 1],) * 2
-        assert np.all(np.abs(got[axis] - want).max(axis=(1, 2))
-                      <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+    got = mu.covariances(cubes)[axis]
+    _assert_cov_of_loop(got, cubes, axis)
     for j in range(len(cubes)):
-        alone = mu.covariances(cubes[j:j + 1])
-        assert all(a.tobytes() == g[j:j + 1].tobytes() for a, g in zip(alone, got))
+        assert mu.covariances(cubes[j:j + 1])[axis].tobytes() == got[j:j + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------
