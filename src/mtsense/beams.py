@@ -112,7 +112,7 @@ def beam_for_angle(plan: BeamPlan, theta: float) -> int:
 
 def angle_in_coverage(plan: BeamPlan, b: int, theta: float) -> bool:
     lo, hi = plan.coverage_interval(b)
-    return lo <= theta <= hi
+    return bool(lo <= theta <= hi)
 
 
 def plan_summary_rows(plan: BeamPlan) -> list[tuple[int, float, float]]:

@@ -48,13 +48,6 @@ from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, S
 _CALIB_TAG = 90001
 _SWEEP_TAG = 90002
 _SWEEP_NOISE_TAG = 90003
-# Sweep trials per block: a block's windows, every SNR of its trials, go to one
-# stacked root-MUSIC call. On a 2-vCPU host the default sweep (100 trials of 6
-# SNRs) took 1.34 s at --threads 1 and 1.06-1.22 s at --threads 2 in blocks of
-# one trial, and 1.11-1.23 s and 0.81-0.91 s in blocks of two. But two-trial
-# blocks raised the peak RSS of the 6-trial benchmark sweep from 68.4-68.8 to
-# 72.9-74.1 MB (24 windows per call in place of 12).
-_TRIAL_BLOCK = 1
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +105,9 @@ class ExperimentConfig:
     # sigma^2 = 10^(-snr/10) stays in [1e-30, 1e30]: no overflow, no zero variance
     snr_list_db: tuple[float, ...] = rule(
         (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0),
-        "a non-empty list of finite numbers in [-300, 300] dB",
+        "a non-empty list of distinct finite numbers in [-300, 300] dB",
         lambda x: isinstance(x, (list, tuple)) and len(x) > 0
-        and all(is_finite(v) and -300 <= v <= 300 for v in x))
+        and all(is_finite(v) and -300 <= v <= 300 for v in x) and len(set(x)) == len(x))
     n_trials: int = integer(100, 1)
     seed: int = integer(0, 0)
 
@@ -286,6 +279,36 @@ def _require_scanned(run: _Run, targets) -> None:
 # scan pipeline
 
 _STAGE_ORDER = ("spectrum", "estimate", "detect")
+_LEAD = ("b", "theta_deg", "range_m", "speed_mps")     # both CSVs' leading columns
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """A candidate after the search: scan b, its estimate (None if it failed;
+    `error` holds why) and whether the estimated angle lies in b's coverage.
+    Failed estimates are not covered, nor are sidelobe ghosts: a beam near a
+    target bumps the spectrum but estimates the target's angle."""
+    b: int
+    estimate: music.EstimationResult | None
+    covered: bool
+    error: Exception | None = None
+
+    def lead(self) -> tuple:
+        e = self.estimate
+        return self.b, math.degrees(e.theta_hat), e.range_hat, e.speed_hat
+
+
+def estimate_frame(windows: np.ndarray, scans: list[int], plan: beams.BeamPlan,
+                   cfg: SystemConfig) -> list[Candidate]:
+    """The chain after the search: one record per scan of `scans`, from one
+    stacked root-MUSIC call on its (len(scans), M_r, L, P') window stack."""
+    return [Candidate(b, res, beams.angle_in_coverage(plan, b, res.theta_hat))
+            if isinstance(res, music.EstimationResult) else Candidate(b, None, False, res)
+            for b, res in zip(scans, music.estimate_candidates(windows, scans, cfg))]
+
+
+def _error(b: int, stage: str, exc: Exception) -> dict:
+    return {"scan": b, "stage": stage, "error": type(exc).__name__, "message": str(exc)}
 
 
 def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
@@ -303,8 +326,10 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
     stage_seconds of synthesize, filter and spectrum is busy time, summed
     over blocks and workers.
 
-    A failure while processing one scan's candidate is recorded in the report
-    and aborts only that scan's downstream stages.
+    estimate_frame gives each candidate one record: estimates.csv lists those
+    with an estimate, a failed one is an errors entry, and only covered ones
+    reach the GLRT. A failure while processing one scan's candidate is
+    recorded in the report and aborts only that scan's downstream stages.
     """
     if last_stage not in _STAGE_ORDER:
         raise ValueError(f"unknown stage {last_stage!r}")
@@ -347,60 +372,41 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
         candidates = clutter.find_peaks(spectrum, config.search_rel_threshold)
         extra["candidates"] = candidates
 
-    estimates: list[music.EstimationResult] = []
     if last_idx >= 1:
         with run.stage("synthesize"):
-            raw = {b: synthesize_echo(scene, plan, b, cfg, seed=seed) for b in candidates}
+            raw = [synthesize_echo(scene, plan, b, cfg, seed=seed) for b in candidates]
         with run.stage("filter"):
             warmup = clutter.default_warmup(filt)
-            checked = np.ascontiguousarray(clutter.filter_symbols(
-                np.stack([clutter.normalize_by_gain(y, plan, b, cfg) for b, y in raw.items()]),
+            checked = np.ascontiguousarray(clutter.filter_symbols(np.stack(
+                [clutter.normalize_by_gain(y, plan, b, cfg) for b, y in zip(candidates, raw)]),
                 filt)[..., warmup:]) if candidates else []
         with run.stage("estimate"):
-            est_rows = []
-            results = music.estimate_candidates(checked, candidates, cfg)
-            for b, res in zip(candidates, results):
-                if isinstance(res, Exception):     # per-scan isolation
-                    run.errors.append({"scan": b, "stage": "estimate",
-                                       "error": type(res).__name__, "message": str(res)})
-                    continue
-                estimates.append(res)
-                est_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
-                                 res.speed_hat, res.psi_s_hat, res.psi_r_hat,
-                                 res.psi_d_hat))
-            run.write_csv("estimates.csv",
-                          ("b", "theta_deg", "range_m", "speed_mps",
-                           "psi_s", "psi_r", "psi_d"), est_rows)
+            found = estimate_frame(checked, candidates, plan, cfg)
+            run.errors += [_error(c.b, "estimate", c.error) for c in found if c.error is not None]
+            run.write_csv("estimates.csv", _LEAD + ("psi_s", "psi_r", "psi_d"),
+                          [(*c.lead(), c.estimate.psi_s_hat, c.estimate.psi_r_hat,
+                            c.estimate.psi_d_hat) for c in found if c.estimate is not None])
 
     if last_idx >= 2:
         with run.stage("detect"):
             det_rows = []
             h0_scene = scene.without_targets()
             dspec = config.detector
-            for res in estimates:
-                b = res.scan_index
-                # Scanning ghosts: a beam pointed near (but not at) a target still
-                # shows a spectrum bump, yet its angle estimate falls outside the
-                # beam's own coverage. Those candidates are dropped before the GLRT.
-                if not beams.angle_in_coverage(plan, b, res.theta_hat):
+            for c, y in zip(found, raw):
+                if not c.covered:
                     continue
                 try:
-                    cand = (res.psi_s_hat, res.psi_r_hat, res.psi_d_hat)
+                    cand = (c.estimate.psi_s_hat, c.estimate.psi_r_hat, c.estimate.psi_d_hat)
                     gamma = detector.calibrate_gamma(
-                        h0_scene, plan, b, cand, cfg, dspec.p_fa,
-                        n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, b))
-                    outcome = detector.glr_statistic(raw[b], b, cand, plan, cfg)
+                        h0_scene, plan, c.b, cand, cfg, dspec.p_fa,
+                        n_trials=dspec.calib_trials, seed=(seed, _CALIB_TAG, c.b))
+                    outcome = detector.glr_statistic(y, c.b, cand, plan, cfg)
                     decision = detector.detect(outcome, gamma)
                 except Exception as exc:   # noqa: BLE001 - per-scan isolation
-                    run.errors.append({"scan": b, "stage": "detect",
-                                       "error": type(exc).__name__, "message": str(exc)})
+                    run.errors.append(_error(c.b, "detect", exc))
                     continue
-                det_rows.append((b, math.degrees(res.theta_hat), res.range_hat,
-                                 res.speed_hat, outcome.statistic, gamma,
-                                 int(decision)))
-            run.write_csv("detections.csv",
-                          ("b", "theta_deg", "range_m", "speed_mps",
-                           "t", "gamma", "decision"), det_rows)
+                det_rows.append((*c.lead(), outcome.statistic, gamma, int(decision)))
+            run.write_csv("detections.csv", _LEAD + ("t", "gamma", "decision"), det_rows)
             extra["n_detections"] = sum(r[-1] for r in det_rows)
 
     return run.finish(wall_seconds=time.perf_counter() - t_start, **extra)
@@ -495,10 +501,10 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     the rest's power given the window and the far beams' powers, comes from
     the stream (seed, trial, SNR value). So each row keeps its exact law and
     depends on no other SNR listed, while the rows of one trial share its
-    noise. The trials are cut into blocks, each with every SNR of its trials,
-    and the blocks into one part per worker thread, which draws all its trials
-    into one set of buffers. A block's windows are estimated in one stacked
-    root-MUSIC call per axis: the bytes do not depend on the thread count.
+    noise. The trials are cut into one contiguous part per worker thread,
+    which draws each of its trials into one set of buffers. Each trial's
+    windows, every SNR's, go through estimate_frame in one stacked call: the
+    bytes do not depend on the thread count.
 
     The bound for each target is its own single-target FIM at the beam
     covering it: that is the data the per-beam estimator actually sees.
@@ -539,12 +545,17 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
         snr_keys = [int(np.float64(snr_db + 0.0).view(np.uint64)) for snr_db in config.snr_list_db]
         n_snr = len(sigma2s)
 
-        def _trials(block, noise, filtered, stack) -> np.ndarray:
-            scans = []
-            for trial in block:
+        def _part(part: range) -> np.ndarray:
+            """Squared errors (trial, SNR, target, parameter) of the trials of
+            `part`, drawn into one noise window, its filtered copy and one stack."""
+            noise, filtered, stack = (np.empty(shape, dtype=complex) for shape in (
+                near_power.shape, near_power.shape, (n_snr * n_t, *near_power.shape[1:])))
+            est = np.empty((len(part), n_snr * n_t, 3))
+            for trial, out in zip(part, est):
                 complex_normal(np.random.default_rng((seed, _SWEEP_NOISE_TAG, trial)), 1.0,
                                noise.shape, out=noise)
                 unit, sums = _sweep_filtered_stack(noise, near_power, filtered)
+                scans = []
                 for k, sigma2 in enumerate(sigma2s):
                     rng = np.random.default_rng((seed, _SWEEP_TAG, trial, snr_keys[k]))
                     var = sigma2 / near_gain2
@@ -553,27 +564,17 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                     power[far] = far_power.draw(rng, sigma2 / far_gain2)
                     matched = _match_peaks_to_targets(clutter.top_local_maxima(power, n_t),
                                                       scene, plan)
-                    row = len(scans)
                     near_power.windows(unit, var, [slot[b] for b in matched],
-                                       stack[row:row + n_t])
+                                       stack[len(scans):len(scans) + n_t])
                     scans += matched
-            est = np.empty((len(scans), 3))
-            for row, res in enumerate(music.estimate_candidates(stack[:len(scans)], scans, cfg)):
-                if isinstance(res, Exception):
-                    trial, k = divmod(row // n_t, n_snr)
-                    raise RuntimeError(f"sweep estimate of target {row % n_t + 1} failed at "
-                                       f"{config.snr_list_db[k]:g} dB, trial {block[trial]}: "
-                                       f"{res}") from res
-                est[row] = res.theta_hat, res.range_hat, res.speed_hat
-            return (est.reshape(len(block), n_snr, n_t, 3) - truth) ** 2
-
-        def _part(part: range) -> list[np.ndarray]:
-            """_trials of jobs[part] in one noise window, its filtered copy and one stack."""
-            own = jobs[part.start:part.stop]
-            noise, filtered, stack = (np.empty(shape, dtype=complex) for shape in (
-                near_power.shape, near_power.shape,
-                (max(map(len, own)) * n_snr * n_t, *near_power.shape[1:])))
-            return [_trials(block, noise, filtered, stack) for block in own]
+                for row, c in enumerate(estimate_frame(stack, scans, plan, cfg)):
+                    if c.error is not None:
+                        k, i = divmod(row, n_t)
+                        raise RuntimeError(f"sweep estimate of target {i + 1} failed at "
+                                           f"{config.snr_list_db[k]:g} dB, trial {trial}: "
+                                           f"{c.error}") from c.error
+                    out[row] = c.estimate.theta_hat, c.estimate.range_hat, c.estimate.speed_hat
+            return (est.reshape(len(part), n_snr, n_t, 3) - truth) ** 2
 
         unit_bounds = [
             crb.crb_eta_t(crb.fim_blocks(beams.beam_for_angle(plan, t.theta),
@@ -581,9 +582,8 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                                          plan, cfg, sigma2=1.0))
             for t in scene.targets
         ]
-        jobs = blocks(config.n_trials, threads, _TRIAL_BLOCK)
-        parts = thread_map(_part, blocks(len(jobs), threads, len(jobs)), threads)
-        mse = np.concatenate([x for xs in parts for x in xs]).mean(axis=0)
+        parts = thread_map(_part, blocks(config.n_trials, threads, config.n_trials), threads)
+        mse = np.concatenate(parts).mean(axis=0)
         for k, snr_db in enumerate(config.snr_list_db):
             for i, unit in enumerate(unit_bounds):
                 bound = _bound_at(unit, sigma2s[k])

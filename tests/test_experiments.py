@@ -109,7 +109,7 @@ def _valid_configs(draw):
         sweep=ex.SweepSpec(n_sym_synth=draw(st.integers(n_sym + 1, 256))),
         search_rel_threshold=draw(st.floats(1.001, 100.0)),
         snr_list_db=tuple(draw(st.lists(st.floats(-60.0, 60.0), min_size=1,
-                                        max_size=6))),
+                                        max_size=6, unique=True))),
         n_trials=draw(st.integers(1, 10_000)),
         seed=draw(st.integers(0, 2**31)),
     )
@@ -182,6 +182,7 @@ def test_cli_detect_rejects_bad_p_fa_flag(tmp_path, capsys):
     ("search_rel_threshold", math.inf), ("search_rel_threshold", math.nan),
     ("search_rel_threshold", "3"),
     ("seed", 1.5), ("seed", "7"), ("seed", None), ("seed", -1),
+    ("snr_list_db", [0, 0]), ("snr_list_db", [-0.0, 0.0]),
 ])
 def test_config_rejects_bad_top_level_values(field, bad):
     with pytest.raises(ValueError, match=field):
@@ -589,6 +590,34 @@ def test_pipeline_isolates_a_candidate_whose_angle_conversion_fails(
         assert read_rows(tmp_path / "bad" / name) == [clean[0], clean[2]]
 
 
+def test_pipeline_drops_a_ghost_before_the_glrt(tmp_path, monkeypatch):
+    # beam 6's estimate lands 3 deg off its boresight, outside its coverage,
+    # as a sidelobe ghost's would: its record is not covered and carries no
+    # error, so it keeps its estimates row but gets no GLRT and no errors entry
+    config = ex.config_from_dict({"detector": {"calib_trials": 20}})
+    plan = default_plan(config.system)
+    estimate_candidates, estimate_frame, records = music.estimate_candidates, ex.estimate_frame, []
+
+    def off_boresight(cubes, scans, cfg):
+        return [replace(r, theta_hat=plan.directions[6] + math.radians(3.0))
+                if r.scan_index == 6 else r for r in estimate_candidates(cubes, scans, cfg)]
+
+    def recorded(*args):
+        records[:] = estimate_frame(*args)
+        return records
+    monkeypatch.setattr(music, "estimate_candidates", off_boresight)
+    monkeypatch.setattr(ex, "estimate_frame", recorded)
+    manifest = ex.run_pipeline(config, tmp_path)
+    assert manifest["candidates"] == [6, 38] and manifest["errors"] == []
+    estimates = read_rows(tmp_path / "estimates.csv")[1:]
+    assert [r[0] for r in estimates] == ["6", "38"]
+    assert float(estimates[0][1]) == pytest.approx(math.degrees(plan.directions[6]) + 3.0)
+    assert [r[0] for r in read_rows(tmp_path / "detections.csv")[1:]] == ["38"]
+    ghost, target = records
+    assert ghost.b == 6 and ghost.covered is False and ghost.error is None
+    assert target.b == 38 and target.covered is True and target.error is None
+
+
 def test_manifest_is_one_json_dumps_string(tmp_path):
     manifest = ex.run_pipeline(small_config(), tmp_path)
     assert (tmp_path / "manifest.json").read_text() == \
@@ -790,33 +819,43 @@ def _assert_mse_close(rows, want):
         assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
 
 
-def test_sweep_blocks_match_the_per_trial_loop(tmp_path):
+def _trials_per_worker(monkeypatch):
+    """A list that each sweep_snr call extends with the trial count of each
+    worker's part, as the sweep hands its parts to the pool."""
+    counts = []
+
+    def counted(fn, items, threads):
+        counts.append([len(part) for part in items])
+        return scene_thread_map(fn, items, threads)
+    monkeypatch.setattr(ex, "thread_map", counted)
+    return counts
+
+
+def test_sweep_blocks_match_the_per_trial_loop(tmp_path, monkeypatch):
     # 5 trials on 1, 2 and 3 threads: parts of 5, 2 + 3 and 1 + 2 + 2 trials
     config = small_config(scene={"n_targets": 2, "min_separation_deg": 15.0},
                           scan={"span_deg": 60.0}, snr_list_db=[0.0, 20.0], n_trials=5,
                           sweep={"n_sym_synth": 24})
     want = _sweep_mse_per_trial(config)
-    jobs = [scene_blocks(5, t, ex._TRIAL_BLOCK) for t in (1, 2, 3)]
-    assert [[sum(map(len, j[r.start:r.stop])) for r in scene_blocks(len(j), t, len(j))]
-            for j, t in zip(jobs, (1, 2, 3))] == [[5], [2, 3], [1, 2, 2]]
+    counts = _trials_per_worker(monkeypatch)
     for threads in (1, 2, 3):
         ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
         rows = read_rows(tmp_path / str(threads) / "sweep.csv")[1:]
         _assert_mse_close(rows, want)
         assert len(rows) == len(want) == 2 * 2 * 3
+    assert counts == [[5], [2, 3], [1, 2, 2]]
 
 
-def test_sweep_workers_reuse_their_buffers_across_blocks(tmp_path):
-    # 40 trials of 6 SNRs: 40 one-trial blocks on one worker, 20 + 20 on two
-    # and 13 + 13 + 14 on three, each worker reusing one set of buffers for all
-    # its blocks
+def test_sweep_workers_reuse_their_buffers_across_blocks(tmp_path, monkeypatch):
+    # 40 trials of 6 SNRs: 40 trials on one worker, 20 + 20 on two and
+    # 13 + 13 + 14 on three, each worker reusing one set of buffers for all
+    # its trials
     config = small_config(snr_list_db=[-30.0, -20.0, -10.0, 0.0, 10.0, 20.0], n_trials=40,
                           sweep={"n_sym_synth": 24})
-    jobs = scene_blocks(40, 1, ex._TRIAL_BLOCK)
-    assert [len(scene_blocks(len(jobs), t, len(jobs))) for t in (1, 2, 3)] == [1, 2, 3]
-    assert len(jobs) == 40
+    counts = _trials_per_worker(monkeypatch)
     for threads in (1, 2, 3):
         ex.sweep_snr(config, tmp_path / str(threads), threads=threads)
+    assert counts == [[40], [20, 20], [13, 13, 14]]
     csv1 = (tmp_path / "1" / "sweep.csv").read_bytes()
     assert (tmp_path / "2" / "sweep.csv").read_bytes() == csv1
     assert (tmp_path / "3" / "sweep.csv").read_bytes() == csv1
@@ -873,7 +912,7 @@ def test_sweep_trials_fault_in_few_pages(tmp_path):
     # one and two worker threads. Temporaries of 1-2 MB per trial, freed and
     # allocated again, had the allocator return pages to the OS and fault them
     # in again: 680-780 faults per pair at one thread and 290-440 at two. With
-    # the buffers each worker reuses and one-trial blocks this reads about 4
+    # the buffers each worker reuses from trial to trial this reads about 4
     # and 2. Root-MUSIC's one conjugate copy of each 1 MB block faults about
     # 41 times per pair if glibc's mmap threshold is pinned at 128 KB
     # (MALLOC_MMAP_THRESHOLD_), and none once the dynamic threshold has risen.
@@ -916,24 +955,23 @@ def test_roc_rows_of_an_snr_do_not_depend_on_the_snrs_after_it(tmp_path, threads
 
 
 def test_sweep_and_roc_call_the_pool_once(tmp_path, monkeypatch):
-    # one job list per command: every block of trials goes to one thread_map,
-    # cut into one contiguous part of blocks per worker thread
+    # one job list per command: the sweep's trials go to one thread_map, cut
+    # into one contiguous part per worker thread, and so do the ROC's blocks
     calls = []
 
     def counted(fn, items, threads):
-        calls.append(len(items))
+        calls.append(list(items))
         return scene_thread_map(fn, items, threads)
     monkeypatch.setattr(ex, "thread_map", counted)
     monkeypatch.setattr(detector, "thread_map", counted)
     config = small_config(snr_list_db=[0.0, 10.0, 20.0], n_trials=5,
                           sweep={"n_sym_synth": 24})
     ex.sweep_snr(config, tmp_path / "sweep", threads=2)
-    n_jobs = len(scene_blocks(5, 2, ex._TRIAL_BLOCK))
-    assert calls == [len(scene_blocks(n_jobs, 2, n_jobs))] == [2]
+    assert [[len(part) for part in items] for items in calls] == [[2, 3]]   # trials per worker
     calls.clear()
     ex.roc_experiment(config, tmp_path / "roc", threads=2)
     n_jobs = 3 * 2 * len(scene_blocks(5))
-    assert calls == [len(scene_blocks(n_jobs, 2, n_jobs))]
+    assert [len(items) for items in calls] == [len(scene_blocks(n_jobs, 2, n_jobs))]
 
 
 def test_sweep_validates_synth_window():
