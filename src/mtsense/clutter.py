@@ -5,13 +5,15 @@ so a high-pass IIR filter applied along p removes them while a moving target's
 Doppler tone passes through with near unit gain. The per-beam average residual
 power P(b) then peaks at beams containing moving targets.
 
-The filter is designed and run in numpy alone, by the same arithmetic as
-scipy.signal's butter, lfilter_zi and lfilter, so the outputs carry the same
-bits. FilteredPowerSampler filters the rows of clean cubes given as coef @ rows
-once and then draws what their noisy copies give after the filter: the last
-symbols of the filtered cube from a window of noise, and the filtered power of
-the rest from its law given that window, without drawing the rest of the noise.
-One window of unit noise serves every noise level.
+The filter is designed in numpy alone, by the same arithmetic as
+scipy.signal's butter, lfilter_zi and lfilter, so the design and its matrix M
+(the recursion run on the identity) carry the same bits. Data is filtered as
+one product, x M (filter_symbols). FilteredPowerSampler filters the rows of
+clean cubes given as coef @ rows by M once and then draws what their noisy
+copies give after the filter: the last symbols of the filtered cube from a
+window of noise, and the filtered power of the rest from its law given that
+window, without drawing the rest of the noise. One window of unit noise
+serves every noise level.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ _NULL_TOL = 1e-9     # largest output a unit constant may leave after step match
 _NEGLIGIBLE = 1e-24  # share of the filter's energy below which a direction is noiseless
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # hashed by identity, for filter_matrix's cache
 class IirFilter:
     """Designed high-pass filter. den_coeffs[0] is normalized to 1."""
 
@@ -99,46 +101,36 @@ def normalize_by_gain(y: np.ndarray, plan: BeamPlan, b: int, cfg: SystemConfig,
     return np.divide(y, g_tilde(plan, b, cfg), out=out)
 
 
-def step_matched_highpass(data: np.ndarray, filt: IirFilter,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """High-pass every series along the last axis of a stack of any shape,
-    into ``out`` if given (a C-contiguous array of data's shape, data itself
-    allowed).
+def step_matched_highpass(data: np.ndarray, filt: IirFilter) -> np.ndarray:
+    """High-pass every series along the last axis of an array of any shape,
+    real or complex, by the direct form II transposed recursion.
 
     The filter state is seeded with the steady-state step response scaled by
     each series' first sample, so a component that is constant along the
-    axis is annihilated from the very first output sample.
+    axis is annihilated from the very first output sample. Run on the
+    identity this defines the filter matrix M (filter_matrix).
     """
     num, den = filt.num_coeffs, filt.den_coeffs
     b, a = num.tolist(), den.tolist()
-    order = len(a) - 1
-    data = np.asarray(data)
-    # One series per row. Each time step is gathered into one contiguous
-    # vector before its output is scattered back, so the output is the only
-    # array of the input's size, and it may be the input. The coefficients are
-    # real, so real and imaginary parts filter apart.
-    x = np.ascontiguousarray(data, dtype=np.result_type(data, num)).reshape(-1, data.shape[-1])
-    y = np.empty_like(x) if out is None else out.reshape(x.shape)
-    xp, yp = np.empty((2, len(x)), dtype=x.dtype)
-    xf, yf = xp.view(float), yp.view(float)
-    xp[:] = x[:, 0]
-    state = np.multiply.outer(_step_state(num, den), xf)
-    tmp = np.empty_like(xf)
-    for p in range(x.shape[1]):     # direct form II transposed
-        xp[:] = x[:, p]
-        np.multiply(xf, b[0], out=yf)
-        yf += state[0]
-        for n in range(1, order + 1):
-            z = state[n - 1]
-            if n < order:
-                np.multiply(xf, b[n], out=tmp)
-                np.add(state[n], tmp, out=z)
-            else:
-                np.multiply(xf, b[n], out=z)
-            np.multiply(yf, a[n], out=tmp)
-            z -= tmp
-        y[:, p] = yp
-    return y.reshape(data.shape)
+    x = np.asarray(data, dtype=np.result_type(data, num))
+    y = np.empty_like(x, order="C")
+    state = list(np.multiply.outer(_step_state(num, den), x[..., 0]))
+    for p in range(x.shape[-1]):
+        xp = x[..., p]
+        y[..., p] = yp = xp * b[0] + state[0]
+        for n in range(1, len(a) - 1):
+            state[n - 1] = (state[n] + xp * b[n]) - yp * a[n]
+        state[-1] = xp * b[-1] - yp * a[-1]
+    return y
+
+
+@functools.lru_cache(maxsize=16)   # one per (design, frame length): never per block
+def filter_matrix(filt: IirFilter, n_sym: int) -> np.ndarray:
+    """The filter as a real, read-only (n_sym, n_sym) matrix M: a frame x of
+    n_sym symbols filters to x M, M = step_matched_highpass(eye(n_sym))."""
+    m = step_matched_highpass(np.eye(n_sym), filt)
+    m.flags.writeable = False
+    return m
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,14 +142,14 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FilteredPowerSampler:
     """Filters the rows of a stack of clean cubes c = coef[i] @ rows once,
     then draws what each noisy cube c + q z, z ~ CN(0, 1) white and q > 0 its
-    cube's noise deviation, gives after step_matched_highpass: the last
+    cube's noise deviation, gives after the filter: the last
     ``window`` filtered symbols in full, and the total filtered power. Only the
     window's share of z is drawn, by the caller; with window 0 nothing is.
     coef is (cubes, ..., R) and rows (R, P), so no cube of P symbols is built;
     whole cubes pass as (cubes, eye(P)).
 
-    The filter is linear along the symbol axis: y = x M with M =
-    step_matched_highpass(eye(n_sym)), real. Put the window's columns first,
+    The filter is y = x M, M = filter_matrix(filt, n_sym), the matrix that
+    filter_symbols applies to cubes. Put the window's columns first,
     [M_W, M_R] = Q T with Q orthogonal and T upper triangular. Then zQ =
     [z, w] is white again, and
 
@@ -186,7 +178,7 @@ class FilteredPowerSampler:
         n_rows, n_sym = rows.shape
         if not 0 <= window < n_sym:
             raise ValueError(f"window must lie in [0, {n_sym}), got {window!r}")
-        m = step_matched_highpass(np.eye(n_sym), filt)
+        m = filter_matrix(filt, n_sym)
         m_w, m_r = m[:, n_sym - window:], m[:, :n_sym - window]
         t = np.linalg.qr(np.concatenate((m_w, m_r), axis=1), mode="r")
         _, s, vt = np.linalg.svd(t[window:, window:])
@@ -264,18 +256,19 @@ class FilteredPowerSampler:
 def filter_symbols(cubes: np.ndarray, filt: IirFilter,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Run the step-matched high-pass along the symbol (last) axis of a stack
-    of cubes, into ``out`` if given (cubes itself allowed).
+    of cubes: cubes @ M (filter_matrix), into ``out`` if given.
 
     Stationary components vanish from the first symbol on. A moving target's
     tone still needs a few symbols to settle; the estimators skip the first
     ``default_warmup`` outputs (3x filter order). Each cube gets the bits it
-    would get alone: the recursion is elementwise.
+    would get alone: numpy multiplies each (L, P) slice by M on its own.
+    ``out`` may be cubes itself, at the cost of a copy of the input.
     """
     warmup = default_warmup(filt)
     n_sym = cubes.shape[-1]
     if n_sym <= warmup:
         raise ValueError(f"warmup {warmup} must be shorter than the frame ({n_sym})")
-    return step_matched_highpass(cubes, filt, out)
+    return np.matmul(cubes, filter_matrix(filt, n_sym), out=out)
 
 
 def scan_spectrum(checked) -> np.ndarray:

@@ -40,8 +40,8 @@ import numpy as np
 from . import beams, clutter, crb, detector, music
 from ._version import __version__
 from .echo import clean_factors, synthesize_echo, write_tensor
-from .scene import (C0, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS, Scene,
-                    SystemConfig, blocks, check_fields, complex_normal, generate_scene,
+from .scene import (C0, MAX_SYMBOLS, RANGE_SUPPORT_M, REFERENCE_TARGETS, SPEED_SUPPORT_MPS,
+                    Scene, SystemConfig, blocks, check_fields, complex_normal, generate_scene,
                     integer, is_finite, number, reference_scene, rule, scene_to_dict,
                     thread_map)
 
@@ -90,7 +90,7 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    n_sym_synth: int = 64          # symbols each trial filters; it estimates on the last n_sym
+    n_sym_synth: int = integer(64, 2, MAX_SYMBOLS)  # symbols each trial filters
 
 
 @dataclass(frozen=True)
@@ -318,11 +318,11 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
     detections.csv and manifest.json into out_dir and returns the manifest.
 
     Two passes. The scan pass streams: each worker thread walks one contiguous
-    part of the beams in blocks (scene.blocks), filters each block in one
-    buffer it reuses, and keeps only each beam's power. After the search each
-    candidate's raw cube is synthesized again from its seed (GLRT) and the
-    candidates are filtered as one stack (estimator); synthesis is seeded per
-    scan and the filter is elementwise, so each cube keeps its bits.
+    part of the beams in blocks (scene.blocks), filters each block from one
+    buffer it reuses into another, and keeps only each beam's power. After the
+    search each candidate's raw cube is synthesized again from its seed (GLRT)
+    and the candidates are filtered as one stack (estimator); synthesis is
+    seeded per scan and each cube is filtered apart, so it keeps its bits.
     stage_seconds of synthesize, filter and spectrum is busy time, summed
     over blocks and workers.
 
@@ -345,7 +345,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
 
     def _scan(part: range) -> tuple[np.ndarray, np.ndarray]:
         subs = blocks(len(part))
-        buf = np.empty((max(map(len, subs)), cfg.m_rx, cfg.n_sub, cfg.n_sym), dtype=complex)
+        buf, filtered = np.empty((2, max(map(len, subs)), cfg.m_rx, cfg.n_sub, cfg.n_sym), complex)
         power, busy = np.empty(len(part)), np.zeros(3)
         for sub in subs:
             for i, cube in zip(sub, buf):
@@ -355,7 +355,7 @@ def run_pipeline(config: ExperimentConfig, out_dir, threads: int = 1,
                 clutter.normalize_by_gain(y, plan, part[i], cfg, out=cube)
                 busy[:2] += toc - tic, time.perf_counter() - toc
             tic = time.perf_counter()
-            block = clutter.filter_symbols(buf[:len(sub)], filt, out=buf[:len(sub)])
+            block = clutter.filter_symbols(buf[:len(sub)], filt, out=filtered[:len(sub)])
             toc = time.perf_counter()
             power[sub.start:sub.stop] = clutter.scan_spectrum(block)
             busy[1:] += toc - tic, time.perf_counter() - toc

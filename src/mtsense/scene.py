@@ -82,6 +82,9 @@ def check_fields(obj, prefix: str = "") -> None:
 # ---------------------------------------------------------------------------
 # system constants and scene elements
 
+MAX_SYMBOLS = 1024   # longest frame of a scan or a trial: its filter matrix holds 8 MB
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Radar/array constants shared by every module.
@@ -99,7 +102,7 @@ class SystemConfig:
     m_tx: int = integer(64, 2)
     m_rx: int = integer(16, 2)
     n_sub: int = integer(16, 2)
-    n_sym: int = integer(20, 2)
+    n_sym: int = integer(20, 2, MAX_SYMBOLS)
     f_c: float = number(60e9, 0)
     delta_f: float = number(10e6, 0)
     t_guard: float = number(2e-4, 0, closed=True)

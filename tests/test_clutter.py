@@ -1,5 +1,7 @@
 """Doppler-domain highpass filtering checked against closed-form bilinear math."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -132,6 +134,40 @@ def test_step_matched_highpass_matches_lfilter(order, rng):
         got = cl.step_matched_highpass(data, filt)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         _assert_close(got, want)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0 ** -60,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("order", range(1, 9))
+def test_filter_symbols_matches_a_long_double_recursion(order, rng):
+    # filter_symbols(x) = fl(x M^), M^ the float64 filter matrix. Against the
+    # exact x M its error is at most
+    #     |x| |M^ - M| + gamma_2P (|Re x| + |Im x|) |M^|,   gamma_n = n u / (1 - n u):
+    # a real dot product of n terms rounds by at most gamma_n times the sum
+    # of their magnitudes, and each real part here has 2P terms, P of them
+    # products with 0 (Higham 2002, eq. 3.5). The recursion run in long double
+    # stands in for M and x M; its own rounding, 2^-11 of float64's, gets the
+    # factor 2. M^'s error has its own first-order bound: each step rounds
+    # each of its order + 1 updates by at most 3u times the magnitudes it
+    # adds, each at most T = ||b||_1 + ||a||_1 max|M| for a unit impulse, and
+    # an error that enters passes to the output through 1/A(z), whose impulse
+    # response g has ||g||_1 over the frame.
+    filt = cl.design_butterworth_highpass(order, 0.1)
+    num, den = filt.num_coeffs, filt.den_coeffs
+    n_sym, u = 40, np.finfo(float).eps / 2
+    m = cl.filter_matrix(filt, n_sym)
+    m_err = np.abs(m - cl.step_matched_highpass(np.eye(n_sym, dtype=np.longdouble), filt))
+    g = signal.lfilter([1.0], den, np.eye(1, n_sym)[0])
+    t = np.sum(np.abs(num)) + np.sum(np.abs(den)) * np.max(np.abs(m))
+    assert np.max(m_err) <= 3 * u * (order + 2) * np.sum(np.abs(g)) * t
+    gamma = 2 * n_sym * u / (1 - 2 * n_sym * u)
+    cube = rng.standard_normal((3, 4, n_sym)) + 1j * rng.standard_normal((3, 4, n_sym))
+    for x in (cube, cube.real):
+        err = np.abs(cl.filter_symbols(x, filt)
+                     - cl.step_matched_highpass(x.astype(np.clongdouble), filt))
+        bound = (np.max(np.abs(x) @ m_err)
+                 + gamma * np.max((np.abs(x.real) + np.abs(x.imag)) @ np.abs(m)))
+        assert np.max(err) <= 2 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +453,34 @@ def test_tone_reaches_steady_state():
     assert np.allclose(out[0, 0, 150:], want, atol=1e-9)
 
 
+def test_filter_matrix_is_built_once_per_design_and_frame(monkeypatch, rng):
+    # the recursion runs once per (design, frame length), however many blocks
+    # and threads filter with it, and the shared matrix is read-only
+    filt = cl.design_butterworth_highpass(3, 0.07)
+    builds, recursion = [], cl.step_matched_highpass
+    monkeypatch.setattr(cl, "step_matched_highpass",
+                        lambda data, f: builds.append(np.shape(data)) or recursion(data, f))
+    cl.filter_matrix.cache_clear()
+    cube = rng.standard_normal((2, 3, 16)) + 1j * rng.standard_normal((2, 3, 16))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda _: cl.filter_symbols(cube, filt).tobytes(), range(64)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(got) == {cl.filter_symbols(cube, filt).tobytes()}
+    builds.clear()
+    for block in (cube[None], np.stack([cube] * 5), cube[0]):
+        cl.filter_symbols(block, filt)
+    assert builds == []
+    cl.filter_symbols(cube[..., :12], filt)
+    assert builds == [(12, 12)]
+    m = cl.filter_matrix(filt, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1.0
+
+
 def test_filter_symbols_rejects_short_frames(small_plan):
     cfg = SystemConfig(m_tx=4, m_rx=3, n_sub=4, n_sym=5, noise_var=0.0)
     y = ec.synthesize_echo(_static_scene(), small_plan, 0, cfg, noise_var=0.0)
@@ -427,10 +491,10 @@ def test_filter_symbols_rejects_short_frames(small_plan):
 
 # oracle: each normalized beam filtered alone, as the scan pipeline ran it
 # before it filtered blocks of beams. The block filter must return each
-# beam's bytes.
+# beam's bytes, whatever the block, and in place too.
 
 def _filter_symbols_per_item(y, b, plan, cfg, filt):
-    return cl.step_matched_highpass(y / g_tilde(plan, b, cfg), filt)
+    return cl.filter_symbols(y / g_tilde(plan, b, cfg), filt)
 
 
 @pytest.mark.parametrize("order,cutoff", [(1, 0.1), (2, 0.04), (4, 0.2)])

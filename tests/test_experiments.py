@@ -21,7 +21,7 @@ from mtsense import cli, clutter, detector, echo, music
 from mtsense import experiments as ex
 from mtsense.echo import read_tensor, synthesize_echo
 from mtsense.beams import beam_for_angle, default_plan, g_tilde
-from mtsense.scene import (C0, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig,
+from mtsense.scene import (C0, MAX_SYMBOLS, RANGE_SUPPORT_M, SPEED_SUPPORT_MPS, SystemConfig,
                            Target, complex_normal)
 from mtsense.scene import blocks as scene_blocks
 from mtsense.scene import thread_map as scene_thread_map
@@ -234,6 +234,7 @@ def test_config_rejects_bad_field_types(raw, name):
     ("detector", {"p_fa": 0.05}),
     ("sweep", {"n_sym_synth": 32}),
     ("filter", {"order": 6, "cutoff": 0.25}),     # 18 transient, 2 of 20 left
+    ("sweep", {"n_sym_synth": MAX_SYMBOLS}),
 ])
 def test_config_accepts_good_field_types(section, values):
     spec = getattr(ex.config_from_dict({section: values}), section)
@@ -254,6 +255,9 @@ def test_config_accepts_good_field_types(section, values):
     ({"system": {"d_spacing": -0.0025}}, "d_spacing"),
     ({"filter": {"order": 3}, "system": {"n_sym": 9}}, "system.n_sym"),
     ({"system": {"n_sym": 7}}, "system.n_sym"),   # 6 transient, 1 left
+    # frames past MAX_SYMBOLS fail at load, before any filter matrix is built
+    ({"system": {"n_sym": MAX_SYMBOLS + 1}}, "system.n_sym"),
+    ({"sweep": {"n_sym_synth": MAX_SYMBOLS + 1}}, "sweep.n_sym_synth"),
 ])
 def test_config_rejects_out_of_range_values(raw, name):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -300,7 +304,8 @@ def test_single_field_rules_name_the_field(raw, name):
 
 def test_system_config_checks_its_own_fields():
     # library code builds SystemConfig directly, without an ExperimentConfig
-    with pytest.raises(ValueError, match=r"^system\.n_sym must be an integer >= 2, got 1$"):
+    with pytest.raises(ValueError,
+                       match=rf"^system\.n_sym must be an integer in 2\.\.{MAX_SYMBOLS}, got 1$"):
         SystemConfig(n_sym=1)
 
 
@@ -474,7 +479,7 @@ def test_pipeline_estimates_on_the_symbols_past_the_transient(tmp_path, monkeypa
     scene = ex.build_scene(config, cfg, config.seed)
     for cube, b in zip(cubes, scans):
         y = synthesize_echo(scene, plan, b, cfg, seed=config.seed)
-        want = clutter.step_matched_highpass(y / g_tilde(plan, b, cfg), filt)
+        want = clutter.filter_symbols(y / g_tilde(plan, b, cfg), filt)
         assert cube.tobytes() == want[..., 9:].tobytes()
 
 
