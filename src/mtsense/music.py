@@ -74,8 +74,8 @@ def _null_polynomial(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     any covariance is non-finite.
 
     The noise-subspace projector of one source is I - v v^H, v the principal
-    eigenvector, so c_k, the sum of its k-th diagonal (k = M-1 down to
-    -(M-1)), is M delta_k minus v's autocorrelation at lag -k, and the null
+    eigenvector, so c_k, the sum of its k-th diagonal (k = 1-M up to M-1),
+    is M delta_k minus v's autocorrelation at lag -k, and the null
     spectrum is M - |V|^2, V = FFT(v). One zero-padded FFT pair gives both.
     """
     if not np.all(np.isfinite(cov)):
@@ -84,7 +84,7 @@ def _null_polynomial(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = v.shape[-1]
     spec = np.fft.fft(v, _GRID * m, axis=-1)
     power = spec.real ** 2 + spec.imag ** 2
-    coeffs = -np.fft.ifft(power, axis=-1)[..., np.arange(1 - m, m)]
+    coeffs = -np.fft.ifft(power, axis=-1)[..., np.arange(m - 1, -m, -1)]
     coeffs[..., m - 1] += m
     return coeffs, np.exp(2j * math.pi * np.argmax(power, axis=-1) / (_GRID * m))
 
@@ -92,26 +92,26 @@ def _null_polynomial(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _null_root(cov: np.ndarray) -> np.ndarray:
     """(n,) root of the MUSIC null polynomial p(z) = sum_k c_k z^(M-1+k) of
     each matrix of an (n, M, M) covariance stack: the root plain Newton steps
-    z <- z - p(z)/p'(z), by Horner's rule, reach from the grid seed of
-    ``_null_polynomial``. Raises ValueError if any covariance is non-finite
-    and RootNotFound if any matrix does not converge.
-
-    A row leaves the stack once a step is at most 1e-13 |z|, or once |p(z)|
-    is within one rounding unit of sum |c_i| |z|^i: z is then a root to the
+    z <- z - p(z)/p'(z) reach from the grid seed of ``_null_polynomial``.
+    Raises ValueError if any covariance is non-finite and RootNotFound if any
+    matrix does not converge. A step takes p, p' and sum |c_i| |z^i| as row
+    dot products of z's powers 0 to 2M-2 (one cumulative product) with the
+    coefficients, the derivative's (formed once per call) and |c_i|, for any
+    coefficient stack. A row leaves once a step is at most 1e-13 |z|, or once
+    |p(z)| is within one rounding unit of that sum: z is then a root to the
     precision p can be evaluated in. Near the double root of noiseless data,
     which rounding splits, that ends the search about 1e-10 to 1e-8 from it.
-    Every step is elementwise, so each row gets the bits it gets alone.
+    Every step is row by row, so each row gets the bits it gets alone.
     """
-    coeffs, z = _null_polynomial(cov)
-    rows, scale = np.arange(len(z)), np.abs(coeffs)
+    c, z = _null_polynomial(cov)             # c[:, k] multiplies z^k
+    k, rows = np.arange(c.shape[1]), np.arange(len(z))
+    dc, scale = c[:, 1:] * k[1:], np.abs(c)
     for _ in range(NEWTON_STEPS):
-        zr, c, a = z[rows], coeffs[rows].T, scale[rows].T
-        mag = np.abs(zr)
-        p, dp, bound = c[0], np.zeros_like(zr), a[0]
-        for ci, ai in zip(c[1:], a[1:]):
-            dp = dp * zr + p
-            p = p * zr + ci
-            bound = bound * mag + ai
+        zr = z[rows]
+        powers = np.cumprod(np.where(k > 0, zr[:, None], 1), axis=1)
+        p = np.einsum("ij,ij->i", powers, c[rows])
+        dp = np.einsum("ij,ij->i", powers[:, :-1], dc[rows])
+        bound = np.einsum("ij,ij->i", np.abs(powers), scale[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
             step = p / dp
         at_root = np.abs(p) <= np.finfo(float).eps / 2 * bound
