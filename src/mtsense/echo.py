@@ -14,6 +14,8 @@ Every steering factor is ``beams.steering`` and every transmit gain comes from
 ``tx_gains``; ``crb`` builds its atoms from the same two. Only the gains depend
 on the scan. Each scene's steering factors are built once per SystemConfig, on
 its first synthesis, and later scans of that scene and cfg share them read-only.
+``clean_factors`` alone turns them into cube entries, for a stack of scans'
+weights: ``synthesize_echo`` expands it at one scan and adds the noise.
 """
 from __future__ import annotations
 
@@ -119,59 +121,49 @@ def synthesize_echo(scene: Scene, plan: BeamPlan, b: int, cfg: SystemConfig, see
                     noise_var: float | None = None) -> np.ndarray:
     """Scan b's raw echo cube, (M_r, L, P) complex.
 
-    The noiseless cube is built from ``element_factors``, computed once per
-    scene and cfg and shared read-only by every scan: the scatterer sum is one
-    (M_r x N_s)(N_s x L) product broadcast over the symbols, the target sum
-    one (M_r x N_t)(N_t x L*P) product. Noise is added last, in place, from
-    the stream ``noisy_copies`` uses, seeded per scan from (seed, b), so different
-    scans get independent noise and a rerun with the same seed is
-    bit-identical. ``noise_var`` overrides cfg.noise_var when given.
+    The noiseless cube is ``clean_factors`` of the scan's one weight row,
+    expanded by one (M_r*L x R)(R x P) product. Noise is added last, in
+    place, from the stream ``noisy_copies`` uses, seeded per scan from
+    (seed, b), so different scans get independent noise and a rerun with the
+    same seed is bit-identical. ``noise_var`` overrides cfg.noise_var when
+    given.
     """
-    m_rx, n_sub, n_sym = cfg.m_rx, cfg.n_sub, cfg.n_sym
     sigma2 = cfg.noise_var if noise_var is None else noise_var
-    y = np.zeros((m_rx, n_sub, n_sym), dtype=complex)
-    weights = plan.weights[b:b + 1]
-    if scene.targets:
-        f = _scene_factors(scene, "targets", cfg)
-        range_doppler = (f.a_r[:, :, None] * f.a_d[:, None, :]).reshape(len(f.theta), -1)
-        rx = _weighted_rx(f, tx_gains(f.a_tx, weights)[:, 0])
-        y += (rx.T @ range_doppler).reshape(m_rx, n_sub, n_sym)
-    if scene.scatterers:
-        f = _scene_factors(scene, "scatterers", cfg)
-        y += (_weighted_rx(f, tx_gains(f.a_tx, weights)[:, 0]).T @ f.a_r)[:, :, None]
+    coef, rows = clean_factors(scene, plan.weights[b:b + 1], cfg)
+    y = (coef.reshape(cfg.m_rx * cfg.n_sub, len(rows)) @ rows).reshape(
+        cfg.m_rx, cfg.n_sub, cfg.n_sym)
     _add_noise_to(y, sigma2, seed, b)
     return y
 
 
-def _weighted_rx(f: ElementFactors, gains: np.ndarray) -> np.ndarray:
-    """(N, M_r): each element's receive steering times its alpha and its
-    transmit gain in one scan, gains (N,)."""
-    return f.a_rx * (f.alpha * gains)[:, None]
-
-
-def clean_factors(scene: Scene, plan: BeamPlan,
+def clean_factors(scene: Scene, weights: np.ndarray,
                   cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every scan's noiseless cube factored along the symbol axis, without
-    building it: coef (n_beams, M_r, L, R) and rows (R, P), where coef[b] @ rows
-    is ``synthesize_echo(scene, plan, b, cfg, noise_var=0.0)`` up to
-    rounding. rows: all ones for the scatterers (if any), then each target's a_d.
-    Gains come from one ``tx_gains`` call per element kind; the products stay
-    per scan, as one broadcast over all scans ran no faster.
+    """The noiseless cubes of the scans of a (B, M_t) weight stack, factored
+    along the symbol axis: coef (B, M_r, L, R) and rows (R, P), where
+    coef[b] @ rows is the cube of weights[b]. rows: all ones for the
+    scatterers (if any), then each target's a_d; coef: each element's
+    alpha * g_b times its a_rx and a_r, the scatterers summed into one column.
+
+    The one place element factors become cube entries: ``synthesize_echo``
+    passes one scan's row, the sweep the whole plan. Gains come from one
+    ``tx_gains`` call per element kind; the products stay per scan, as one
+    broadcast over all scans ran no faster and holds a (B, N, M_r)
+    temporary, 6 MB for the sweep's 61 beams and 400 scatterers.
     """
     n_t = len(scene.targets)
     rows = np.ones((bool(scene.scatterers) + n_t, cfg.n_sym), dtype=complex)
-    coef = np.empty((plan.n_beams, cfg.m_rx, cfg.n_sub, len(rows)), dtype=complex)
+    coef = np.empty((len(weights), cfg.m_rx, cfg.n_sub, len(rows)), dtype=complex)
     if scene.targets:
         t = _scene_factors(scene, "targets", cfg)
         rows[len(rows) - n_t:] = t.a_d
-        gains = tx_gains(t.a_tx, plan.weights)
-        for b in range(plan.n_beams):
-            coef[b, ..., len(rows) - n_t:] = _weighted_rx(t, gains[:, b]).T[:, None, :] * t.a_r.T
+        w = t.alpha[:, None] * tx_gains(t.a_tx, weights)
+        for b in range(len(weights)):
+            coef[b, ..., len(rows) - n_t:] = (t.a_rx * w[:, b, None]).T[:, None, :] * t.a_r.T
     if scene.scatterers:
         s = _scene_factors(scene, "scatterers", cfg)
-        gains = tx_gains(s.a_tx, plan.weights)
-        for b in range(plan.n_beams):
-            coef[b, ..., 0] = _weighted_rx(s, gains[:, b]).T @ s.a_r
+        w = s.alpha[:, None] * tx_gains(s.a_tx, weights)
+        for b in range(len(weights)):
+            coef[b, ..., 0] = (s.a_rx * w[:, b, None]).T @ s.a_r
     return coef, rows
 
 

@@ -530,7 +530,7 @@ def sweep_snr(config: ExperimentConfig, out_dir, threads: int = 1) -> dict:
 
     rows = []
     with run.stage("sweep"):
-        coef, symbol_rows = clean_factors(scene, plan, replace(cfg, n_sym=n_synth))
+        coef, symbol_rows = clean_factors(scene, plan.weights, replace(cfg, n_sym=n_synth))
         gains = np.array([beams.g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
         coef /= gains[:, None, None, None]
         near = _reachable_beams(scene, plan)

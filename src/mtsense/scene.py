@@ -128,12 +128,17 @@ class SystemConfig:
         return self.wavelength / 2.0 if self.d_spacing is None else self.d_spacing
 
 
-def _check_finite(element, kind: str) -> None:
-    """Raise ValueError naming the first non-finite field of a scene element."""
+def _check_element(element, kind: str) -> None:
+    """Raise ValueError naming the first non-finite field of a scene element,
+    then a range <= 0, then an angle off |theta| < pi/2."""
     for f in fields(element):
         value = getattr(element, f.name)
         if not cmath.isfinite(value):
             raise ValueError(f"{kind} {f.name} must be finite, got {value}")
+    if element.range <= 0:
+        raise ValueError(f"{kind} range must be positive")
+    if abs(element.theta) >= math.pi / 2:
+        raise ValueError(f"{kind} angle must satisfy |theta| < pi/2")
 
 
 @dataclass(frozen=True)
@@ -146,11 +151,7 @@ class Target:
     alpha: complex
 
     def __post_init__(self):
-        _check_finite(self, "target")
-        if self.range <= 0:
-            raise ValueError("target range must be positive")
-        if abs(self.theta) >= math.pi / 2:
-            raise ValueError("target angle must satisfy |theta| < pi/2")
+        _check_element(self, "target")
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,7 @@ class Scatterer:
     alpha: complex
 
     def __post_init__(self):
-        _check_finite(self, "scatterer")
-        if self.range <= 0:
-            raise ValueError("scatterer range must be positive")
-        if abs(self.theta) >= math.pi / 2:
-            raise ValueError("scatterer angle must satisfy |theta| < pi/2")
+        _check_element(self, "scatterer")
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ def test_factored_sampler_matches_whole_cubes(with_target):
     target = Target(theta=float(plan.directions[4]), range=3.0, speed=2.0, alpha=1.0)
     scene = Scene((target,) if with_target else (),
                   reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
-    coef, rows = ec.clean_factors(scene, plan, cfg)
+    coef, rows = ec.clean_factors(scene, plan.weights, cfg)
     filt = cl.design_butterworth_highpass(2, 0.04)
     far = cl.FilteredPowerSampler(coef, rows, filt)
     m = cl.step_matched_highpass(np.eye(cfg.n_sym), filt)
@@ -370,7 +370,7 @@ def test_column_energies_are_the_direct_sums(with_target):
     target = Target(theta=float(plan.directions[4]), range=3.0, speed=2.0, alpha=1.0)
     scene = Scene((target,) if with_target else (),
                   reference_scene(cfg, n_scatterers=20, seed=3).scatterers)
-    coef, rows = ec.clean_factors(scene, plan, cfg)
+    coef, rows = ec.clean_factors(scene, plan.weights, cfg)
     sampler = cl.FilteredPowerSampler(coef, rows, cl.design_butterworth_highpass(2, 0.04),
                                       window=12)
     rng = np.random.default_rng(7)

@@ -53,16 +53,21 @@ def _two_element_scene():
 
 
 def test_synthesize_matches_brute_force(small_cfg, small_plan):
-    # one scene object under two configs in turn: the steering factors it
-    # keeps between syntheses must follow the cfg
-    scene = _two_element_scene()
+    # the empty scene, targets only, scatterers only and both put 0, n_t, 1
+    # and n_t + 1 symbol rows in clean_factors' product. Each scene object is
+    # synthesized under two configs in turn: the steering factors it keeps
+    # between syntheses must follow the cfg
+    full = _two_element_scene()
     other = replace(small_cfg, f_c=28e9, n_sym=7)
-    for b in (0, 3, 6):
-        for cfg in (small_cfg, other):
-            got = ec.synthesize_echo(scene, small_plan, b, cfg, noise_var=0.0)
-            want = brute_force_echo(scene, small_plan, b, cfg)
-            assert np.allclose(got, want, atol=1e-10)
-            assert type(got) is np.ndarray
+    for targets, scatterers in ((), ()), (full.targets, ()), ((), full.scatterers), \
+            (full.targets, full.scatterers):
+        scene = Scene(targets, scatterers)
+        for b in (0, 3, 6):
+            for cfg in (small_cfg, other):
+                got = ec.synthesize_echo(scene, small_plan, b, cfg, noise_var=0.0)
+                want = brute_force_echo(scene, small_plan, b, cfg)
+                assert np.allclose(got, want, atol=1e-10)
+                assert type(got) is np.ndarray and got.shape == want.shape
 
 
 def test_synthesize_matches_brute_force_dense_scene(small_cfg, small_plan):
@@ -97,46 +102,53 @@ def test_element_factors_match_scalar_helpers(small_cfg, small_plan):
     assert np.array_equal(f.a_d[2], np.ones(small_cfg.n_sym))   # scatterer: no Doppler
 
 
-def _clean_factors_per_beam(scene, plan, cfg):
+def _clean_factors_per_beam(scene, weights, cfg):
     """clean_factors with each scan's gains formed on their own, by a one-beam
     einsum over the element stack: the oracle of the stacked gain table."""
     n_t = len(scene.targets)
     rows = np.ones((bool(scene.scatterers) + n_t, cfg.n_sym), dtype=complex)
-    coef = np.empty((plan.n_beams, cfg.m_rx, cfg.n_sub, len(rows)), dtype=complex)
+    coef = np.empty((len(weights), cfg.m_rx, cfg.n_sub, len(rows)), dtype=complex)
 
     def weighted_rx(f, b):
-        g = np.einsum("...m,m->...", f.a_tx, plan.weights[b])
+        g = np.einsum("...m,m->...", f.a_tx, weights[b])
         return f.a_rx * (f.alpha * g)[:, None]
 
     if scene.targets:
         t = ec.element_factors(scene.targets, cfg)
         rows[len(rows) - n_t:] = t.a_d
-        for b in range(plan.n_beams):
+        for b in range(len(weights)):
             coef[b, ..., len(rows) - n_t:] = weighted_rx(t, b).T[:, None, :] * t.a_r.T
     if scene.scatterers:
         s = ec.element_factors(scene.scatterers, cfg)
-        for b in range(plan.n_beams):
+        for b in range(len(weights)):
             coef[b, ..., 0] = weighted_rx(s, b).T @ s.a_r
     return coef, rows
 
 
 @pytest.mark.parametrize("with_scatterers", [True, False], ids=["reference", "targets only"])
-def test_clean_factors_expand_to_the_synthesized_cubes(with_scatterers):
-    # coef @ rows, at the sweep's 64-symbol frame, is every beam's noiseless
-    # cube, and the stacked gain table leaves coef with the per-beam loop's bits
+def test_clean_factors_expand_to_the_synthesized_cubes(with_scatterers, small_cfg,
+                                                       small_plan):
+    # at the sweep's 61 beams and 64-symbol frame, the stacked gain table
+    # leaves coef with the per-beam loop's bits; at a small config,
+    # coef[b] @ rows is the scalar oracle's noiseless cube
     cfg = SystemConfig(n_sym=64)
     plan = bm.default_plan(cfg, n_beams=61, span_deg=60.0)
     scene = reference_scene(cfg)
     if not with_scatterers:
         scene = Scene(scene.targets, ())
-    coef, rows = ec.clean_factors(scene, plan, cfg)
-    want_coef, want_rows = _clean_factors_per_beam(scene, plan, cfg)
+    coef, rows = ec.clean_factors(scene, plan.weights, cfg)
+    want_coef, want_rows = _clean_factors_per_beam(scene, plan.weights, cfg)
     assert coef.tobytes() == want_coef.tobytes() and rows.tobytes() == want_rows.tobytes()
     n_rows = len(scene.targets) + with_scatterers
     assert coef.shape == (plan.n_beams, cfg.m_rx, cfg.n_sub, n_rows)
     assert rows.shape == (n_rows, cfg.n_sym)
-    for b in range(plan.n_beams):
-        want = ec.synthesize_echo(scene, plan, b, cfg, noise_var=0.0)
+
+    scene = _two_element_scene()
+    if not with_scatterers:
+        scene = Scene(scene.targets, ())
+    coef, rows = ec.clean_factors(scene, small_plan.weights, small_cfg)
+    for b in (0, 3, 6):
+        want = brute_force_echo(scene, small_plan, b, small_cfg)
         np.testing.assert_allclose(coef[b] @ rows, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 

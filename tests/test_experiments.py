@@ -756,7 +756,8 @@ def _sweep_setup(config):
     cfg = config.system
     plan = default_plan(cfg, n_beams=config.scan.n_beams, span_deg=config.scan.span_deg)
     scene = ex.build_scene(config, cfg, config.seed)
-    coef, rows = echo.clean_factors(scene, plan, replace(cfg, n_sym=config.sweep.n_sym_synth))
+    coef, rows = echo.clean_factors(scene, plan.weights,
+                                    replace(cfg, n_sym=config.sweep.n_sym_synth))
     gains = np.array([g_tilde(plan, b, cfg) for b in range(plan.n_beams)])
     coef /= gains[:, None, None, None]
     near = ex._reachable_beams(scene, plan)

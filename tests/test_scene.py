@@ -70,10 +70,14 @@ def test_config_validation():
 
 
 def test_element_validation():
-    with pytest.raises(ValueError):
-        Target(theta=2.0, range=1.0, speed=1.0, alpha=1j)   # |theta| >= pi/2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^target angle must satisfy \|theta\| < pi/2$"):
+        Target(theta=2.0, range=1.0, speed=1.0, alpha=1j)
+    with pytest.raises(ValueError, match="^scatterer range must be positive$"):
         Scatterer(theta=0.0, range=-1.0, alpha=1j)
+    with pytest.raises(ValueError, match="^target range must be positive$"):
+        Target(theta=0.0, range=0.0, speed=1.0, alpha=1j)
+    with pytest.raises(ValueError, match=r"^scatterer angle must satisfy \|theta\| < pi/2$"):
+        Scatterer(theta=-2.0, range=1.0, alpha=1j)
 
 
 _VALID_ELEMENTS = {"target": (Target, dict(theta=0.1, range=2.0, speed=1.0, alpha=1j)),
